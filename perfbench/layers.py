@@ -86,6 +86,14 @@ def ed_metrics(traced: list[TracedProc]) -> dict:
     }
 
 
+def tracing_overhead(doc: dict) -> float:
+    """Seconds tracing added to one process: installing the wrappers, one
+    wrapper cost per span, the notes and serialising the spans."""
+    cost = doc["overhead"]
+    return (cost["install_s"] + cost["note_s"] + cost["dump_s"]
+            + len(doc["spans"]) * cost["per_span_s"])
+
+
 def layer_metrics(traced: list[TracedProc], probe: dict, overhead_s: float) -> dict:
     table = SpanTable(traced)
     grids = table.notes["sweep.run_grid"]

@@ -1,6 +1,6 @@
 """Benchmark of the iddm toolkit, run from the root of a checkout.
 
-    python3 perfbench/run.py --workload meanfield-grid --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload meanfield-grid --seed 1 --seconds 40 --trace 0
 
 Workloads (see workloads.py for inputs and gates):
 
@@ -20,12 +20,15 @@ Workloads (see workloads.py for inputs and gates):
 Every process is a fresh `python` started one at a time with IDDM_THREADS=1
 and timed from outside; its peak RSS comes from wait4.  Every output passes
 through the workload's correctness gates; a nonzero exit or a failed gate
-counts as a failed operation.  Wall times are scaled by calibration runs
-(see CALIBRATIONS below) to take out the speed drift of a shared host.
+counts as a failed operation.  Wall times are scaled by a calibration
+process to take out the speed drift of a shared host (see CALIBRATION
+below); the raw times are printed too.
 
---trace 0 runs five set-up probes, then workload cycles for --seconds (a
-new cycle starts only if it should end inside the window), and reports the
-end-to-end metrics:
+--trace 0 runs rounds of a set-up probe, a workload cycle and a calibration
+for --seconds (a new round starts only if it should end inside the window;
+probes are topped up to SETUP_STARTS afterwards), so set-up and cycles
+sample the same stretch of a shared host's drifting speed, and reports the
+end-to-end metrics (scaled):
   wall_s       one cycle's wall time: the sum over its processes of each
                process's median over the cycles;
   main_proc_s  the median wall time of the main process (the CSV sweep,
@@ -34,14 +37,16 @@ end-to-end metrics:
   setup_s      the median cold start of the workload's entry point on a
                trivial input (a 1x1 sweep, `ed --n 2`, the oracle with 0 draws).
 It also prints fail_frac, the workload's own rate (grid_points_per_s,
-ed_largest_n_s or oracle_draws_per_s) and the raw median wall time of each
-process; they are not in the JSON line.
+ed_largest_n_s or oracle_draws_per_s), the raw (unscaled) wall_s,
+main_proc_s and setup_s, and the raw median wall time of each process; they
+are not in the JSON line.
 
 --trace 1 reports the per-layer metrics: a `-X importtime` import probe,
 then one traced cycle of every workload (spans recorded by tracer.py in the
 child processes), so each layer is measured in every traced run.  The
-tracing overhead is the traced minus the untraced wall time of one cycle of
-the selected workload.
+tracing overhead of the selected workload's cycle is accounted inside the
+traced processes (layers.tracing_overhead): the wall-time difference of a
+traced and an untraced cycle is smaller than the run-to-run spread.
 
 The last line of stdout is one JSON object with correct, attempted, failed
 and metrics.  The lines before it give the environment stamp and every
@@ -72,26 +77,27 @@ SRC = ROOT / "src"
 ORACLE = str(HERE / "oracle.py")
 TRACER = str(HERE / "tracer.py")
 
-SETUP_STARTS = 5
+SETUP_STARTS = 8
+# On a shared host the CPU speed drifts: on a 2-core VM the raw wall times
+# of ten runs spread (quartile distance) by up to half of their median, well
+# past the bounds in BENCHMARK.json.  So a fixed calibration process, which
+# runs no iddm code, runs before the first round and after every round, and
+# the round's wall times are scaled by
+# CALIBRATION_REF_S / (the mean of the calibrations just before and after
+# it): the figures read in seconds at the speed where the calibration takes
+# CALIBRATION_REF_S.  One reference scales every process, and its work is a
+# fixed mix of interpreter start, numpy import, a pure-Python loop and numpy
+# kernels, so the correction does not depend on what the program is bound
+# by.  The raw wall times are printed as raw.* and kept in the baseline.
+CALIBRATION = ["-c", "import numpy as np\n"
+                     "s = 0\nfor i in range(1000000):\n    s += i * i\n"
+                     "a = np.random.default_rng(0).random(400000)\n"
+                     "for _ in range(30):\n    a = np.sqrt(a * a + 1.0) - 0.5\n    a.sort()"]
+CALIBRATION_REF_S = 0.5
 # A run must end within 180 s; a child still running at this point is killed
 # and counts as a failed operation.
 RUN_BUDGET_S = 170.0
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-# On a shared host the CPU speed drifts, by up to a factor of 1.5 over
-# seconds to minutes on a 2-core VM: interpreter-bound code slows most,
-# vectorised numpy code less.  So each measured process runs between two runs of a fixed
-# calibration process of its own kind (Proc.calibration), and its wall time
-# is scaled by (reference time / their mean wall time): the figure reads in seconds
-# at the speed where each calibration takes its reference time.  The
-# calibrations run no iddm code, so a change to the program cannot move
-# them.  Raw wall times are printed alongside.
-CALIBRATIONS = {
-    "python": (["-c", "s = 0\nfor i in range(1500000):\n    s += i * i"], 0.25),
-    "numpy": (["-c", "import numpy as np\na = np.random.default_rng(0).random(400000)\n"
-                     "for _ in range(60):\n    a = np.sqrt(a * a + 1.0) - 0.5\n    a.sort()"], 0.4),
-}
-
 
 class Runner:
     """Starts the benchmark's child processes one at a time and counts operations."""
@@ -105,7 +111,6 @@ class Runner:
         self.failed = 0
         self.messages: list[str] = []
         self._count = 0
-        self._last_calibration = ("", 0.0)
         self._launcher = subprocess.Popen(
             [sys.executable, str(HERE / "launcher.py")], cwd=work, env=self.env,
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
@@ -130,35 +135,12 @@ class Runner:
         reply = json.loads(reply)
         return reply["wall"], reply["maxrss_kb"], reply["code"], out_path, err_path
 
-    def _calibrate(self, kind: str) -> float:
-        wall, _, code, _, _ = self.launch(CALIBRATIONS[kind][0])
-        if code != 0:
-            raise RuntimeError(f"{kind} calibration process exited {code}")
-        self._last_calibration = (kind, wall)
-        return wall
-
-    def calibrated(self, argv: list[str], kind: str) -> tuple[float, float, int, int, Path, Path]:
-        """launch() between two calibration runs of the given kind.
-
-        The wall time is scaled by the mean of the calibrations just before
-        and just after; the one after serves as the next process's before
-        when that process is of the same kind.  Returns (scaled wall s, raw
-        wall s, peak RSS KB, exit code, stdout, stderr).
-        """
-        last_kind, before = self._last_calibration
-        if last_kind != kind:
-            before = self._calibrate(kind)
-        wall, rss_kb, code, out_path, err_path = self.launch(argv)
-        after = self._calibrate(kind)
-        scaled = wall * CALIBRATIONS[kind][1] / (0.5 * (before + after))
-        return scaled, wall, rss_kb, code, out_path, err_path
-
     def run(self, proc: workloads.Proc, ctx: dict, argv: list[str] | None = None) -> dict:
         """Run one Proc (or the same work under another argv) and pass its output through the gate."""
         output = self.work / proc.output
         if output.exists():
             output.unlink()
-        wall, raw, rss_kb, code, out_path, err_path = self.calibrated(argv or proc.argv, proc.calibration)
+        wall, rss_kb, code, out_path, err_path = self.launch(argv or proc.argv)
         stdout_bytes = out_path.stat().st_size
         if code != 0:
             tail = err_path.read_text(errors="replace").strip().splitlines()[-1:] or [""]
@@ -171,7 +153,7 @@ class Runner:
         if failures:
             self.failed += 1
             self.messages += [f"{proc.tag}: {m}" for m in failures]
-        return {"tag": proc.tag, "wall": wall, "raw_wall": raw, "rss_kb": rss_kb, "data": data,
+        return {"tag": proc.tag, "wall": wall, "rss_kb": rss_kb, "data": data,
                 "stdout_bytes": stdout_bytes}
 
     def cycle(self, procs: list[workloads.Proc]) -> list[dict]:
@@ -214,8 +196,8 @@ def declared_units(trace: int) -> dict:
     return {m["name"]: m["unit"] for m in spec["per_layer" if trace else "end_to_end"]}
 
 
-def _median_walls(cycles: list[list[dict]], key: str = "wall") -> dict:
-    """Tag -> median (scaled or raw) wall time of that process over the cycles."""
+def _median_walls(cycles: list[list[dict]], key: str) -> dict:
+    """Tag -> median wall time (key "wall" raw, "scaled") of that process over the cycles."""
     walls: dict[str, list[float]] = {}
     for c in cycles:
         for r in c:
@@ -223,37 +205,66 @@ def _median_walls(cycles: list[list[dict]], key: str = "wall") -> dict:
     return {tag: statistics.median(ws) for tag, ws in walls.items()}
 
 
+def calibrate(runner: Runner) -> float:
+    """Wall time of one run of the CALIBRATION process."""
+    wall, _, code, _, _ = runner.launch(CALIBRATION)
+    if code != 0:
+        raise RuntimeError(f"calibration process exited {code}")
+    return wall
+
+
 def measure_end_to_end(runner: Runner, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    setup = [runner.run(workloads.setup_proc(workload, ORACLE), {})["wall"]
-             for _ in range(SETUP_STARTS)]
-    cycles = []
+    calibrations = [calibrate(runner)]
+
+    def scaled(results: list[dict]) -> list[dict]:
+        """Adds "scaled" to each result: its wall time at the speed of the calibrations around it."""
+        calibrations.append(calibrate(runner))
+        scale = CALIBRATION_REF_S / statistics.fmean(calibrations[-2:])
+        for r in results:
+            r["scaled"] = r["wall"] * scale
+        return results
+
+    def probe() -> dict:
+        return runner.run(workloads.setup_proc(workload, ORACLE), {})
+
+    setup, cycles = [], []
     start = time.perf_counter()
     while True:
         began = time.perf_counter()
-        cycles.append(runner.cycle(workloads.cycle(workload, seed, ORACLE)))
+        first, *rest = scaled([probe(), *runner.cycle(workloads.cycle(workload, seed, ORACLE))])
+        setup.append(first)
+        cycles.append(rest)
         now = time.perf_counter()
-        # Stop unless one more cycle of the same length still ends inside the window.
+        # Stop unless one more round of the same length still ends inside the window.
         if now - start + (now - began) > seconds or now >= runner.deadline:
             break
-    medians = _median_walls(cycles)
-    main_s = medians[workloads.MAIN_PROC[workload]]
+    if len(setup) < SETUP_STARTS:
+        setup += scaled([probe() for _ in range(SETUP_STARTS - len(setup))])
+    medians, raw = _median_walls(cycles, "scaled"), _median_walls(cycles, "wall")
+    main_tag = workloads.MAIN_PROC[workload]
+    main_s = medians[main_tag]
     metrics = {
         "wall_s": sum(medians.values()),
         "main_proc_s": main_s,
         "peak_rss_mb": max(r["rss_kb"] for c in cycles for r in c) / 1024.0,
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(r["scaled"] for r in setup),
     }
-    main_proc = next(p for p in workloads.cycle(workload, seed, ORACLE)
-                     if p.tag == workloads.MAIN_PROC[workload])
-    derived = {"cycles": (len(cycles), "count")}
+    main_proc = next(p for p in workloads.cycle(workload, seed, ORACLE) if p.tag == main_tag)
+    derived = {
+        "cycles": (len(cycles), "count"),
+        "raw.wall_s": (sum(raw.values()), "s"),
+        "raw.main_proc_s": (raw[main_tag], "s"),
+        "raw.setup_s": (statistics.median(r["wall"] for r in setup), "s"),
+        "calibration_s": (statistics.median(calibrations), "s"),
+    }
     if workload == "meanfield-grid":
         derived["grid_points_per_s"] = (main_proc.points / main_s, "1/s")
     elif workload == "ed-scan":
         derived["ed_largest_n_s"] = (main_s, "s")
     else:
         derived["oracle_draws_per_s"] = (main_proc.points / main_s, "1/s")
-    for tag, median in _median_walls(cycles, "raw_wall").items():
-        derived[f"raw_wall.{tag}_s"] = (median, "s")
+    for tag, median in raw.items():
+        derived[f"raw.{tag}_s"] = (median, "s")
     return metrics, derived
 
 
@@ -278,29 +289,31 @@ def import_probe(runner: Runner) -> dict:
 
 def measure_layers(runner: Runner, workload: str, seed: int) -> tuple[dict, dict]:
     probe = import_probe(runner)
-    untraced = sum(r["wall"] for r in runner.cycle(workloads.cycle(workload, seed, ORACLE)))
     traced: list[layers.TracedProc] = []
-    traced_wall = 0.0
+    overhead_s = traced_wall = 0.0
     for name in workloads.WORKLOADS:
         ctx: dict = {}
         for proc in workloads.cycle(name, seed, ORACLE):
             spans = runner.work / f"{proc.tag}.spans.json"
             result = runner.run(proc, ctx, _traced_argv(proc, str(spans)))
+            if not spans.exists():
+                continue  # it exited nonzero, a failure already counted
+            doc = json.loads(spans.read_text())
             if name == workload:
                 traced_wall += result["wall"]
-            doc = json.loads(spans.read_text()) if spans.exists() else {"names": [], "spans": []}
+                overhead_s += layers.tracing_overhead(doc)
             traced.append(layers.TracedProc(proc, doc, result["data"], result["stdout_bytes"]))
     if runner.failed:
         return {}, {}
-    derived = {"untraced_cycle_s": (untraced, "s"), "traced_cycle_s": (traced_wall, "s")}
-    return layers.layer_metrics(traced, probe, traced_wall - untraced), derived
+    derived = {"traced_cycle_s": (traced_wall, "s")}
+    return layers.layer_metrics(traced, probe, overhead_s), derived
 
 
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", choices=workloads.WORKLOADS, required=True)
     ap.add_argument("--seed", type=int, default=workloads.CANONICAL_SEED)
-    ap.add_argument("--seconds", type=float, default=30.0,
+    ap.add_argument("--seconds", type=float, default=40.0,
                     help="length of the measuring window (--trace 0 only)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)

@@ -105,6 +105,17 @@ def test_digest_gate_fires_at_the_canonical_seed(phase_csv):
         w.GOLDEN_SHA256.update(golden)
 
 
+def test_golden_digests_match_the_program(tmp_path, monkeypatch):
+    """The canonical-seed outputs, made in-process, have the recorded digests and pass every gate."""
+    monkeypatch.chdir(tmp_path)
+    ctx: dict = {}
+    for proc in w.meanfield_grid(w.CANONICAL_SEED):
+        assert iddm_main(proc.iddm_args) == 0
+        data = (tmp_path / proc.output).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == w.GOLDEN_SHA256[proc.output]
+        assert proc.gate(data, ctx) == []
+
+
 def test_error_tag_gates_fire(grid_jsonl):
     gate = w.grid_jsonl_gate(UNBOUNDED_AXES, seed=1)
     assert gate(grid_jsonl, {}) == []
@@ -249,6 +260,7 @@ def test_tracer_spans_nest_and_reach_from_imports(tmp_path):
             assert names[doc["spans"][parent][0]] == "sweep.run_grid"
         assert end >= start
     assert 0 < table.self_time["cli.main"] < table.total["cli.main"]
+    assert 0 < layers.tracing_overhead(doc) < table.total["cli.main"]
 
 
 def test_importtime_parser():

@@ -6,7 +6,10 @@ wrapper that records a span: name, parent span, start and end
 result.  The wrapper is swapped into every loaded iddm module that holds the
 function, so names bound by `from .x import name` (cli's run_grid, ed's and
 sweep's equilibrium_closed_form, the package namespace) are traced too.
-Spans stay in memory and are written out once, when the process ends.
+Spans stay in memory and are written out once, when the process ends,
+together with what the tracing cost the process: the time to swap the
+wrappers in, to take the notes and to serialise the spans, and the extra
+cost of one traced call over an untraced one, measured on a no-op.
 
 Run as a script it executes one traced iddm command:
 
@@ -54,6 +57,8 @@ class Recorder:
         self.names: list[str] = []
         self.spans: list[list] = []
         self._stack: list[int] = []
+        self.install_s = 0.0
+        self.note_s = 0.0
 
     def _wrap(self, name: str, fn, note):
         spans, stack, clock = self.spans, self._stack, time.perf_counter
@@ -71,7 +76,9 @@ class Recorder:
                 span[3] = clock()
                 stack.pop()
             if note is not None:
+                begin = clock()
                 span[4] = note(result)
+                self.note_s += clock() - begin
             return result
 
         return traced
@@ -79,6 +86,7 @@ class Recorder:
     def install(self) -> None:
         for module_name, _, _ in TARGETS:
             importlib.import_module(module_name)
+        start = time.perf_counter()
         modules = [m for n, m in sys.modules.items() if n == "iddm" or n.startswith("iddm.")]
         for module_name, func_name, note in TARGETS:
             original = getattr(sys.modules[module_name], func_name)
@@ -86,10 +94,35 @@ class Recorder:
             for module in modules:
                 for attr in [a for a, v in vars(module).items() if v is original]:
                     setattr(module, attr, wrapper)
+        self.install_s = time.perf_counter() - start
 
     def dump(self, path: str) -> None:
+        start = time.perf_counter()
+        spans = json.dumps(self.spans)
+        overhead = {"install_s": self.install_s, "note_s": self.note_s,
+                    "dump_s": time.perf_counter() - start, "per_span_s": per_span_cost()}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"names": self.names, "spans": self.spans}, fh)
+            fh.write(f'{{"names": {json.dumps(self.names)}, "overhead": {json.dumps(overhead)}, '
+                     f'"spans": {spans}}}')
+
+
+def per_span_cost(calls: int = 20000, repeats: int = 3) -> float:
+    """Seconds a traced call of a no-op takes more than the untraced call."""
+
+    def noop():
+        return None
+
+    def best_of(fn) -> float:
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    traced = Recorder()._wrap("noop", noop, None)
+    return max(0.0, (best_of(traced) - best_of(noop)) / calls)
 
 
 def main(argv: list[str]) -> int:

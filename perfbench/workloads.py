@@ -79,7 +79,6 @@ class Proc:
     gate: Callable[[bytes, dict], list[str]]
     iddm_args: list[str] | None = None
     points: int = 0
-    calibration: str = "python"
 
 
 def _num(x: float) -> str:
@@ -409,10 +408,9 @@ def ed_scan(seed: int) -> list[Proc]:
     n_scan = [a for n in ED_SCAN_N for a in ("--n", str(n))]
     return [
         _cli("ed-scan", base + ["--delta", _num(ED_DELTA), *n_scan], "ed_scan.jsonl",
-             _ed_gate("scan", ED_SCAN_N), calibration="numpy"),
+             _ed_gate("scan", ED_SCAN_N)),
         _cli("ed-largest", base + ["--delta", _num(ED_DELTA), "--n", str(ED_LARGEST_N)],
-             "ed_largest.jsonl", _ed_gate("largest", [ED_LARGEST_N], scan_falls),
-             calibration="numpy"),
+             "ed_largest.jsonl", _ed_gate("largest", [ED_LARGEST_N], scan_falls)),
         _cli("ed-upper", base + ["--delta", "1.0", "--n", str(ED_QUBIT_N)], "ed_upper.jsonl",
              _ed_gate("upper", [ED_QUBIT_N])),
         _cli("ed-lower", base + ["--delta", "-1.0", "--n", str(ED_QUBIT_N)], "ed_lower.jsonl",
