@@ -48,16 +48,14 @@ from .meanfield import (
     critical_delta,
     critical_lambda,
     derivative_scan,
-    energy_gradient,
+    energy,
+    energy_derivatives,
     equilibrium_closed_form,
     equilibrium_numeric,
     observables,
-    scaled_energy,
 )
 from .fluctuations import (
     SpectrumResult,
-    classical_energy,
-    energy_hessian,
     excitation_spectrum,
     normal_phase_spectrum,
 )

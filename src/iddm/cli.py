@@ -45,7 +45,7 @@ from .meanfield import (
 )
 from .measurement import ProjectiveMeasurement, Sign, WernerState, angle_for_target_delta, measure
 from .model import ModelParams
-from .sweep import GridSpec, run_grid, write_phase_diagram_csv
+from .sweep import GridSpec, _fmt, run_grid, write_phase_diagram_csv
 
 __all__ = ["main", "run"]
 
@@ -146,10 +146,6 @@ _COMMAND_HELP = {
     "ed": "finite-size exact diagonalization",
     "measure": "measurement-based impurity preparation",
 }
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _add_opts(parser: argparse.ArgumentParser, opts: list[_Opt]) -> None:

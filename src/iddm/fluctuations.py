@@ -1,16 +1,18 @@
 """Collective excitation spectrum from quadratic fluctuations about the equilibrium.
 
-The scaled energy is written in four real quadratures q = (x1, p1, x2, p2),
-two per mode, with alpha = (x1 + i p1)/sqrt(2) and beta = (x2 + i p2)/sqrt(2):
+The fluctuations live in four real quadratures q = (x1, p1, x2, p2), two per
+mode, with alpha = (x1 + i p1)/sqrt(2) and beta = (x2 + i p2)/sqrt(2).  The
+energy surface is the one in `meanfield.energy`, written in the amplitude
+components a = q/sqrt(2); by the chain rule its quadrature Hessian is
 
-    E_cl(q) = f1 (x1^2 + p1^2)/2 + f2 (x2^2 + p2^2)/2 - 2 lam K x1 x2,
-    K = sqrt(1 - (x2^2 + p2^2)/2).
+    M = d^2E/dq^2 = (1/2) d^2E/da^2,
 
-The two normal-mode energies eps_- <= eps_+ are the symplectic eigenvalues of
-the Hessian M of E_cl at the mean-field equilibrium, i.e. the positive
-imaginary parts of the spectrum of J M with J the symplectic form.  Working
-from the Hessian keeps one quadratic expansion for both phases and lets the
-analytic entries be cross-checked against finite differences of E_cl.
+an exact power-of-two scale of the Hessian from `energy_derivatives`.  The
+two normal-mode energies eps_- <= eps_+ are the symplectic eigenvalues of M
+at the mean-field equilibrium, i.e. the positive imaginary parts of the
+spectrum of J M with J the symplectic form (Emary & Brandes, PRE 67, 066203,
+2003).  Working from the Hessian keeps one quadratic expansion for both
+phases, and its entries are checked against finite differences of the energy.
 
 The lower branch closes at the phase boundary (the soft mode of the
 transition) and reopens on both sides; in the normal phase the spectrum also
@@ -27,15 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, UnstableEquilibriumError
-from .meanfield import equilibrium_closed_form, _frequencies
+from .errors import InvalidParameterError, UnstableEquilibriumError
+from .meanfield import _frequencies, energy_derivatives, equilibrium_closed_form
 from .model import ModelParams
 
 __all__ = [
     "SpectrumResult",
     "SYMPLECTIC_FORM",
-    "classical_energy",
-    "energy_hessian",
     "excitation_spectrum",
     "normal_phase_spectrum",
 ]
@@ -58,48 +58,6 @@ class SpectrumResult:
     stable: bool
 
 
-def _quadratures(q) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise InvalidParameterError(f"quadratures must have shape (4,), got {q.shape}")
-    return q
-
-
-def classical_energy(params: ModelParams, delta: float, quadratures) -> float:
-    """Scaled energy as a function of the four quadratures."""
-    x1, p1, x2, p2 = _quadratures(quadratures)
-    f1, f2 = _frequencies(params, delta)
-    s = x2 * x2 + p2 * p2
-    if s > 2.0:
-        raise DomainError(f"x2^2 + p2^2 must be <= 2, got {s}")
-    k = np.sqrt(max(0.0, 1.0 - s / 2.0))
-    return 0.5 * f1 * (x1 * x1 + p1 * p1) + 0.5 * f2 * s - 2.0 * params.lam * k * x1 * x2
-
-
-def energy_hessian(params: ModelParams, delta: float, quadratures) -> np.ndarray:
-    """Analytic 4x4 Hessian of classical_energy at an arbitrary interior point.
-
-    Needs x2^2 + p2^2 < 2 strictly; K appears in denominators.
-    """
-    x1, p1, x2, p2 = _quadratures(quadratures)
-    f1, f2 = _frequencies(params, delta)
-    lam = params.lam
-    s = x2 * x2 + p2 * p2
-    if s >= 2.0:
-        raise DomainError(f"Hessian needs x2^2 + p2^2 < 2, got {s}")
-    k = np.sqrt(1.0 - s / 2.0)
-
-    m = np.zeros((4, 4))
-    m[0, 0] = f1
-    m[1, 1] = f1
-    m[0, 2] = m[2, 0] = -2.0 * lam * (k - x2 * x2 / (2.0 * k))
-    m[0, 3] = m[3, 0] = lam * x2 * p2 / k
-    m[2, 2] = f2 + lam * x1 * (3.0 * x2 / k + x2**3 / (2.0 * k**3))
-    m[2, 3] = m[3, 2] = lam * x1 * p2 * (1.0 / k + x2 * x2 / (2.0 * k**3))
-    m[3, 3] = f2 + lam * x1 * x2 * (1.0 / k + p2 * p2 / (2.0 * k**3))
-    return m
-
-
 def excitation_spectrum(
     params: ModelParams, delta: float, *, stability_tol: float = 1e-9
 ) -> SpectrumResult:
@@ -110,8 +68,7 @@ def excitation_spectrum(
     UnstableEquilibriumError is raised.
     """
     sol = equilibrium_closed_form(params, delta)
-    q = np.array([np.sqrt(2.0) * sol.alpha, 0.0, np.sqrt(2.0) * sol.beta, 0.0])
-    m = energy_hessian(params, delta, q)
+    m = energy_derivatives(params, delta, (sol.alpha, 0.0, sol.beta, 0.0))[1] / 2.0
     scale = max(1.0, float(np.max(np.abs(m))))
     stable = bool(np.min(np.linalg.eigvalsh(m)) >= -stability_tol * scale)
     if not stable:

@@ -1,13 +1,18 @@
 """Mean-field ground states and phase structure at fixed impurity population.
 
-In the thermodynamic limit the scaled ground-state energy per atom reduces to
-a function of two real amplitudes, the photon displacement alpha and the
-atomic inversion amplitude beta,
+In the thermodynamic limit the scaled ground-state energy per atom is a
+function of the photon displacement alpha and the atomic inversion amplitude
+beta.  `energy` takes them as four real amplitude components
+a = (Re alpha, Im alpha, Re beta, Im beta):
 
-    E0(alpha, beta) = f1 alpha^2 + f2 beta^2 - 4 lam K alpha beta,
-    K = sqrt(1 - beta^2),
+    E0(a) = f1 |alpha|^2 + f2 |beta|^2 - 4 lam K Re(alpha) Re(beta),
+    K = sqrt(1 - |beta|^2),
 
-with f1, f2 the effective frequencies at population delta.  For nu =
+with f1, f2 the effective frequencies at population delta, and
+`energy_derivatives` gives its gradient and Hessian in the same components.
+This is the one place the surface is written; the fluctuation spectrum and
+the numerical minimizer both use it.  The minimum is real, so on the real
+slice it reads E0 = f1 alpha^2 + f2 beta^2 - 4 lam K alpha beta.  For nu =
 f1 f2 / (4 lam^2) >= 1 the minimum sits at the origin (normal phase); for
 -1 < nu < 1 it sits at
 
@@ -16,9 +21,10 @@ f1 f2 / (4 lam^2) >= 1 the minimum sits at the origin (normal phase); for
 with E0 = -(lam^2/f1)(1 - nu)^2 (superradiant phase).  For nu <= -1 the
 energy has no interior minimum and the routines refuse the input.
 
-Both the closed-form branch and an independent numerical minimizer are
-provided; the numerical route exists so the closed forms can be checked
-against something that never saw them.
+Both the closed-form branch and an independent numerical minimizer (one
+multistart damped Newton descent on the real slice) are provided; the
+numerical route exists so the closed forms can be checked against something
+that never saw them.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     ChiUnsupportedError,
@@ -46,8 +51,8 @@ __all__ = [
     "MeanFieldSolution",
     "DerivativeScan",
     "CRITICAL_NU_TOL",
-    "scaled_energy",
-    "energy_gradient",
+    "energy",
+    "energy_derivatives",
     "equilibrium_closed_form",
     "equilibrium_numeric",
     "critical_delta",
@@ -97,24 +102,60 @@ def _frequencies(params: ModelParams, delta: float) -> tuple[float, float]:
     return ef.f1, ef.f2
 
 
-def scaled_energy(params: ModelParams, delta: float, alpha: float, beta: float) -> float:
-    """Scaled energy per atom E0(alpha, beta) at population delta."""
-    f1, f2 = _frequencies(params, delta)
-    if abs(beta) > 1.0:
-        raise DomainError(f"|beta| must be <= 1, got {beta}")
-    k = math.sqrt(max(0.0, 1.0 - beta * beta))
-    return f1 * alpha * alpha + f2 * beta * beta - 4.0 * params.lam * k * alpha * beta
+def _spin_k(b1, b2, rim: bool):
+    """K = sqrt(1 - |beta|^2) for float or array components.
+
+    Raises DomainError outside the sphere, and on its rim |beta| = 1 unless
+    rim is set.
+    """
+    s = b1 * b1 + b2 * b2
+    if isinstance(s, np.ndarray):
+        inside, sqrt = (s <= 1.0 if rim else s < 1.0).all(), np.sqrt
+    else:
+        inside, sqrt = (s <= 1.0 if rim else s < 1.0), math.sqrt
+    if not inside:
+        raise DomainError("|beta| must be <= 1" if rim else "derivatives need |beta| < 1")
+    return sqrt(1.0 - s)
 
 
-def energy_gradient(params: ModelParams, delta: float, alpha: float, beta: float) -> tuple[float, float]:
-    """Gradient of the scaled energy; needs |beta| < 1 (K appears in a denominator)."""
+def energy(params: ModelParams, delta: float, a) -> float | np.ndarray:
+    """Scaled energy per atom at a = (Re alpha, Im alpha, Re beta, Im beta).
+
+    The components may be floats or arrays of one shape (evaluated
+    elementwise); |beta| > 1 is refused.
+    """
     f1, f2 = _frequencies(params, delta)
-    if abs(beta) >= 1.0:
-        raise DomainError(f"gradient needs |beta| < 1, got {beta}")
-    k = math.sqrt(1.0 - beta * beta)
-    g_alpha = 2.0 * (f1 * alpha - 2.0 * params.lam * k * beta)
-    g_beta = 2.0 * (f2 * beta - 2.0 * params.lam * alpha * (k - beta * beta / k))
-    return g_alpha, g_beta
+    a1, a2, b1, b2 = a
+    k = _spin_k(b1, b2, rim=True)
+    return f1 * a1 * a1 + f1 * a2 * a2 + f2 * b1 * b1 + f2 * b2 * b2 - 4.0 * params.lam * k * a1 * b1
+
+
+def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient (..., 4) and Hessian (..., 4, 4) of `energy` in the components of a.
+
+    Takes the same inputs as `energy` but needs |beta| < 1 strictly; K
+    appears in denominators.
+    """
+    f1, f2 = _frequencies(params, delta)
+    a1, a2, b1, b2 = a
+    k = _spin_k(b1, b2, rim=False)
+    c = 4.0 * params.lam
+    h_ab1 = -c * (k - b1 * b1 / k)
+    h_ab2 = c * b1 * b2 / k
+    shape = np.shape(a1)
+    grad = np.empty(shape + (4,))
+    grad[..., 0] = 2.0 * f1 * a1 - c * k * b1
+    grad[..., 1] = 2.0 * f1 * a2
+    grad[..., 2] = 2.0 * f2 * b1 + a1 * h_ab1
+    grad[..., 3] = 2.0 * f2 * b2 + a1 * h_ab2
+    hess = np.zeros(shape + (4, 4))
+    hess[..., 0, 0] = hess[..., 1, 1] = 2.0 * f1
+    hess[..., 0, 2] = hess[..., 2, 0] = h_ab1
+    hess[..., 0, 3] = hess[..., 3, 0] = h_ab2
+    hess[..., 2, 2] = 2.0 * f2 + c * a1 * (3.0 * b1 / k + b1**3 / k**3)
+    hess[..., 2, 3] = hess[..., 3, 2] = c * a1 * b2 * (1.0 / k + b1 * b1 / k**3)
+    hess[..., 3, 3] = 2.0 * f2 + c * a1 * b1 * (1.0 / k + b2 * b2 / k**3)
+    return grad, hess
 
 
 def _classify(nu: float, critical_tol: float) -> Phase:
@@ -147,7 +188,7 @@ def equilibrium_closed_form(
     beta = math.sqrt((1.0 - nu) / 2.0)
     k = math.sqrt((1.0 + nu) / 2.0)
     alpha = 2.0 * lam * k * beta / f1
-    e0 = scaled_energy(params, delta, alpha, beta)
+    e0 = energy(params, delta, (alpha, 0.0, beta, 0.0))
     return MeanFieldSolution(alpha, beta, e0, nu, Phase.SUPERRADIANT)
 
 
@@ -155,55 +196,54 @@ def equilibrium_closed_form(
 # is singular at |beta| = 1.
 _BETA_CAP = 1.0 - 1e-9
 _SEED = 20240817
+# A start stops once max|g| <= _GRAD_FLOOR * max(1, |e|), the roundoff level.
+_GRAD_FLOOR = 1e-14
+_HALVINGS = 40
 
 
-def _value_and_grad(z, f1, f2, lam):
-    alpha, beta = z
-    # beta stays inside (-1, 1) via the optimizer bounds; the floor only
-    # protects against a pathological evaluation exactly on the rim.
-    k = math.sqrt(max(1.0 - beta * beta, 1e-24))
-    e = f1 * alpha * alpha + f2 * beta * beta - 4.0 * lam * k * alpha * beta
-    g_a = 2.0 * (f1 * alpha - 2.0 * lam * k * beta)
-    g_b = 2.0 * (f2 * beta - 2.0 * lam * alpha * (k - beta * beta / k))
-    return e, np.array([g_a, g_b])
+def _descend(params: ModelParams, delta: float, z: np.ndarray, max_iterations: int):
+    """Damped Newton from every row of z = [[Re alpha, Re beta], ...] at once.
 
+    The step is -|H|^-1 g, with the eigenvalues of the 2x2 Hessian made
+    positive and floored, so it descends at saddles too.  A backtracking step
+    is accepted when it passes Armijo or lowers max|g|; a start whose line
+    search fails stops where it is.  Returns (z, e, max|g|) per start.
+    """
 
-def _hess2(z, f1, f2, lam):
-    alpha, beta = z
-    k = math.sqrt(1.0 - beta * beta)
-    h_aa = 2.0 * f1
-    h_ab = -4.0 * lam * (k - beta * beta / k)
-    h_bb = 2.0 * f2 + 4.0 * lam * alpha * (3.0 * beta / k + beta**3 / k**3)
-    return np.array([[h_aa, h_ab], [h_ab, h_bb]])
+    def surface(z):
+        zero = np.zeros(len(z))
+        a = (z[:, 0], zero, z[:, 1], zero)
+        g, h = energy_derivatives(params, delta, a)
+        return energy(params, delta, a), g[:, ::2], h[:, ::2, ::2]
 
-
-def _polish(z, f1, f2, lam, budget):
-    """Newton steps on the 2x2 system until the gradient hits the noise floor."""
-    e, g = _value_and_grad(z, f1, f2, lam)
-    for _ in range(budget):
-        gnorm = np.max(np.abs(g))
-        if gnorm <= 1e-13 * max(1.0, abs(e)):
+    e, g, h = surface(z)
+    gmax = np.max(np.abs(g), axis=1)
+    stalled = np.zeros(len(z), dtype=bool)
+    for _ in range(max_iterations):
+        live = ~stalled & (gmax > _GRAD_FLOOR * np.maximum(1.0, np.abs(e)))
+        if not live.any():
             break
-        try:
-            step = np.linalg.solve(_hess2(z, f1, f2, lam), -g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        trial = z + step
-        accepted = False
-        for _ in range(8):
-            trial[1] = np.clip(trial[1], -_BETA_CAP, _BETA_CAP)
-            e_t, g_t = _value_and_grad(trial, f1, f2, lam)
-            if np.max(np.abs(g_t)) < gnorm or e_t < e:
-                z, e, g = trial, e_t, g_t
-                accepted = True
+        w, v = np.linalg.eigh(h)
+        w = np.abs(w)
+        w = np.maximum(w, 1e-12 * w.max(axis=1, keepdims=True))
+        d = -np.einsum("nij,nj->ni", v, np.einsum("nji,nj->ni", v, g) / w)
+        slope = np.sum(g * d, axis=1)
+        t = 1.0
+        pending = np.flatnonzero(live)
+        for _ in range(_HALVINGS + 1):
+            trial = z[pending] + t * d[pending]
+            trial[:, 1] = np.clip(trial[:, 1], -_BETA_CAP, _BETA_CAP)
+            e_t, g_t, h_t = surface(trial)
+            gmax_t = np.max(np.abs(g_t), axis=1)
+            ok = (e_t <= e[pending] + 1e-4 * t * slope[pending]) | (gmax_t < gmax[pending])
+            done = pending[ok]
+            z[done], e[done], g[done], h[done], gmax[done] = trial[ok], e_t[ok], g_t[ok], h_t[ok], gmax_t[ok]
+            pending = pending[~ok]
+            if pending.size == 0:
                 break
-            step *= 0.5
-            trial = z + step
-        if not accepted:
-            break
-    return z, e, g
+            t *= 0.5
+        stalled[pending] = True
+    return z, e, gmax
 
 
 def equilibrium_numeric(
@@ -217,11 +257,13 @@ def equilibrium_numeric(
 ) -> MeanFieldSolution:
     """Locate the energy minimum by multistart descent, independent of the closed forms.
 
-    Each start runs bounded quasi-Newton descent followed by a Newton polish.
-    The origin is always one of the starts (it is a stationary point, and the
-    exact answer in the normal phase).  ConvergenceFailureError is raised when
-    the lowest-energy candidate never reached the gradient tolerance, so an
-    exhausted budget cannot silently return a saddle.
+    All starts run one vectorized damped Newton descent on the real slice
+    (Re alpha, Re beta); max_iterations (the CLI's --solver-maxiter) caps its
+    Newton iterations.  The origin is always one of the starts (it is a
+    stationary point, and the exact answer in the normal phase).
+    ConvergenceFailureError is raised when the lowest-energy candidate never
+    reached the gradient tolerance, so an exhausted budget cannot silently
+    return a saddle.
     """
     f1, f2 = _frequencies(params, delta)
     lam = params.lam
@@ -238,39 +280,22 @@ def equilibrium_numeric(
 
     alpha_scale = 2.0 * lam / f1 if lam > 0 else 1.0 / f1
     rng = np.random.default_rng(_SEED)
-    starts = [np.zeros(2)]
-    for _ in range(seed_count - 1):
-        starts.append(
-            np.array([alpha_scale * rng.uniform(-1.0, 1.0), 0.98 * rng.uniform(-1.0, 1.0)])
-        )
+    draws = rng.uniform(-1.0, 1.0, size=(seed_count - 1, 2)) * np.array([alpha_scale, 0.98])
+    z, e, gmax = _descend(params, delta, np.vstack([np.zeros((1, 2)), draws]), max_iterations)
 
-    best = None  # (e, gnorm_scaled, alpha, beta)
-    for z0 in starts:
-        res = minimize(
-            _value_and_grad,
-            z0,
-            args=(f1, f2, lam),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(None, None), (-_BETA_CAP, _BETA_CAP)],
-            options={"maxiter": max_iterations, "ftol": 1e-16, "gtol": 1e-12},
-        )
-        z, e, g = _polish(res.x, f1, f2, lam, budget=min(50, max_iterations))
-        gnorm = float(np.max(np.abs(g)))
-        if best is None or e < best[0]:
-            best = (e, gnorm, float(z[0]), float(z[1]))
-
-    e, gnorm, alpha, beta = best
+    best = int(np.argmin(e))
+    gnorm = float(gmax[best])
     if gnorm > grad_tol:
         raise ConvergenceFailureError(
             f"lowest candidate has gradient norm {gnorm:.3e} above tolerance {grad_tol:.3e}"
         )
+    alpha, beta = float(z[best, 0]), float(z[best, 1])
     # Canonical sign: the energy is even under (alpha, beta) -> (-alpha, -beta),
     # and for beta >= 0 it never increases under alpha -> |alpha|.
     if beta < 0:
         alpha, beta = -alpha, -beta
     alpha = abs(alpha)
-    e0 = scaled_energy(params, delta, alpha, beta)
+    e0 = energy(params, delta, (alpha, 0.0, beta, 0.0))
     phase = Phase.NORMAL if nu is None else _classify(nu, critical_tol)
     return MeanFieldSolution(alpha, beta, e0, nu, phase)
 

@@ -32,13 +32,17 @@ __all__ = [
 ]
 
 
+_FLOAT_FIELDS = ("omega", "lam", "kappa", "omega0", "chi", "xi1", "xi2", "omega_q_prime")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Coefficients of the single-mode Hamiltonian.
 
     All energies are quoted in units of the atomic transition frequency, so
     omega0 = 1 in typical use.  lam is the collective atom-photon coupling
-    (written lambda in the math; `lambda` is reserved in Python).
+    (written lambda in the math; `lambda` is reserved in Python).  Every
+    float field must be finite.
     """
 
     omega: float            # cavity frequency, > 0
@@ -52,6 +56,11 @@ class ModelParams:
     n_atoms: int = 100      # default atom number for finite-size runs
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                label = "lambda" if name == "lam" else name
+                raise InvalidParameterError(f"{label} must be finite, got {value}")
         if not self.omega > 0:
             raise InvalidParameterError(f"omega must be > 0, got {self.omega}")
         if not self.omega0 > 0:

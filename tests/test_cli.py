@@ -5,6 +5,7 @@ Checked here:
   * exactly-one-of --lambda/--delta is enforced (exit 1 either way)
   * meanfield output parses back to the closed-form equilibrium; --numeric
     agrees with the closed form; a zero iteration budget exits 2
+  * non-finite model parameters exit 1 with an error on stderr
   * config files merge under flags, unknown or ill-typed keys exit 1, and a
     config-driven run is byte-identical to the flag-driven one
   * deriv emits the documented CSV with empty edge cells and shows the
@@ -13,7 +14,8 @@ Checked here:
     byte-identical
   * ed emits one JSON record per atom number; --full-qubit rejects --delta
   * measure solves --target and reports the collapsed state
-  * the module entry point works end to end
+  * the module entry point works end to end, and importing the package does
+    not load scipy.optimize
 """
 
 import json
@@ -104,6 +106,17 @@ def test_meanfield_zero_budget_exits_2(capsys):
 def test_meanfield_invalid_population_exits_1(capsys):
     code, _, err = run_cli(capsys, "meanfield", "--delta", "1.5")
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--delta", "0.1", "--lambda", "nan"],
+    ["critical", "--xi1", "nan", "--lambda", "5"],
+    ["meanfield", "--delta", "0.1", "--kappa", "inf"],
+    ["ed", "--lambda", "nan", "--n", "4"],
+])
+def test_non_finite_model_input_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "error:" in err
 
 
 def test_nu_undefined_at_zero_coupling(capsys):
@@ -317,3 +330,11 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "lambda_c = 7.0710678118654755\n"
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import iddm, sys; assert 'scipy.optimize' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -3,7 +3,7 @@
 Checked here:
   * lam = 0 decoupling: spectrum equals (f1, f2) sorted, machine precision
   * the analytic Hessian is symmetric and matches central second differences
-    of the classical energy at random interior points (p != 0 included)
+    of the energy at random interior points (Im alpha, Im beta != 0 included)
   * normal-phase spectra from the Hessian route match the closed two-mode
     formula; both modes are positive above and below the transition
   * the soft mode closes at the phase boundary and reopens on both sides
@@ -21,9 +21,9 @@ from iddm import (
     DomainError,
     ModelParams,
     Phase,
-    classical_energy,
     critical_lambda,
-    energy_hessian,
+    energy,
+    energy_derivatives,
     equilibrium_closed_form,
     excitation_spectrum,
     normal_phase_spectrum,
@@ -40,29 +40,18 @@ def test_decoupled_spectrum_exact():
     assert math.isclose(res.eps_plus, 3.7, rel_tol=0, abs_tol=1e-13)
 
 
-def test_classical_energy_reduces_to_scaled_energy():
-    # real quadratures x = sqrt(2) amplitude reproduce the (alpha, beta) energy
-    from iddm import scaled_energy
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        alpha = rng.uniform(-1.0, 1.0)
-        beta = rng.uniform(-0.9, 0.9)
-        q = np.array([math.sqrt(2) * alpha, 0.0, math.sqrt(2) * beta, 0.0])
-        a = classical_energy(FIG2, 0.4, q)
-        b = scaled_energy(FIG2, 0.4, alpha, beta)
-        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
-
-
 def test_energy_domain_guard():
+    # |beta|^2 = Re^2 + Im^2: the imaginary part counts toward the sphere
     with pytest.raises(DomainError):
-        classical_energy(FIG2, 0.4, np.array([0.0, 0.0, 1.2, 1.0]))
+        energy(FIG2, 0.4, (0.0, 0.0, 0.85, 0.71))
     with pytest.raises(DomainError):
-        energy_hessian(FIG2, 0.4, np.array([0.0, 0.0, math.sqrt(2.0), 0.0]))
+        energy_derivatives(FIG2, 0.4, (0.0, 0.0, 0.6, 0.8))
 
 
 def test_hessian_symmetric_and_matches_finite_differences():
     rng = np.random.default_rng(17)
     h = 1e-4
+    steps = h * np.eye(4)
     for _ in range(40):
         params = ModelParams(
             omega=rng.uniform(1.0, 50.0),
@@ -70,22 +59,18 @@ def test_hessian_symmetric_and_matches_finite_differences():
             kappa=rng.uniform(-2.0, 2.0),
         )
         delta = rng.uniform(-1.0, 1.0)
-        q = rng.uniform(-0.5, 0.5, size=4)  # x2^2 + p2^2 < 2 guaranteed
-        m = energy_hessian(params, delta, q)
+        a = rng.uniform(-0.5, 0.5, size=4)  # |beta|^2 <= 0.5, Im alpha and Im beta nonzero
+        _, m = energy_derivatives(params, delta, a)
         assert np.max(np.abs(m - m.T)) <= 1e-12
         fd = np.empty((4, 4))
         for i in range(4):
             for j in range(4):
-                qpp = q.copy(); qpp[i] += h; qpp[j] += h
-                qpm = q.copy(); qpm[i] += h; qpm[j] -= h
-                qmp = q.copy(); qmp[i] -= h; qmp[j] += h
-                qmm = q.copy(); qmm[i] -= h; qmm[j] -= h
-                fd[i, j] = (
-                    classical_energy(params, delta, qpp)
-                    - classical_energy(params, delta, qpm)
-                    - classical_energy(params, delta, qmp)
-                    + classical_energy(params, delta, qmm)
-                ) / (4.0 * h * h)
+                corners = np.array([
+                    a + steps[i] + steps[j], a + steps[i] - steps[j],
+                    a - steps[i] + steps[j], a - steps[i] - steps[j],
+                ])
+                e_pp, e_pm, e_mp, e_mm = energy(params, delta, corners.T)
+                fd[i, j] = (e_pp - e_pm - e_mp + e_mm) / (4.0 * h * h)
         assert np.max(np.abs(m - fd)) <= 1e-5 * max(1.0, np.max(np.abs(m)))
 
 

@@ -3,8 +3,9 @@
 Checked here:
   * frozen equilibrium values at the reference parameter set (delta = 0,
     0.5, 0.75, 1) including the superradiant order parameters and energy
+  * the energy's reference values, its |beta| domain and the chi refusal
   * the gradient vanishes at closed-form equilibria and matches central
-    finite differences of the energy at random interior points
+    finite differences of the energy in all four amplitude components
   * closed form vs the independent multistart minimizer on random draws
   * the superradiant energy identity E0 = -(lam^2/f1)(1 - nu)^2
   * critical_delta / critical_lambda closed forms, boundary cases, the
@@ -31,62 +32,76 @@ from iddm import (
     critical_delta,
     critical_lambda,
     derivative_scan,
-    energy_gradient,
+    energy,
+    energy_derivatives,
     equilibrium_closed_form,
     equilibrium_numeric,
     observables,
-    scaled_energy,
 )
 from dataclasses import replace
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
 
-# --- scaled energy and gradient -------------------------------------------
+# --- the energy surface and its derivatives -------------------------------
+
+def _real(alpha, beta):
+    return (alpha, 0.0, beta, 0.0)
+
 
 def test_energy_zero_at_origin():
-    assert scaled_energy(FIG2, 0.3, 0.0, 0.0) == 0.0
+    assert energy(FIG2, 0.3, (0.0, 0.0, 0.0, 0.0)) == 0.0
 
 
 def test_energy_reference_value():
-    e = scaled_energy(FIG2, 1.0, 0.0125, math.sqrt(0.5))
+    e = energy(FIG2, 1.0, _real(0.0125, math.sqrt(0.5)))
     assert math.isclose(e, -0.0625, rel_tol=0, abs_tol=1e-12)
 
 
 def test_energy_decoupled_is_quadratic():
     params = ModelParams(omega=2.0, lam=0.0, kappa=-0.5)
-    e = scaled_energy(params, 0.5, 0.7, -0.4)
     f2 = 1.0 - 0.5 * 1.5
+    e = energy(params, 0.5, _real(0.7, -0.4))
     assert math.isclose(e, 2.0 * 0.49 + f2 * 0.16, rel_tol=0, abs_tol=1e-14)
+    # |alpha|^2 and |beta|^2: the imaginary parts enter like the real ones
+    e = energy(params, 0.5, (0.7, -0.3, -0.4, 0.5))
+    assert math.isclose(e, 2.0 * 0.58 + f2 * 0.41, rel_tol=0, abs_tol=1e-14)
 
 
 def test_energy_rejects_beta_outside_sphere():
     with pytest.raises(DomainError):
-        scaled_energy(FIG2, 0.5, 0.1, 1.01)
+        energy(FIG2, 0.5, _real(0.1, 1.01))
     with pytest.raises(DomainError):
-        energy_gradient(FIG2, 0.5, 0.1, 1.0)
+        energy(FIG2, 0.5, (np.zeros(2), np.zeros(2), np.array([0.1, 1.01]), np.zeros(2)))
+    with pytest.raises(DomainError):
+        energy_derivatives(FIG2, 0.5, _real(0.1, 1.0))
+    assert math.isfinite(energy(FIG2, 0.5, _real(0.1, 1.0)))  # the rim is in the value's domain
 
 
 def test_chi_rejected():
     params = ModelParams(omega=400.0, lam=5.0, kappa=-0.5, chi=0.1)
     with pytest.raises(ChiUnsupportedError):
-        scaled_energy(params, 0.5, 0.0, 0.0)
+        energy(params, 0.5, (0.0, 0.0, 0.0, 0.0))
+    with pytest.raises(ChiUnsupportedError):
+        energy_derivatives(params, 0.5, (0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ChiUnsupportedError):
         equilibrium_closed_form(params, 0.5)
 
 
 def test_gradient_zero_at_origin():
-    assert energy_gradient(FIG2, 0.2, 0.0, 0.0) == (0.0, 0.0)
+    grad, _ = energy_derivatives(FIG2, 0.2, (0.0, 0.0, 0.0, 0.0))
+    assert np.array_equal(grad, np.zeros(4))
 
 
 def test_gradient_zero_at_superradiant_equilibrium():
     for delta in (0.6, 0.75, 0.9, 1.0):
         sol = equilibrium_closed_form(FIG2, delta)
-        ga, gb = energy_gradient(FIG2, delta, sol.alpha, sol.beta)
-        assert abs(ga) <= 1e-10 and abs(gb) <= 1e-10
+        grad, _ = energy_derivatives(FIG2, delta, _real(sol.alpha, sol.beta))
+        assert np.max(np.abs(grad)) <= 1e-10
 
 
 def test_gradient_matches_finite_differences():
+    # all four components, Im alpha and Im beta nonzero; arrays evaluate pointwise
     rng = np.random.default_rng(7)
     h = 1e-6
     for _ in range(100):
@@ -96,16 +111,11 @@ def test_gradient_matches_finite_differences():
             kappa=rng.uniform(-2.0, 2.0),
         )
         delta = rng.uniform(-1.0, 1.0)
-        alpha = rng.uniform(-2.0, 2.0)
-        beta = rng.uniform(-0.9, 0.9)
-        ga, gb = energy_gradient(params, delta, alpha, beta)
-        fa = (scaled_energy(params, delta, alpha + h, beta)
-              - scaled_energy(params, delta, alpha - h, beta)) / (2 * h)
-        fb = (scaled_energy(params, delta, alpha, beta + h)
-              - scaled_energy(params, delta, alpha, beta - h)) / (2 * h)
-        scale = max(1.0, abs(ga), abs(gb))
-        assert abs(ga - fa) <= 1e-5 * scale
-        assert abs(gb - fb) <= 1e-5 * scale
+        a = np.concatenate([rng.uniform(-2.0, 2.0, size=2), rng.uniform(-0.6, 0.6, size=2)])
+        grad, _ = energy_derivatives(params, delta, a)
+        steps = h * np.eye(4)
+        fd = (energy(params, delta, (a + steps).T) - energy(params, delta, (a - steps).T)) / (2 * h)
+        assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
 
 # --- closed-form equilibria ------------------------------------------------

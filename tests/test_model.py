@@ -79,6 +79,10 @@ def test_params_validation():
         ModelParams(omega=1.0, lam=-0.1)
     with pytest.raises(InvalidParameterError):
         ModelParams(omega=1.0, lam=1.0, n_atoms=0)
+    for field in ("omega", "lam", "kappa", "omega0", "chi", "xi1", "xi2", "omega_q_prime"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError):
+                ModelParams(**{"omega": 1.0, "lam": 1.0, field: bad})
 
 
 def test_frequencies_affine_in_delta():
