@@ -12,9 +12,17 @@ impurity as a two-level system.  sigma_z commutes with the Hamiltonian, so
 the FullQubit matrix is block diagonal over the impurity states, ordered
 (upper, lower) = (sigma_z = +1, -1).
 
-Ground states come from an iterative extremal eigensolver with a fixed,
-deterministic start vector; every energy is re-computed at an enlarged photon
-cutoff so truncation error is measured, not assumed.
+Ground states are found sector by sector.  With xi2 = 0 the parity
+Pi = (-1)^(n + m + N/2) commutes with H, so each sigma_z block splits into
+Pi = +1 and Pi = -1; with xi2 != 0 each block is one sector.  Every sector
+is solved by an iterative extremal eigensolver from the uniform start vector
+and the lowest is kept.  Sectors whose energies agree within
+1e-12 * max(1, |E|), the solver's resolution, count as tied, and a tie goes
+to the first in the fixed order (upper block, then Pi = +1), so the reported
+sector never flips with roundoff.  The truncation check re-solves only that
+sector at an enlarged photon cutoff, starting from the base vector padded
+with zeros: in the index order below a sector's base-cutoff states are a
+prefix of its enlarged-cutoff states.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ class EDConfig:
     is raised automatically to cover the mean-field photon prediction (see
     recommended_photon_cutoff).  convergence_factor sets the enlarged cutoff
     used to measure truncation error.  solver_tolerance = 0 means machine
-    precision.
+    precision.  Both must be finite.
     """
 
     n_atoms: int
@@ -89,6 +97,9 @@ class EDConfig:
             raise InvalidParameterError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.photon_cutoff < 1:
             raise InvalidParameterError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
+        for name in ("convergence_factor", "solver_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.convergence_factor > 1:
             raise InvalidParameterError("convergence_factor must exceed 1")
         if self.solver_tolerance < 0:
@@ -146,7 +157,7 @@ def _spin_operators(n_atoms: int):
     jz = sp.diags(m)
     raising = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1.0))
     jp = sp.diags(raising, -1)  # J+ |m> lands one index higher
-    return m, jz, jp
+    return jz, jp
 
 
 def _check_dimension(dim: int, cap: int):
@@ -159,7 +170,7 @@ def _fixed_delta_matrix(
 ) -> sp.csr_matrix:
     n = config.n_atoms
     ef = effective_frequencies(params, delta)
-    m, jz, jp = _spin_operators(n)
+    jz, jp = _spin_operators(n)
     jpm = jp + jp.T
     num = sp.diags(np.arange(cutoff + 1, dtype=float))
     a = sp.diags(np.sqrt(np.arange(1, cutoff + 1)), 1)
@@ -203,9 +214,11 @@ def parity_operator(n_atoms: int, photon_cutoff: int) -> sp.csr_matrix:
     return sp.csr_matrix(sp.diags(_parity_signs(n_atoms, photon_cutoff)))
 
 
-def _lowest_state(h: sp.csr_matrix, tol: float) -> tuple[float, np.ndarray]:
-    dim = h.shape[0]
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
+def _lowest_state(
+    h: sp.csr_matrix, tol: float, v0: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    if v0 is None:
+        v0 = np.full(h.shape[0], 1.0 / math.sqrt(h.shape[0]))
     try:
         vals, vecs = eigsh(h, k=1, which="SA", v0=v0, tol=tol)
     except ArpackNoConvergence as exc:
@@ -213,45 +226,60 @@ def _lowest_state(h: sp.csr_matrix, tol: float) -> tuple[float, np.ndarray]:
     return float(vals[0]), vecs[:, 0]
 
 
+def _sector(n_atoms: int, cutoff: int, block: int, sign: float | None) -> np.ndarray:
+    """Basis indices of one sigma_z block, restricted to parity sign unless None."""
+    size = (cutoff + 1) * (n_atoms + 1)
+    local = np.arange(size)
+    if sign is not None:
+        local = local[_parity_signs(n_atoms, cutoff) == sign]
+    return block * size + local
+
+
 def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
     """Ground-state energy and observables, with the truncation error measured.
 
-    The energy is re-computed at ceil(convergence_factor * cutoff); converged
-    means the per-atom energy moved by at most 1e-8 * max(1, |E/N|).  Reported
+    The ground state is the lowest of the symmetry sectors (see the module
+    docstring), and parity is that sector's sign, exactly +1.0 or -1.0; it is
+    None in FullQubit mode and when xi2 != 0.  The winning sector's energy is
+    re-computed at ceil(convergence_factor * cutoff); converged means the
+    per-atom energy moved by at most 1e-8 * max(1, |E/N|).  Reported
     observables always come from the base-cutoff state.
     """
     n = config.n_atoms
+    tol = config.solver_tolerance
     base = effective_photon_cutoff(params, config)
     h = build_hamiltonian(params, config, photon_cutoff=base)
-    energy, psi = _lowest_state(h, config.solver_tolerance)
+    fixed = isinstance(config.impurity_mode, FixedDelta)
+    solves = []
+    for block in (0,) if fixed else (0, 1):
+        for sign in (1.0, -1.0) if params.xi2 == 0 else (None,):
+            idx = _sector(n, base, block, sign)
+            solves.append((*_lowest_state(h[idx][:, idx], tol), block, sign))
+    lowest = min(s[0] for s in solves)
+    energy, psi, block, sign = next(
+        s for s in solves if s[0] <= lowest + 1e-12 * max(1.0, abs(lowest))
+    )
 
     larger = max(base + 1, int(math.ceil(config.convergence_factor * base)))
     h2 = build_hamiltonian(params, config, photon_cutoff=larger)
-    energy2, _ = _lowest_state(h2, config.solver_tolerance)
+    idx2 = _sector(n, larger, block, sign)
+    warm = np.zeros(len(idx2))
+    warm[: len(psi)] = psi
+    energy2, _ = _lowest_state(h2[idx2][:, idx2], tol, warm)
 
     e_atom = energy / n
     shift = abs(energy2 / n - e_atom)
     converged = shift <= 1e-8 * max(1.0, abs(e_atom))
 
-    m, _, _ = _spin_operators(n)
-    n_idx = np.repeat(np.arange(base + 1, dtype=float), n + 1)
-    m_idx = np.tile(m, base + 1)
+    local = _sector(n, base, 0, sign)
     weights = psi * psi
-    if isinstance(config.impurity_mode, FullQubit):
-        n_idx = np.concatenate([n_idx, n_idx])
-        m_idx = np.concatenate([m_idx, m_idx])
-        parity = None
-    elif params.xi2 != 0:
-        parity = None
-    else:
-        parity = float(np.sum(_parity_signs(n, base) * weights))
-    jz_over_n = float(np.sum(m_idx * weights)) / n
-    photons_over_n = float(np.sum(n_idx * weights)) / n
+    jz_over_n = float(np.sum((local % (n + 1) - n / 2.0) * weights)) / n
+    photons_over_n = float(np.sum((local // (n + 1)) * weights)) / n
     return EDResult(
         energy_per_atom=e_atom,
         jz_over_n=jz_over_n,
         photons_over_n=photons_over_n,
-        parity=parity,
+        parity=sign if fixed else None,
         converged=converged,
         photon_cutoff=base,
         cutoff_shift=shift,

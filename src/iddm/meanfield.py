@@ -199,6 +199,9 @@ _SEED = 20240817
 # A start stops once max|g| <= _GRAD_FLOOR * max(1, |e|), the roundoff level.
 _GRAD_FLOOR = 1e-14
 _HALVINGS = 40
+# A candidate whose lowest Hessian eigenvalue is below -_SADDLE_TOL * max|eig|
+# is a saddle; the margin keeps a flat critical-point origin in play.
+_SADDLE_TOL = 1e-10
 
 
 def _descend(params: ModelParams, delta: float, z: np.ndarray, max_iterations: int):
@@ -207,7 +210,7 @@ def _descend(params: ModelParams, delta: float, z: np.ndarray, max_iterations: i
     The step is -|H|^-1 g, with the eigenvalues of the 2x2 Hessian made
     positive and floored, so it descends at saddles too.  A backtracking step
     is accepted when it passes Armijo or lowers max|g|; a start whose line
-    search fails stops where it is.  Returns (z, e, max|g|) per start.
+    search fails stops where it is.  Returns (z, e, max|g|, Hessian) per start.
     """
 
     def surface(z):
@@ -243,7 +246,7 @@ def _descend(params: ModelParams, delta: float, z: np.ndarray, max_iterations: i
                 break
             t *= 0.5
         stalled[pending] = True
-    return z, e, gmax
+    return z, e, gmax, h
 
 
 def equilibrium_numeric(
@@ -261,9 +264,11 @@ def equilibrium_numeric(
     (Re alpha, Re beta); max_iterations (the CLI's --solver-maxiter) caps its
     Newton iterations.  The origin is always one of the starts (it is a
     stationary point, and the exact answer in the normal phase).
-    ConvergenceFailureError is raised when the lowest-energy candidate never
-    reached the gradient tolerance, so an exhausted budget cannot silently
-    return a saddle.
+    Candidates whose 2x2 Hessian has a clearly negative eigenvalue are
+    saddles (the origin in the superradiant phase) and are dropped.
+    ConvergenceFailureError is raised when no candidate is left or when the
+    lowest-energy one never reached the gradient tolerance, so an exhausted
+    budget cannot silently return a saddle.
     """
     f1, f2 = _frequencies(params, delta)
     lam = params.lam
@@ -281,9 +286,13 @@ def equilibrium_numeric(
     alpha_scale = 2.0 * lam / f1 if lam > 0 else 1.0 / f1
     rng = np.random.default_rng(_SEED)
     draws = rng.uniform(-1.0, 1.0, size=(seed_count - 1, 2)) * np.array([alpha_scale, 0.98])
-    z, e, gmax = _descend(params, delta, np.vstack([np.zeros((1, 2)), draws]), max_iterations)
+    z, e, gmax, h = _descend(params, delta, np.vstack([np.zeros((1, 2)), draws]), max_iterations)
 
-    best = int(np.argmin(e))
+    w = np.linalg.eigvalsh(h)
+    keep = np.flatnonzero(w[:, 0] >= -_SADDLE_TOL * np.abs(w).max(axis=1))
+    if keep.size == 0:
+        raise ConvergenceFailureError("every candidate is a saddle of the energy surface")
+    best = int(keep[np.argmin(e[keep])])
     gnorm = float(gmax[best])
     if gnorm > grad_tol:
         raise ConvergenceFailureError(

@@ -54,6 +54,11 @@ SIGMA_Z = np.diag([1.0, -1.0])
 BELL_STATE = (np.kron(KET_UPPER, KET_UPPER) + np.kron(KET_LOWER, KET_LOWER)) / math.sqrt(2.0)
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
 class Sign(Enum):
     PLUS = "plus"
     MINUS = "minus"
@@ -76,10 +81,13 @@ class WernerState:
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
-    """One outcome of the rotated-basis measurement on the auxiliary qubit."""
+    """One outcome of the rotated-basis measurement on the auxiliary qubit; theta must be finite."""
 
     theta: float
     sign: Sign
+
+    def __post_init__(self):
+        _check_finite("theta", self.theta)
 
     def state_vector(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -129,11 +137,12 @@ def measure(state: WernerState, measurement: ProjectiveMeasurement) -> Collapsed
 def angle_for_target_delta(z: float, target: float) -> tuple[float, Sign]:
     """Measurement angle and outcome sign steering the population to target.
 
-    Inverts delta = +- z cos(2 theta); |target| <= z is required.  target = 0
+    Inverts delta = +- z cos(2 theta); a finite |target| <= z is required.  target = 0
     with z = 0 returns the balanced angle pi/4.
     """
     if not 0.0 <= z <= 1.0:
         raise InvalidParameterError(f"Werner parameter z must lie in [0, 1], got {z}")
+    _check_finite("target", target)
     if abs(target) > z:
         raise UnreachableTargetError(f"|target| = {abs(target)} exceeds z = {z}")
     if z == 0.0:

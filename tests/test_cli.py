@@ -4,15 +4,17 @@ Checked here:
   * critical prints the exact threshold lines and no-transition sentinel
   * exactly-one-of --lambda/--delta is enforced (exit 1 either way)
   * meanfield output parses back to the closed-form equilibrium; --numeric
-    agrees with the closed form; a zero iteration budget exits 2
-  * non-finite model parameters exit 1 with an error on stderr
+    agrees with the closed form; a zero iteration budget and a lone start on
+    the origin saddle exit 2
+  * non-finite model, ED and measurement input exits 1 with an error on stderr
   * config files merge under flags, unknown or ill-typed keys exit 1, and a
     config-driven run is byte-identical to the flag-driven one
   * deriv emits the documented CSV with empty edge cells and shows the
     curvature jump at the transition
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
     byte-identical
-  * ed emits one JSON record per atom number; --full-qubit rejects --delta
+  * ed emits one JSON record per atom number with parity exactly +-1;
+    --full-qubit rejects --delta
   * measure solves --target and reports the collapsed state
   * the module entry point works end to end, and importing the package does
     not load scipy.optimize
@@ -103,6 +105,11 @@ def test_meanfield_zero_budget_exits_2(capsys):
     assert "error:" in err
 
 
+def test_meanfield_origin_saddle_exits_2(capsys):
+    code, out, err = run_cli(capsys, "meanfield", "--numeric", "--seeds", "1", "--delta", "0.9")
+    assert code == 2 and out == "" and "error:" in err
+
+
 def test_meanfield_invalid_population_exits_1(capsys):
     code, _, err = run_cli(capsys, "meanfield", "--delta", "1.5")
     assert code == 1 and "error:" in err
@@ -117,6 +124,18 @@ def test_meanfield_invalid_population_exits_1(capsys):
 def test_non_finite_model_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed", "--n", "4", "--solver-tol", "nan"],
+    ["ed", "--n", "4", "--convergence-factor", "inf"],
+    ["measure", "--z", "0.5", "--theta", "nan"],
+    ["measure", "--z", "0.5", "--target", "nan"],
+    ["measure", "--z", "0.5", "--theta", "inf"],
+], ids=["solver-tol-nan", "convergence-factor-inf", "theta-nan", "target-nan", "theta-inf"])
+def test_non_finite_ed_and_measure_input_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "must be finite" in err
 
 
 def test_nu_undefined_at_zero_coupling(capsys):
@@ -269,7 +288,7 @@ def test_ed_records(capsys):
     for r in records:
         assert r["converged"] is True
         assert r["mean_field_deviation"] > 0
-        assert abs(abs(r["parity"]) - 1.0) <= 1e-6
+        assert r["parity"] in (1.0, -1.0)
         assert r["photon_cutoff"] >= 1
         assert r["cutoff_shift"] >= 0
 

@@ -17,6 +17,10 @@ Checked here:
     too small, and results are deterministic across repeated runs
   * the full-qubit mode picks the lower of the two impurity branches
   * the basis-size cap raises DimensionTooLargeError
+  * the sector solve against a dense oracle: the energy is the lowest
+    eigenvalue of the full matrix, and parity is the sign of the sector that
+    holds it; parity is exactly +-1 in the near-degenerate superradiant phase
+  * the warm-started truncation check equals a cold solve of the same sector
 """
 
 import math
@@ -25,6 +29,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import iddm.ed as ed
 from iddm import (
     DimensionTooLargeError,
     EDConfig,
@@ -127,8 +132,80 @@ def test_hermitian_and_parity_commutes():
 def test_ground_state_has_definite_parity():
     config = EDConfig(n_atoms=8, photon_cutoff=6, impurity_mode=FixedDelta(0.0))
     res = ground_state(FIG2, config)
-    assert res.parity is not None
-    assert abs(abs(res.parity) - 1.0) <= 1e-8
+    assert res.parity in (1.0, -1.0)
+
+
+@pytest.mark.parametrize("n_atoms", [16, 64])
+def test_superradiant_parity_is_a_sector_sign(n_atoms):
+    # the two parity sectors are degenerate to roundoff here; a full-space
+    # solve returned a mixture of them (parity 0.053 at N = 16)
+    config = EDConfig(n_atoms=n_atoms, impurity_mode=FixedDelta(0.8))
+    assert ground_state(SMALL, config).parity in (1.0, -1.0)
+
+
+def _dense_oracle_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for i in range(12):
+        n = 2 + i % 9
+        variant = ("plain", "f2_negative", "chi", "xi2", "qubit", "qubit_xi2")[i % 6]
+        kwargs = dict(
+            omega=rng.uniform(1.0, 6.0),
+            lam=rng.uniform(0.2, 2.0),
+            kappa=rng.uniform(-1.0, 1.0),
+            omega_q_prime=rng.uniform(-1.0, 1.0),
+            n_atoms=n,
+        )
+        if variant == "f2_negative":
+            kwargs["kappa"] = rng.uniform(-2.0, -1.2)  # f2 < 0 at delta >= 0
+        if variant == "chi":
+            kwargs["chi"] = rng.uniform(-0.5, 0.5)
+        if variant in ("xi2", "qubit_xi2"):
+            kwargs["xi2"] = rng.uniform(0.1, 1.0)
+        mode = FullQubit() if variant.startswith("qubit") else FixedDelta(rng.uniform(0.0, 1.0))
+        config = EDConfig(n_atoms=n, impurity_mode=mode, include_chi=variant == "chi")
+        cases.append(pytest.param(ModelParams(**kwargs), config, id=f"{variant}-N{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("params, config", _dense_oracle_cases())
+def test_sector_solve_matches_dense_oracle(params, config):
+    res = ground_state(params, config)
+    h = _dense(params, config, res.photon_cutoff)
+    energy = res.energy_per_atom * config.n_atoms
+    want = np.linalg.eigvalsh(h)[0]
+    assert abs(energy - want) <= 1e-10 * max(1.0, abs(want))
+    if isinstance(config.impurity_mode, FullQubit) or params.xi2 != 0:
+        assert res.parity is None
+        return
+    signs = parity_operator(config.n_atoms, res.photon_cutoff).diagonal()
+    sector = {s: np.linalg.eigvalsh(h[np.ix_(signs == s, signs == s)])[0] for s in (1.0, -1.0)}
+    if abs(sector[1.0] - sector[-1.0]) > 1e-12 * max(1.0, abs(want)):
+        assert res.parity == min(sector, key=sector.get)
+    else:
+        assert res.parity == 1.0  # a tie goes to the first sector
+
+
+@pytest.mark.parametrize(
+    "n_atoms, mode", [(32, FixedDelta(0.8)), (16, FullQubit())], ids=["fixed", "qubit"]
+)
+def test_warm_started_check_matches_cold_solve(monkeypatch, n_atoms, mode):
+    calls = []
+    solve = ed._lowest_state
+
+    def spy(h, tol, v0=None):
+        energy, psi = solve(h, tol, v0)
+        calls.append((h, v0, energy))
+        return energy, psi
+
+    monkeypatch.setattr(ed, "_lowest_state", spy)
+    params = replace(SMALL, omega_q_prime=0.05)
+    ground_state(params, EDConfig(n_atoms=n_atoms, impurity_mode=mode))
+    assert all(v0 is None for _, v0, _ in calls[:-1])
+    h2, start, warm = calls[-1]
+    assert start is not None
+    cold, _ = solve(h2, 0.0)
+    assert abs(warm - cold) / n_atoms <= 1e-12
 
 
 def test_parity_not_reported_with_drive():

@@ -13,7 +13,8 @@ Checked here:
   * branch continuity across the phase boundary
   * for kappa < 0 (xi1 = 0) raising delta never restores the normal phase
   * second-difference scans: flat for kappa = 0, kink at the transition
-  * refusal behavior: nu <= -1, chi != 0, |beta| out of range, zero budget
+  * refusal behavior: nu <= -1, chi != 0, |beta| out of range, zero budget,
+    a lone origin start in the superradiant phase (a saddle)
 """
 
 import math
@@ -253,6 +254,15 @@ def test_numeric_normal_phase_is_clean():
 def test_numeric_zero_budget_raises():
     with pytest.raises(ConvergenceFailureError):
         equilibrium_numeric(FIG2, 1.0, max_iterations=0)
+
+
+def test_numeric_refuses_origin_saddle():
+    # superradiant at delta = 0.9: the origin has zero gradient but is a saddle
+    with pytest.raises(ConvergenceFailureError):
+        equilibrium_numeric(FIG2, 0.9, seed_count=1)
+    # in the normal phase and at the critical point the origin is the minimum
+    assert equilibrium_numeric(FIG2, 0.0, seed_count=1).e0 == 0.0
+    assert equilibrium_numeric(FIG2, 0.5, seed_count=1).phase is Phase.CRITICAL
 
 
 # --- critical points --------------------------------------------------------
