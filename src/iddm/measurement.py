@@ -81,7 +81,10 @@ class WernerState:
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
-    """One outcome of the rotated-basis measurement on the auxiliary qubit; theta must be finite."""
+    """One outcome of the rotated-basis measurement on the auxiliary qubit.
+
+    theta must be finite.
+    """
 
     theta: float
     sign: Sign
@@ -137,8 +140,8 @@ def measure(state: WernerState, measurement: ProjectiveMeasurement) -> Collapsed
 def angle_for_target_delta(z: float, target: float) -> tuple[float, Sign]:
     """Measurement angle and outcome sign steering the population to target.
 
-    Inverts delta = +- z cos(2 theta); a finite |target| <= z is required.  target = 0
-    with z = 0 returns the balanced angle pi/4.
+    Inverts delta = +- z cos(2 theta); a finite |target| <= z is required.
+    target = 0 with z = 0 returns the balanced angle pi/4.
     """
     if not 0.0 <= z <= 1.0:
         raise InvalidParameterError(f"Werner parameter z must lie in [0, 1], got {z}")

@@ -20,7 +20,9 @@ Checked here:
   * the sector solve against a dense oracle: the energy is the lowest
     eigenvalue of the full matrix, and parity is the sign of the sector that
     holds it; parity is exactly +-1 in the near-degenerate superradiant phase
-  * the warm-started truncation check equals a cold solve of the same sector
+  * sector energies within 1e-12 * max(1, |E|) tie, and a tie goes to Pi = +1
+  * the warm-started truncation check starts from the zero-padded base
+    vector and equals a cold solve of the same sector
 """
 
 import math
@@ -138,9 +140,28 @@ def test_ground_state_has_definite_parity():
 @pytest.mark.parametrize("n_atoms", [16, 64])
 def test_superradiant_parity_is_a_sector_sign(n_atoms):
     # the two parity sectors are degenerate to roundoff here; a full-space
-    # solve returned a mixture of them (parity 0.053 at N = 16)
+    # solve returned a mixture of them (parity 0.053 at N = 16), and the
+    # tie rule hands the degenerate pair to Pi = +1
     config = EDConfig(n_atoms=n_atoms, impurity_mode=FixedDelta(0.8))
-    assert ground_state(SMALL, config).parity in (1.0, -1.0)
+    assert ground_state(SMALL, config).parity == 1.0
+
+
+@pytest.mark.parametrize("offset, parity", [(1e-13, 1.0), (1e-9, -1.0)])
+def test_sector_tie_goes_to_first_sector(monkeypatch, offset, parity):
+    # the sectors agree to ~1e-14 here; lower the Pi = -1 base solve by
+    # offset * |E|: within 1e-12 * |E| it is a tie and Pi = +1 is kept,
+    # beyond it Pi = -1 wins
+    calls = []
+    solve = ed._lowest_state
+
+    def shifted(h, tol, v0=None):
+        energy, psi = solve(h, tol, v0)
+        calls.append(energy)
+        return (energy - offset * abs(energy) if len(calls) == 2 else energy), psi
+
+    monkeypatch.setattr(ed, "_lowest_state", shifted)
+    config = EDConfig(n_atoms=16, impurity_mode=FixedDelta(0.8))
+    assert ground_state(SMALL, config).parity == parity
 
 
 def _dense_oracle_cases():
@@ -195,15 +216,19 @@ def test_warm_started_check_matches_cold_solve(monkeypatch, n_atoms, mode):
 
     def spy(h, tol, v0=None):
         energy, psi = solve(h, tol, v0)
-        calls.append((h, v0, energy))
+        calls.append((h, v0, energy, psi))
         return energy, psi
 
     monkeypatch.setattr(ed, "_lowest_state", spy)
     params = replace(SMALL, omega_q_prime=0.05)
     ground_state(params, EDConfig(n_atoms=n_atoms, impurity_mode=mode))
-    assert all(v0 is None for _, v0, _ in calls[:-1])
-    h2, start, warm = calls[-1]
-    assert start is not None
+    assert all(v0 is None for _, v0, _, _ in calls[:-1])
+    h2, start, warm, _ = calls[-1]
+    # the start is a base-cutoff vector padded with zeros
+    assert any(
+        np.array_equal(start[: len(psi)], psi) and not start[len(psi):].any()
+        for _, _, _, psi in calls[:-1]
+    )
     cold, _ = solve(h2, 0.0)
     assert abs(warm - cold) / n_atoms <= 1e-12
 
