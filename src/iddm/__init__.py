@@ -59,19 +59,6 @@ from .fluctuations import (
     excitation_spectrum,
     normal_phase_spectrum,
 )
-from .ed import (
-    EDConfig,
-    EDResult,
-    FiniteSizeEntry,
-    FixedDelta,
-    FullQubit,
-    build_hamiltonian,
-    effective_photon_cutoff,
-    finite_size_scan,
-    ground_state,
-    parity_operator,
-    recommended_photon_cutoff,
-)
 from .measurement import (
     CollapsedImpurity,
     ProjectiveMeasurement,
@@ -91,3 +78,18 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
+
+# The ED names resolve on first use (PEP 562): ed imports scipy.sparse, whose
+# import would otherwise slow the start of every process that runs no ED.
+_ED_NAMES = frozenset({
+    "EDConfig", "EDResult", "FiniteSizeEntry", "FixedDelta", "FullQubit",
+    "build_hamiltonian", "effective_photon_cutoff", "finite_size_scan",
+    "ground_state", "parity_operator", "recommended_photon_cutoff",
+})
+
+
+def __getattr__(name):
+    if name in _ED_NAMES:
+        from . import ed
+        return getattr(ed, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import ConvergenceFailureError, IDDMError
-from . import ed as ed_mod
 from .fluctuations import excitation_spectrum
 from .meanfield import (
     critical_delta,
@@ -335,6 +334,8 @@ def _cmd_spectrum(v: dict, provided: set) -> int:
 
 
 def _cmd_ed(v: dict, provided: set) -> int:
+    from . import ed as ed_mod  # here, so that only ED runs load scipy
+
     params = _params(v)
     n_list = v["n"] if v["n"] else [params.n_atoms]
     if v["full_qubit"] and "delta" in provided:

@@ -59,6 +59,8 @@ class GridSpec:
         for name, (lo, hi, count) in (("delta", self.delta_range), ("lambda", self.lambda_range)):
             if count < 1:
                 raise InvalidParameterError(f"{name} count must be >= 1, got {count}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise InvalidParameterError(f"{name} range edges must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise InvalidParameterError(f"{name} range must have min <= max")
             if count == 1 and lo != hi:
@@ -93,26 +95,29 @@ def _error_tag(exc: IDDMError) -> str:
 
 def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
     """Closed-form equilibrium on the full grid, delta outer, lambda inner."""
+    columns = []  # one ModelParams per lambda; a refused lambda tags its whole column
+    for lam in _axis(*spec.lambda_range).tolist():
+        try:
+            columns.append((lam, replace(spec.params, lam=lam), ""))
+        except IDDMError as exc:
+            columns.append((lam, None, _error_tag(exc)))
     rows = []
     nan = math.nan
-    for delta in _axis(*spec.delta_range):
-        for lam in _axis(*spec.lambda_range):
-            try:
-                params = replace(spec.params, lam=float(lam))
-                sol = equilibrium_closed_form(params, float(delta))
-            except IDDMError as exc:
-                rows.append(
-                    PhaseDiagramRow(
-                        delta=float(delta), lam=float(lam),
-                        alpha2=nan, beta2=nan, e0=nan, jz_over_n=nan, i_over_n=nan,
-                        phase="error", error=_error_tag(exc),
-                    )
-                )
+    for delta in _axis(*spec.delta_range).tolist():
+        for lam, params, error in columns:
+            if not error:
+                try:
+                    sol = equilibrium_closed_form(params, delta)
+                except IDDMError as exc:
+                    error = _error_tag(exc)
+            if error:
+                rows.append(PhaseDiagramRow(delta=delta, lam=lam, alpha2=nan, beta2=nan, e0=nan,
+                                            jz_over_n=nan, i_over_n=nan, phase="error", error=error))
                 continue
             jz, photons = observables(sol)
             rows.append(
                 PhaseDiagramRow(
-                    delta=float(delta), lam=float(lam),
+                    delta=delta, lam=lam,
                     alpha2=sol.alpha2, beta2=sol.beta2, e0=sol.e0,
                     jz_over_n=jz, i_over_n=photons,
                     phase=sol.phase.value,

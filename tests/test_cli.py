@@ -16,8 +16,10 @@ Checked here:
   * ed emits one JSON record per atom number with parity exactly +-1;
     --full-qubit rejects --delta
   * measure solves --target and reports the collapsed state
+  * non-finite sweep axis edges exit 1
   * the module entry point works end to end, and importing the package does
-    not load scipy.optimize
+    not load scipy.optimize; neither the package import nor any subcommand
+    but ed loads scipy at all, while the ED names and ed still work
 """
 
 import json
@@ -135,6 +137,15 @@ def test_non_finite_model_input_exits_1(capsys, argv):
 ], ids=["solver-tol-nan", "convergence-factor-inf", "theta-nan", "target-nan", "theta-inf"])
 def test_non_finite_ed_and_measure_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize("edge", ["delta-min", "delta-max", "lambda-min", "lambda-max"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_grid_edge_exits_1(capsys, edge, value):
+    # --flag=value, so that argparse does not read -inf as an option
+    code, out, err = run_cli(capsys, "sweep", "--delta-count", "3", "--lambda-count", "2",
+                             f"--{edge}={value}")
     assert code == 1 and out == "" and "must be finite" in err
 
 
@@ -357,3 +368,44 @@ def test_import_leaves_scipy_optimize_unloaded():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_SCIPY = """
+import contextlib, io, sys
+import iddm
+assert "scipy" not in sys.modules, "import iddm"
+from iddm.cli import main
+for argv in [
+    ["sweep", "--delta-count", "1", "--delta-max", "-1", "--lambda-count", "1", "--lambda-max", "0"],
+    ["deriv", "--wrt", "lambda", "--from", "0", "--to", "1", "--step", "0.5", "--delta", "0"],
+    ["meanfield", "--delta", "0.1"],
+    ["meanfield", "--delta", "0.1", "--numeric"],
+    ["critical", "--delta", "0.1"],
+    ["spectrum", "--delta", "0.1"],
+    ["measure", "--z", "0.5", "--theta", "0.3"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+
+
+def test_non_ed_runs_leave_scipy_unloaded():
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ed_names_resolve_on_use():
+    code = ("import sys, iddm\n"
+            "from iddm import FixedDelta, EDConfig\n"
+            "import iddm.ed\n"
+            "assert 'scipy' in sys.modules\n"
+            "assert iddm.ground_state is iddm.ed.ground_state and FixedDelta is iddm.ed.FixedDelta\n"
+            "assert EDConfig is iddm.ed.EDConfig\n"
+            "assert not hasattr(iddm, 'no_such_name')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "iddm", "ed", "--n", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_atoms"] == 2

@@ -10,26 +10,34 @@ Checked here:
   * along a lambda scan the phase flip brackets critical_lambda
   * CSV: exact header, exact formatting of a known row, LF endings, and
     byte-identical output across repeated runs
-  * grid validation errors
+  * run_grid equals a per-point reference (one ModelParams and one closed
+    form per point) row for row and bit for bit, on grids that hit every
+    error tag
+  * grid validation errors, non-finite axis edges included
 """
 
 import io
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from iddm import (
     CSV_HEADER,
     GridSpec,
+    IDDMError,
     InvalidParameterError,
     ModelParams,
     Phase,
     critical_lambda,
+    equilibrium_closed_form,
+    observables,
     run_grid,
     trace_critical_curve,
     write_phase_diagram_csv,
 )
-from iddm.sweep import format_rows_csv
+from iddm.sweep import _error_tag, format_rows_csv
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
@@ -75,6 +83,53 @@ def test_refused_rows_are_tagged_not_fatal():
             assert row.phase == Phase.SUPERRADIANT.value
             assert row.error == ""
             assert row.e0 < 0.0
+
+
+def _reference_rows(spec):
+    """run_grid's rows, built one point at a time with a fresh ModelParams each."""
+    rows = []
+    for delta in np.linspace(*spec.delta_range):
+        for lam in np.linspace(*spec.lambda_range):
+            try:
+                sol = equilibrium_closed_form(replace(spec.params, lam=float(lam)), float(delta))
+            except IDDMError as exc:
+                rows.append((float(delta), float(lam)) + (math.nan,) * 5 + ("error", _error_tag(exc)))
+                continue
+            jz, photons = observables(sol)
+            rows.append((float(delta), float(lam), sol.alpha2, sol.beta2, sol.e0, jz, photons,
+                         sol.phase.value, ""))
+    return rows
+
+
+def _bits(row):
+    # float.hex is exact, keeps the sign of zero and reads "nan" for every nan.
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+# (params, delta range, lambda range, the error tags the grid must produce);
+# together the grids hit every tag, and a negative lambda column meets chi
+# and out-of-range delta rows, where the lambda refusal must win.
+REFERENCE_GRIDS = {
+    "negative-lambda": (FIG2, (-1.5, 1.5, 13), (-2.0, 12.0, 15), {"", "invalid_parameter"}),
+    "chi": (replace(FIG2, chi=0.3), (-1.0, 1.0, 5), (-1.0, 3.0, 5),
+            {"invalid_parameter", "chi_unsupported"}),
+    "f1-non-positive": (replace(FIG2, xi1=-500.0), (-1.0, 1.0, 11), (0.0, 9.0, 10),
+                        {"", "non_positive_f1"}),
+    # nu <= -1 at small lambda, and f2 < 0 in the lambda = 0 column
+    "unbounded": (ModelParams(omega=4.0, lam=5.0, kappa=-2.0), (-1.0, 1.0, 21), (0.0, 6.0, 13),
+                  {"", "unbounded_phase"}),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRIDS)
+def test_run_grid_matches_per_point_reference(name):
+    params, delta_range, lambda_range, tags = REFERENCE_GRIDS[name]
+    spec = GridSpec(params, delta_range=delta_range, lambda_range=lambda_range)
+    rows = [(r.delta, r.lam, r.alpha2, r.beta2, r.e0, r.jz_over_n, r.i_over_n, r.phase, r.error)
+            for r in run_grid(spec)]
+    assert [_bits(r) for r in rows] == [_bits(r) for r in _reference_rows(spec)]
+    assert all(type(v) is float for r in rows for v in r[:7])
+    assert {r[-1] for r in rows} == tags
 
 
 def test_critical_curve_identity():
@@ -135,3 +190,8 @@ def test_grid_validation():
         GridSpec(FIG2, lambda_range=(0.0, 12.0, 1))
     with pytest.raises(InvalidParameterError):
         trace_critical_curve(FIG2, count=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            GridSpec(FIG2, delta_range=(bad, 1.0, 3))
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            GridSpec(FIG2, lambda_range=(0.0, bad, 3))
