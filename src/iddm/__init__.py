@@ -83,8 +83,7 @@ __version__ = "0.1.0"
 # import would otherwise slow the start of every process that runs no ED.
 _ED_NAMES = frozenset({
     "EDConfig", "EDResult", "FiniteSizeEntry", "FixedDelta", "FullQubit",
-    "build_hamiltonian", "effective_photon_cutoff", "finite_size_scan",
-    "ground_state", "parity_operator", "recommended_photon_cutoff",
+    "build_hamiltonian", "finite_size_scan", "ground_state", "parity_operator",
 })
 
 

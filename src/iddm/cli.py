@@ -121,7 +121,7 @@ _COMMAND_OPTS = {
         _Opt("--n", "n", None, None, "atom number, repeatable", action="append_int"),
         _Opt("--delta", "delta", float, 0.0, "frozen impurity population"),
         _Opt("--full-qubit", "full_qubit", None, False, "keep the impurity dynamical", action="flag"),
-        _Opt("--cutoff", "cutoff", int, 1, "photon cutoff floor (auto-raised)"),
+        _Opt("--cutoff", "cutoff", int, 8, "first displaced-photon cutoff (raised until converged)"),
         _Opt("--include-chi", "include_chi", None, False, "include the chi Jz^2 term", action="flag"),
         _Opt("--convergence-factor", "convergence_factor", float, 2.0, "cutoff enlargement factor"),
         _Opt("--solver-tol", "solver_tol", float, 0.0, "eigensolver residual tolerance"),
@@ -362,6 +362,7 @@ def _cmd_ed(v: dict, provided: set) -> int:
                 "jz_over_n": r.jz_over_n, "photons_over_n": r.photons_over_n,
                 "parity": r.parity, "converged": r.converged,
                 "cutoff_shift": r.cutoff_shift, "mean_field_deviation": dev,
+                "sector_gap": r.sector_gap, "cutoff_raises": r.cutoff_raises,
             }) + "\n")
     return 0
 

@@ -302,6 +302,20 @@ def test_ed_records(capsys):
         assert r["parity"] in (1.0, -1.0)
         assert r["photon_cutoff"] >= 1
         assert r["cutoff_shift"] >= 0
+        assert isinstance(r["sector_gap"], float)
+        assert r["cutoff_raises"] == 0
+
+
+def test_ed_cutoff_raises_recorded(capsys):
+    code, out, _ = run_cli(
+        capsys, "ed", "--omega", "4", "--lambda", "2", "--delta", "0.8",
+        "--n", "32", "--cutoff", "1",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["converged"] is True
+    assert record["cutoff_raises"] >= 1
+    assert record["photon_cutoff"] == 2 ** record["cutoff_raises"]
 
 
 def test_ed_full_qubit_rejects_delta(capsys):
@@ -317,6 +331,7 @@ def test_ed_full_qubit_record(capsys):
     assert code == 0
     (record,) = [json.loads(line) for line in out.splitlines()]
     assert record["parity"] is None
+    assert record["sector_gap"] is None
     assert record["mean_field_deviation"] is None
     assert record["converged"] is True
 

@@ -6,6 +6,9 @@ Checked here:
   * the energy's reference values, its |beta| domain and the chi refusal
   * the gradient vanishes at closed-form equilibria and matches central
     finite differences of the energy in all four amplitude components
+  * property: gradient and Hessian match central first and second
+    differences of the energy at any parameters and amplitudes inside the
+    sphere
   * closed form vs the independent multistart minimizer on random draws
   * the superradiant energy identity E0 = -(lam^2/f1)(1 - nu)^2
   * critical_delta / critical_lambda closed forms, boundary cases, the
@@ -21,6 +24,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iddm import (
     ChiUnsupportedError,
@@ -117,6 +122,41 @@ def test_gradient_matches_finite_differences():
         steps = h * np.eye(4)
         fd = (energy(params, delta, (a + steps).T) - energy(params, delta, (a - steps).T)) / (2 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    omega=_finite(0.5, 100.0),
+    # lam below ~1e-154 squares to 0 and divides by zero in the frequencies
+    lam=st.one_of(st.just(0.0), _finite(1e-3, 10.0)),
+    kappa=_finite(-2.0, 2.0),
+    delta=_finite(-1.0, 1.0),
+    alpha=st.tuples(_finite(-2.0, 2.0), _finite(-2.0, 2.0)),
+    beta=st.tuples(_finite(-0.6, 0.6), _finite(-0.6, 0.6)),
+)
+def test_derivatives_match_finite_differences_property(omega, lam, kappa, delta, alpha, beta):
+    params = ModelParams(omega=omega, lam=lam, kappa=kappa)
+    a = np.array(alpha + beta)
+    grad, hess = energy_derivatives(params, delta, a)
+    h = 1e-4
+    steps = h * np.eye(4)
+
+    def e(x):
+        return energy(params, delta, x.T)
+
+    fd_grad = (e(a + steps) - e(a - steps)) / (2 * h)
+    # second differences along e_i + e_j and e_i - e_j give the mixed partials
+    plus = e(a + steps[:, None] + steps[None, :])
+    minus = e(a - steps[:, None] - steps[None, :])
+    cross = e(a + steps[:, None] - steps[None, :])
+    fd_hess = (plus + minus - cross - cross.T) / (4 * h * h)
+    scale = max(1.0, omega, lam, np.max(np.abs(hess)))
+    assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * scale
+    assert np.max(np.abs(hess - fd_hess)) <= 1e-5 * scale
 
 
 # --- closed-form equilibria ------------------------------------------------
