@@ -124,7 +124,9 @@ class EDResult:
 
     sector_gap is E(Pi = -1) - E(Pi = +1), the total-energy gap between the
     two parity sectors at the final base cutoff (None where parity is not
-    reported).  cutoff_raises counts the failed truncation checks, each of
+    reported); deep in the superradiant phase the two sectors are degenerate
+    below the solver's resolution and the gap reads as roundoff of either
+    sign.  cutoff_raises counts the failed truncation checks, each of
     which promoted the enlarged cutoff to be the base.
     """
 
@@ -173,16 +175,19 @@ def _franck_condon(gamma: float, cutoff: int) -> np.ndarray:
     return left @ _hermite_functions(y - half, cutoff).T
 
 
-def _spin_couplings(n_atoms: int) -> np.ndarray:
-    """t_k = <k+1|Jx|k> on the Jz basis, k = m + N/2 = 0 .. N-1."""
-    j = n_atoms / 2.0
-    m = -j + np.arange(n_atoms)
-    return 0.5 * np.sqrt(j * (j + 1) - m * (m + 1.0))
+def _frame(params: ModelParams, n_atoms: int, delta: float):
+    """(f1, f2, d, gamma, t) of one block's displaced basis.
 
-
-def _displacements(params: ModelParams, n_atoms: int, delta: float, f1: float) -> np.ndarray:
+    d[k] = d_m for k = m + N/2 = 0 .. N, gamma = d_m - d_{m+1}, and
+    t[k] = <k+1|Jx|k> on the Jz basis, k = 0 .. N-1.
+    """
+    ef = effective_frequencies(params, delta)
     m = np.arange(n_atoms + 1) - n_atoms / 2.0
-    return -(2.0 * params.lam * m / math.sqrt(n_atoms) + params.xi2 * delta) / f1
+    d = -(2.0 * params.lam * m / math.sqrt(n_atoms) + params.xi2 * delta) / ef.f1
+    gamma = 2.0 * params.lam / (math.sqrt(n_atoms) * ef.f1)
+    j = n_atoms / 2.0
+    t = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1.0))
+    return ef.f1, ef.f2, d, gamma, t
 
 
 def _check_dimension(dim: int, cap: int):
@@ -200,12 +205,9 @@ def _fixed_delta_matrix(
     params: ModelParams, config: EDConfig, delta: float, cutoff: int
 ) -> sp.csr_matrix:
     n = config.n_atoms
-    ef = effective_frequencies(params, delta)
-    d = _displacements(params, n, delta, ef.f1)
-    gamma = 2.0 * params.lam / (math.sqrt(n) * ef.f1)
-    t = _spin_couplings(n)
-    diag = ef.f1 * (np.arange(cutoff + 1.0)[:, None] - (d * d)[None, :])
-    h = sp.diags(diag.ravel()) + ef.f2 * _shift_term(_franck_condon(gamma, cutoff), -t, 1)
+    f1, f2, d, gamma, t = _frame(params, n, delta)
+    diag = f1 * (np.arange(cutoff + 1.0)[:, None] - (d * d)[None, :])
+    h = sp.diags(diag.ravel()) + f2 * _shift_term(_franck_condon(gamma, cutoff), -t, 1)
     if config.include_chi and params.chi != 0:
         # Jz^2 = T^2: diagonal t_{k-1}^2 + t_k^2, and t_k t_{k+1} two steps up
         t2 = t * t
@@ -297,10 +299,8 @@ def _observables(params, n_atoms, delta, cutoff, coeffs):
     Jz couples k to k + 1 with -t_k F(gamma); a = b + d_k on column k, so
     <a^dagger a> = <b^dagger b> + 2 d_k <b> + d_k^2 summed over k.
     """
-    f1 = effective_frequencies(params, delta).f1
-    d = _displacements(params, n_atoms, delta, f1)
-    fc = _franck_condon(2.0 * params.lam / (math.sqrt(n_atoms) * f1), cutoff)
-    t = _spin_couplings(n_atoms)
+    _, _, d, gamma, t = _frame(params, n_atoms, delta)
+    fc = _franck_condon(gamma, cutoff)
     jz = -2.0 * float(np.sum(t * np.sum(coeffs[:, 1:] * (fc @ coeffs[:, :-1]), axis=0)))
     weight = coeffs * coeffs
     lowered = np.sqrt(np.arange(1.0, cutoff + 1))[:, None] * coeffs[:-1] * coeffs[1:]
