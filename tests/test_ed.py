@@ -234,8 +234,8 @@ def _observable_cases():
 @pytest.mark.parametrize("params, mode", _observable_cases())
 def test_observables_match_fock_sector_state(params, mode):
     n = 8
-    res = ground_state(params, EDConfig(n_atoms=n, impurity_mode=mode))
     config = EDConfig(n_atoms=n, impurity_mode=mode)
+    res = ground_state(params, config)
     cutoff = 60
     h = _fock(params, config, cutoff)
     keep = np.ones(len(h), dtype=bool) if res.parity is None else _fock_signs(n, cutoff) == res.parity
