@@ -196,7 +196,8 @@ def _check_dimension(dim: int, cap: int):
 
 
 def _shift_term(fc: np.ndarray, spin: np.ndarray, step: int) -> sp.csr_matrix:
-    """The term spin[k] fc |k + step><k| in spin (x) photon overlap, plus its transpose."""
+    """fc (x) sum_k spin[k] |k + step><k|, plus its transpose: a Hermitian term
+    that moves the Jx index up or down by step with photon overlaps fc."""
     up = sp.kron(fc, sp.diags(spin, -step))
     return up + up.T
 
