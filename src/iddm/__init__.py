@@ -79,8 +79,8 @@ from .sweep import (
 
 __version__ = "0.1.0"
 
-# The ED names resolve on first use (PEP 562): ed imports scipy.sparse, whose
-# import would otherwise slow the start of every process that runs no ED.
+# The ED names resolve on first use (PEP 562): importing ed takes several
+# milliseconds, which a process that runs no ED need not pay.
 _ED_NAMES = frozenset({
     "EDConfig", "EDResult", "FiniteSizeEntry", "FixedDelta", "FullQubit",
     "build_hamiltonian", "finite_size_scan", "ground_state", "parity_operator",

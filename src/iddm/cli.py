@@ -334,7 +334,7 @@ def _cmd_spectrum(v: dict, provided: set) -> int:
 
 
 def _cmd_ed(v: dict, provided: set) -> int:
-    from . import ed as ed_mod  # here, so that only ED runs load scipy
+    from . import ed as ed_mod  # here, so that only ED runs pay its import
 
     params = _params(v)
     n_list = v["n"] if v["n"] else [params.n_atoms]

@@ -1,4 +1,4 @@
-"""Sparse exact diagonalization of the impurity-doped Dicke Hamiltonian at finite N.
+"""Exact diagonalization of the impurity-doped Dicke Hamiltonian at finite N.
 
 The basis is the extended coherent-state basis of Chen, Zhang, Liu & Wang
 (PRA 78, 051801(R), 2008).  The collective spin of the maximal multiplet
@@ -28,18 +28,26 @@ impurity as a two-level system.  sigma_z commutes with the Hamiltonian, so
 the FullQubit matrix is block diagonal over the impurity states, ordered
 (upper, lower) = (sigma_z = +1, -1), each block in its own displaced basis.
 
+H is never assembled: build_hamiltonian returns an operator that applies
+each block as a diagonal plus two small matmuls per Franck-Condon term on
+the state reshaped to (cutoff + 1, N + 1), and numpy is the only dependency.
+
 Ground states are found sector by sector.  With xi2 = 0 the parity Pi maps
 D(d_m)|n>|m> to (-1)^n D(d_-m)|n>|-m> and commutes with H, so each sigma_z
-block splits into Pi = +1 and Pi = -1, each the image of a sparse isometry
-with at most two nonzeros per column; with xi2 != 0 each block is one
-sector.  Every sector is solved by an iterative extremal eigensolver from the
-uniform start vector and the lowest is kept.  Sectors whose energies agree
-within 1e-12 * max(1, |E|), the solver's resolution, count as tied, and a tie
-goes to the first in the fixed order (upper block, then Pi = +1), so the
-reported sector never flips with roundoff.  The truncation check re-solves
-only that sector at an enlarged cutoff, starting from the base vector padded
-with zeros; if the energy moves too much the enlarged cutoff becomes the
-base and the check repeats (see ground_state).
+block splits into Pi = +1 and Pi = -1; a sector's states are held in reduced
+coordinates, one per pair (|n, k> +- |n, N-k>) / sqrt(2) or middle state,
+and mapped to and from the block by index gather and scatter.  With
+xi2 != 0 each block is one sector.  Every sector is solved from the uniform
+start vector by a thick-restart Lanczos solver (Wu & Simon, SIAM J. Matrix
+Anal. Appl. 22, 602, 2000), which stops when its Ritz residual falls to
+max(solver_tolerance, eps) times the largest |Ritz value|, and the lowest
+sector is kept.  Sectors whose energies agree within 1e-12 * max(1, |E|),
+the solver's resolution, count as tied, and a tie goes to the first in the
+fixed order (upper block, then Pi = +1), so the reported sector never flips
+with roundoff.  The truncation check re-solves only that sector at an
+enlarged cutoff, starting from the base vector padded with zeros; if the
+energy moves too much the enlarged cutoff becomes the base and the check
+repeats (see ground_state).
 """
 
 from __future__ import annotations
@@ -48,8 +56,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ConvergenceFailureError, DimensionTooLargeError, InvalidParameterError
 from .meanfield import equilibrium_closed_form
@@ -90,8 +96,9 @@ class EDConfig:
     photon_cutoff is the highest displaced photon level of the first
     truncation, not the final one: ground_state enlarges the cutoff by
     convergence_factor until the energy stops moving or the next enlargement
-    would exceed dimension_cap.  solver_tolerance = 0 means machine
-    precision.  Both floats must be finite.
+    would exceed dimension_cap.  solver_tolerance bounds each eigensolve's
+    Ritz residual relative to the largest |Ritz value|; 0 means machine
+    epsilon, the default.  Both floats must be finite.
     """
 
     n_atoms: int
@@ -195,103 +202,219 @@ def _check_dimension(dim: int, cap: int):
         raise DimensionTooLargeError(f"Hilbert-space dimension {dim} exceeds cap {cap}")
 
 
-def _shift_term(fc: np.ndarray, spin: np.ndarray, step: int) -> sp.csr_matrix:
-    """fc (x) sum_k spin[k] |k + step><k|, plus its transpose: a Hermitian term
-    that moves the Jx index up or down by step with photon overlaps fc."""
-    up = sp.kron(fc, sp.diags(spin, -step))
-    return up + up.T
+class Hamiltonian:
+    """H in the displaced basis, applied block by block and never assembled.
+
+    blocks holds one (diag, terms) pair per sigma_z block, in the order
+    (upper, lower): diag[n, k] is the diagonal element of D(d_m)|n>|m>,
+    k = m + N/2, and each term (fc, spin, step) stands for
+    fc (x) sum_k spin[k] |k + step><k| plus its transpose, a Hermitian term
+    that moves the Jx index up or down by step with photon overlaps fc.
+    """
+
+    def __init__(self, n_atoms: int, cutoff: int, blocks):
+        self.n_atoms, self.cutoff, self.blocks = n_atoms, cutoff, blocks
+        self.block_size = (cutoff + 1) * (n_atoms + 1)
+        self.shape = (len(blocks) * self.block_size,) * 2
+
+    @property
+    def nnz(self) -> int:
+        """The number of nonzero matrix elements."""
+        return sum(
+            np.count_nonzero(diag)
+            + sum(2 * np.count_nonzero(fc) * np.count_nonzero(spin) for fc, spin, _ in terms)
+            for diag, terms in self.blocks
+        )
+
+    def apply_block(self, block: int, x: np.ndarray) -> np.ndarray:
+        """Block number block applied to x, a vector of block_size entries."""
+        diag, terms = self.blocks[block]
+        x = x.reshape(diag.shape)
+        out = diag * x
+        for fc, spin, step in terms:
+            out[:, step:] += fc @ (x[:, :-step] * spin)
+            out[:, :-step] += fc.T @ (x[:, step:] * spin)
+        return out.ravel()
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        size = self.block_size
+        return np.concatenate(
+            [self.apply_block(b, x[b * size:(b + 1) * size]) for b in range(len(self.blocks))]
+        )
+
+    def toarray(self) -> np.ndarray:
+        size = self.block_size
+        out = np.zeros(self.shape)
+        for b, (diag, terms) in enumerate(self.blocks):
+            dense = np.diag(diag.ravel())
+            for fc, spin, step in terms:
+                up = np.kron(fc, np.diag(spin, -step))
+                dense += up + up.T
+            out[b * size:(b + 1) * size, b * size:(b + 1) * size] = dense
+        return out
 
 
-def _fixed_delta_matrix(
-    params: ModelParams, config: EDConfig, delta: float, cutoff: int
-) -> sp.csr_matrix:
+def _block(params: ModelParams, config: EDConfig, delta: float, cutoff: int, shift: float):
+    """(diag, terms) of the block at impurity population delta, its diagonal moved by shift."""
     n = config.n_atoms
     f1, f2, d, gamma, t = _frame(params, n, delta)
     diag = f1 * (np.arange(cutoff + 1.0)[:, None] - (d * d)[None, :])
-    h = sp.diags(diag.ravel()) + f2 * _shift_term(_franck_condon(gamma, cutoff), -t, 1)
+    terms = [(_franck_condon(gamma, cutoff), -f2 * t, 1)]
     if config.include_chi and params.chi != 0:
         # Jz^2 = T^2: diagonal t_{k-1}^2 + t_k^2, and t_k t_{k+1} two steps up
         t2 = t * t
-        same = np.concatenate([t2, [0.0]]) + np.concatenate([[0.0], t2])
-        jz2 = sp.kron(sp.identity(cutoff + 1), sp.diags(same))
-        jz2 = jz2 + _shift_term(_franck_condon(2.0 * gamma, cutoff), t[:-1] * t[1:], 2)
-        h = h + (params.chi / n) * jz2
-    return sp.csr_matrix(h)
+        diag = diag + (params.chi / n) * (np.concatenate([t2, [0.0]]) + np.concatenate([[0.0], t2]))
+        terms.append((_franck_condon(2.0 * gamma, cutoff), (params.chi / n) * t[:-1] * t[1:], 2))
+    return diag + shift, terms
 
 
 def build_hamiltonian(
     params: ModelParams, config: EDConfig, photon_cutoff: int | None = None
-) -> sp.csr_matrix:
-    """Assemble the sparse Hamiltonian in the displaced basis at the config's
-    (or the given) photon cutoff."""
+) -> Hamiltonian:
+    """The Hamiltonian in the displaced basis at the config's (or the given)
+    photon cutoff; FullQubit blocks carry +-omega_q_prime / 2."""
     cutoff = config.photon_cutoff if photon_cutoff is None else photon_cutoff
-    block = (cutoff + 1) * (config.n_atoms + 1)
     if isinstance(config.impurity_mode, FixedDelta):
-        _check_dimension(block, config.dimension_cap)
-        return _fixed_delta_matrix(params, config, config.impurity_mode.delta, cutoff)
-    _check_dimension(2 * block, config.dimension_cap)
-    shift = 0.5 * params.omega_q_prime * sp.identity(block)
-    upper = _fixed_delta_matrix(params, config, 1.0, cutoff) + shift
-    lower = _fixed_delta_matrix(params, config, -1.0, cutoff) - shift
-    return sp.csr_matrix(sp.block_diag((upper, lower)))
+        populations = [(config.impurity_mode.delta, 0.0)]
+    else:
+        half = 0.5 * params.omega_q_prime
+        populations = [(1.0, half), (-1.0, -half)]
+    _check_dimension(len(populations) * (cutoff + 1) * (config.n_atoms + 1), config.dimension_cap)
+    blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
+    return Hamiltonian(config.n_atoms, cutoff, blocks)
 
 
-def parity_operator(n_atoms: int, photon_cutoff: int) -> sp.csr_matrix:
-    """Parity (-1)^n |n, -m><n, m| on the FixedDelta displaced basis (xi2 = 0)."""
-    size = (photon_cutoff + 1) * (n_atoms + 1)
-    n_idx, k_idx = np.divmod(np.arange(size), n_atoms + 1)
-    signs = np.where(n_idx % 2 == 0, 1.0, -1.0)
-    rows = n_idx * (n_atoms + 1) + n_atoms - k_idx
-    return sp.csr_matrix((signs, (rows, np.arange(size))), shape=(size, size))
+class _Parity:
+    def __init__(self, n_atoms: int, photon_cutoff: int):
+        self.n_atoms, self.photon_cutoff = n_atoms, photon_cutoff
+        self.shape = ((photon_cutoff + 1) * (n_atoms + 1),) * 2
+
+    def toarray(self) -> np.ndarray:
+        level_sign = (-1.0) ** np.arange(self.photon_cutoff + 1)
+        return np.kron(np.diag(level_sign), np.eye(self.n_atoms + 1)[::-1])
 
 
-def _sector_isometry(n_atoms: int, cutoff: int, sign: float) -> sp.csr_matrix:
-    """Orthonormal columns spanning the Pi = sign sector of one block.
+def parity_operator(n_atoms: int, photon_cutoff: int) -> _Parity:
+    """Parity (-1)^n |n, N-k><n, k| on the FixedDelta displaced basis (xi2 = 0)."""
+    return _Parity(n_atoms, photon_cutoff)
 
-    Column (n, k) for k < N - k is (|n, k> + sign (-1)^n |n, N-k>) / sqrt(2),
-    and for even N the column |n, N/2> is kept where (-1)^n = sign.  Columns
-    are ordered by n first, so a smaller cutoff's columns are a prefix.
+
+class _SectorMap:
+    """Reduced coordinates of the Pi = sign sector of one block.
+
+    Coordinate i stands for rcoef[i] |rows[i]> + mcoef[i] |mirror[i]>: for a
+    pair (n, k), k < N - k, that is (|n, k> + sign (-1)^n |n, N-k>) / sqrt(2),
+    and for even N the middle state |n, N/2>, kept where (-1)^n = sign, has
+    mirror = rows, rcoef = 1 and mcoef = 0.  Coordinates are ordered by row,
+    so a smaller cutoff's are a prefix of a larger one's.
     """
-    width = n_atoms + 1
-    level_sign = (-1.0) ** np.arange(cutoff + 1)
-    n_pair, k_pair = np.divmod(np.arange((cutoff + 1) * (width // 2)), width // 2)
-    first = n_pair * width + k_pair
-    n_mid = np.flatnonzero(level_sign == sign) if n_atoms % 2 == 0 else np.arange(0)
-    middle = n_mid * width + n_atoms // 2
-    # number the columns in the order of their first row
-    col = np.argsort(np.argsort(np.concatenate([first, middle])))
-    pair_col = col[: len(first)]
-    rows = np.concatenate([first, n_pair * width + n_atoms - k_pair, middle])
-    cols = np.concatenate([pair_col, pair_col, col[len(first):]])
-    vals = np.concatenate([
-        np.full(len(first), math.sqrt(0.5)),
-        sign * level_sign[n_pair] * math.sqrt(0.5),
-        np.ones(len(middle)),
-    ])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(width * (cutoff + 1), len(col)))
+
+    def __init__(self, n_atoms: int, cutoff: int, sign: float):
+        width = n_atoms + 1
+        level_sign = (-1.0) ** np.arange(cutoff + 1)
+        n_pair, k_pair = np.divmod(np.arange((cutoff + 1) * (width // 2)), width // 2)
+        n_mid = np.flatnonzero(level_sign == sign) if n_atoms % 2 == 0 else np.arange(0)
+        middle = n_mid * width + n_atoms // 2
+        rows = np.concatenate([n_pair * width + k_pair, middle])
+        mirror = np.concatenate([n_pair * width + n_atoms - k_pair, middle])
+        rcoef = np.concatenate([np.full(len(n_pair), math.sqrt(0.5)), np.ones(len(middle))])
+        mcoef = np.concatenate([sign * level_sign[n_pair] * math.sqrt(0.5), np.zeros(len(middle))])
+        order = np.argsort(rows)
+        self.rows, self.mirror = rows[order], mirror[order]
+        self.rcoef, self.mcoef = rcoef[order], mcoef[order]
+        self.size = width * (cutoff + 1)
+
+    def scatter(self, c: np.ndarray) -> np.ndarray:
+        """The block vector P c."""
+        psi = np.zeros(self.size)
+        psi[self.mirror] = self.mcoef * c
+        psi[self.rows] = self.rcoef * c  # second, so a middle state keeps rcoef
+        return psi
+
+    def gather(self, psi: np.ndarray) -> np.ndarray:
+        """The sector coordinates P^T psi of a block vector."""
+        return self.rcoef * psi[self.rows] + self.mcoef * psi[self.mirror]
+
+
+class _Sector:
+    """One sigma_z block of h in the reduced coordinates of its Pi = sign
+    sector, or the whole block when sign is None."""
+
+    def __init__(self, h: Hamiltonian, block: int, sign: float | None):
+        self.h, self.block = h, block
+        self.map = None if sign is None else _SectorMap(h.n_atoms, h.cutoff, sign)
+        dim = h.block_size if sign is None else len(self.map.rows)
+        self.shape = (dim, dim)
+
+    def matvec(self, c: np.ndarray) -> np.ndarray:
+        if self.map is None:
+            return self.h.apply_block(self.block, c)
+        return self.map.gather(self.h.apply_block(self.block, self.map.scatter(c)))
+
+
+KRYLOV_SIZE = 20  # ARPACK's default for one eigenpair
+DGKS = 0.717  # a second Gram-Schmidt pass when ||w|| falls below this share of its value
+
+
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v)
+
+
+def _rayleigh(op, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """(v . op v, v) for a unit vector v."""
+    return float(v @ op.matvec(v)), v
 
 
 def _lowest_state(
-    h: sp.csr_matrix, tol: float, v0: np.ndarray | None = None
+    op, tol: float, v0: np.ndarray | None = None, max_restarts: int | None = None
 ) -> tuple[float, np.ndarray]:
-    if v0 is None:
-        v0 = np.full(h.shape[0], 1.0 / math.sqrt(h.shape[0]))
-    try:
-        vals, vecs = eigsh(h, k=1, which="SA", v0=v0, tol=tol)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceFailureError(f"eigensolver did not converge: {exc}") from exc
-    return float(vals[0]), vecs[:, 0]
+    """Lowest eigenpair of the symmetric operator op by thick-restart Lanczos.
 
-
-def _sector_matrix(h, n_atoms: int, cutoff: int, block: int, sign: float | None):
-    """One sigma_z block of h, restricted to the parity sign sector unless None."""
-    size = (cutoff + 1) * (n_atoms + 1)
-    if h.shape[0] != size:
-        h = h[block * size:(block + 1) * size, block * size:(block + 1) * size]
-    if sign is None:
-        return h
-    iso = _sector_isometry(n_atoms, cutoff, sign)
-    return (iso.T @ h @ iso).tocsr()
+    The Krylov basis holds up to KRYLOV_SIZE vectors; each new one is
+    orthogonalized against all the others, a second time by the DGKS rule.
+    A restart keeps the lowest half of the Ritz vectors and the residual
+    vector (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602, 2000).  The solve
+    stops when the Ritz residual |beta s_last| is at most max(tol, eps) times
+    the largest |Ritz value|, the spectrum's scale, or when the Krylov space
+    is invariant.  It raises ConvergenceFailureError when max_restarts
+    restarts (default 10 * dim, as ARPACK's iteration budget) do not suffice.
+    """
+    dim = op.shape[0]
+    size = min(KRYLOV_SIZE, dim)
+    keep = size // 2
+    budget = 10 * dim if max_restarts is None else max_restarts
+    bound = max(tol, np.finfo(float).eps)
+    basis = np.empty((size + 1, dim))
+    basis[0] = np.full(dim, 1.0 / math.sqrt(dim)) if v0 is None else _unit(v0)
+    t = np.zeros((size, size))  # op on the basis: an arrowhead, then tridiagonal
+    first = 0
+    for _ in range(budget + 1):
+        for j in range(first, size):
+            w = op.matvec(basis[j])
+            beta = np.linalg.norm(w)
+            for _pass in range(2):
+                coef = basis[: j + 1] @ w
+                w -= coef @ basis[: j + 1]
+                t[j, j] += coef[j]
+                beta, before = np.linalg.norm(w), beta
+                if beta > DGKS * before:
+                    break
+            if beta <= DGKS * before or j + 1 == dim:  # the Krylov space is invariant
+                s = np.linalg.eigh(t[: j + 1, : j + 1])[1]
+                return _rayleigh(op, _unit(s[:, 0] @ basis[: j + 1]))
+            basis[j + 1] = w / beta
+            if j + 1 < size:
+                t[j, j + 1] = t[j + 1, j] = beta
+        theta, s = np.linalg.eigh(t)
+        if abs(beta * s[-1, 0]) <= bound * np.max(np.abs(theta)):
+            return _rayleigh(op, _unit(s[:, 0] @ basis[:size]))
+        basis[:keep] = s[:, :keep].T @ basis[:size]
+        basis[keep] = basis[size]
+        t[:] = 0.0
+        t[range(keep), range(keep)] = theta[:keep]
+        t[keep, :keep] = t[:keep, keep] = beta * s[-1, :keep]
+        first = keep
+    raise ConvergenceFailureError(f"eigensolver did not converge in {budget} restarts")
 
 
 def _observables(params, n_atoms, delta, cutoff, coeffs):
@@ -336,7 +459,7 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
 
     base = config.photon_cutoff
     h = build_hamiltonian(params, config, base)
-    solves = {key: _lowest_state(_sector_matrix(h, n, base, *key), tol) for key in sectors}
+    solves = {key: _lowest_state(_Sector(h, *key), tol) for key in sectors}
     raises = 0
     while True:
         lowest = min(energy for energy, _ in solves.values())
@@ -350,7 +473,7 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
         if raises and len(blocks) * (larger + 1) * (n + 1) > config.dimension_cap:
             break
         h = build_hamiltonian(params, config, larger)
-        enlarged = _sector_matrix(h, n, larger, *key)
+        enlarged = _Sector(h, *key)
         warm = np.zeros(enlarged.shape[0])
         warm[: len(psi)] = psi
         energy2, psi2 = _lowest_state(enlarged, tol, warm)
@@ -362,13 +485,13 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
         base = larger
         solves = {
             other: (energy2, psi2) if other == key
-            else _lowest_state(_sector_matrix(h, n, base, *other), tol)
+            else _lowest_state(_Sector(h, *other), tol)
             for other in sectors
         }
 
     block, sign = key
     if sign is not None:
-        psi = _sector_isometry(n, base, sign) @ psi
+        psi = _SectorMap(n, base, sign).scatter(psi)
     delta = config.impurity_mode.delta if fixed else (1.0, -1.0)[block]
     jz, photons = _observables(params, n, delta, base, psi.reshape(base + 1, n + 1))
     parity_known = fixed and params.xi2 == 0

@@ -67,6 +67,9 @@ class ModelParams:
             raise InvalidParameterError(f"omega0 must be > 0, got {self.omega0}")
         if self.lam < 0:
             raise InvalidParameterError(f"lambda must be >= 0, got {self.lam}")
+        if self.lam > 0 and 4.0 * self.lam * self.lam == 0:
+            # nu = f1 f2 / (4 lam^2) would divide by zero
+            raise InvalidParameterError(f"lambda = {self.lam} is too small: 4 lambda^2 underflows to 0")
         if self.n_atoms < 1:
             raise InvalidParameterError(f"n_atoms must be >= 1, got {self.n_atoms}")
 

@@ -6,7 +6,8 @@ Checked here:
   * meanfield output parses back to the closed-form equilibrium; --numeric
     agrees with the closed form; a zero iteration budget and a lone start on
     the origin saddle exit 2
-  * non-finite model, ED and measurement input exits 1 with an error on stderr
+  * non-finite model, ED and measurement input exits 1 with an error on stderr,
+    and so does a lambda whose 4 lambda^2 underflows to 0
   * config files merge under flags, unknown or ill-typed keys exit 1, and a
     config-driven run is byte-identical to the flag-driven one
   * deriv emits the documented CSV with empty edge cells and shows the
@@ -18,17 +19,21 @@ Checked here:
   * measure solves --target and reports the collapsed state
   * non-finite sweep axis edges exit 1
   * the module entry point works end to end, and importing the package does
-    not load scipy.optimize; neither the package import nor any subcommand
-    but ed loads scipy at all, while the ED names and ed still work
+    not load scipy.optimize; neither the package import nor any subcommand,
+    ed included, loads scipy at all, the ED names resolve on use, and no
+    module of the package imports scipy
 """
 
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import iddm
 from iddm import ModelParams, equilibrium_closed_form, normal_phase_spectrum
 from iddm.cli import main
 
@@ -126,6 +131,17 @@ def test_meanfield_invalid_population_exits_1(capsys):
 def test_non_finite_model_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanfield", "--delta", "0"],
+    ["spectrum", "--delta", "0"],
+    ["ed", "--n", "2", "--delta", "0"],
+], ids=["meanfield", "spectrum", "ed"])
+def test_underflowing_lambda_exits_1(capsys, argv):
+    # 4 lambda^2 underflows to 0 here, and nu = f1 f2 / (4 lambda^2) would divide by it
+    code, out, err = run_cli(capsys, *argv, "--lambda", "1e-200")
+    assert code == 1 and out == "" and "error:" in err and "underflows" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -414,7 +430,7 @@ def test_ed_names_resolve_on_use():
     code = ("import sys, iddm\n"
             "from iddm import FixedDelta, EDConfig\n"
             "import iddm.ed\n"
-            "assert 'scipy' in sys.modules\n"
+            "assert 'scipy' not in sys.modules\n"
             "assert iddm.ground_state is iddm.ed.ground_state and FixedDelta is iddm.ed.FixedDelta\n"
             "assert EDConfig is iddm.ed.EDConfig\n"
             "assert not hasattr(iddm, 'no_such_name')\n")
@@ -424,3 +440,29 @@ def test_ed_names_resolve_on_use():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_atoms"] == 2
+    # the same run as `python -m iddm ed --n 2`, with sys.modules read after it
+    code = ("import contextlib, io, runpy, sys\n"
+            "sys.argv = ['iddm', 'ed', '--n', '2']\n"
+            "try:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        runpy.run_module('iddm', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "assert 'scipy' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_source_imports_no_scipy():
+    src = Path(iddm.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 9
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), (path.name, names)

@@ -4,6 +4,12 @@ Checked here:
   * the Fock-basis oracle: a hand-built 4x4 Hamiltonian for N = 1, cutoff 1,
     and the photon ladder of the drive term
   * the Franck-Condon matrix against its exact finite sum
+  * the matrix-free Hamiltonian against its own dense matrix (product and
+    nonzero count), and the gather/scatter sector map: an isometry onto each
+    parity eigenspace whose smaller cutoffs are prefixes
+  * the thick-restart Lanczos solve against numpy.linalg.eigvalsh of every
+    dense sector on random small cases (energy and residual), and an
+    exhausted restart budget raises ConvergenceFailureError
   * the displaced (extended coherent-state) basis against the Fock oracle:
     the lowest eigenvalue of every sigma_z block and parity sector, and the
     ground-state <Jz> and <a^dagger a> of each sector
@@ -40,10 +46,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iddm.ed as ed
 from iddm import (
+    ConvergenceFailureError,
     DimensionTooLargeError,
     EDConfig,
     FixedDelta,
@@ -72,20 +80,20 @@ def _fock_block(params, config, delta, cutoff):
     ef = effective_frequencies(params, delta)
     j = n / 2.0
     m = -j + np.arange(n + 1)
-    jz = sp.diags(m)
-    jp = sp.diags(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1.0)), -1)
-    num = sp.diags(np.arange(cutoff + 1, dtype=float))
-    a = sp.diags(np.sqrt(np.arange(1, cutoff + 1)), 1)
+    jz = np.diag(m)
+    jp = np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1.0)), -1)
+    num = np.diag(np.arange(cutoff + 1, dtype=float))
+    a = np.diag(np.sqrt(np.arange(1, cutoff + 1)), 1)
     x = a + a.T
-    spin_eye = sp.identity(n + 1)
-    boson_eye = sp.identity(cutoff + 1)
-    h = ef.f1 * sp.kron(num, spin_eye) + ef.f2 * sp.kron(boson_eye, jz)
-    h = h + (params.lam / math.sqrt(n)) * sp.kron(x, jp + jp.T)
+    spin_eye = np.eye(n + 1)
+    boson_eye = np.eye(cutoff + 1)
+    h = ef.f1 * np.kron(num, spin_eye) + ef.f2 * np.kron(boson_eye, jz)
+    h = h + (params.lam / math.sqrt(n)) * np.kron(x, jp + jp.T)
     if params.xi2 != 0:
-        h = h + params.xi2 * delta * sp.kron(x, spin_eye)
+        h = h + params.xi2 * delta * np.kron(x, spin_eye)
     if config.include_chi and params.chi != 0:
-        h = h + (params.chi / n) * sp.kron(boson_eye, jz @ jz)
-    return h.toarray()
+        h = h + (params.chi / n) * np.kron(boson_eye, jz @ jz)
+    return h
 
 
 def _fock(params, config, cutoff):
@@ -102,6 +110,12 @@ def _fock(params, config, cutoff):
 def _fock_signs(n_atoms, cutoff):
     n_idx, k_idx = np.divmod(np.arange((cutoff + 1) * (n_atoms + 1)), n_atoms + 1)
     return np.where((n_idx + k_idx) % 2 == 0, 1.0, -1.0)
+
+
+def _isometry(n_atoms, cutoff, sign):
+    """The sector map's isometry P as a dense matrix, one column per coordinate."""
+    sector = ed._SectorMap(n_atoms, cutoff, sign)
+    return np.column_stack([sector.scatter(e) for e in np.eye(len(sector.rows))])
 
 
 def _lowest_by_sector(h, signs):
@@ -213,14 +227,86 @@ def test_hermitian_and_parity_commutes():
 @pytest.mark.parametrize("n_atoms", [5, 6])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_sector_isometry_spans_parity_eigenspace(n_atoms, sign):
-    iso = ed._sector_isometry(n_atoms, 4, sign).toarray()
+    # the gather/scatter sector map: scatter is an isometry P onto the
+    # Pi = sign eigenspace, and gather is its transpose
+    iso = _isometry(n_atoms, 4, sign)
     pi = parity_operator(n_atoms, 4).toarray()
     assert np.max(np.abs(iso.T @ iso - np.eye(iso.shape[1]))) <= 1e-15
     assert np.max(np.abs(pi @ iso - sign * iso)) <= 1e-15
     assert iso.shape[1] == np.sum(np.linalg.eigvalsh(pi) * sign > 0)
+    sector = ed._SectorMap(n_atoms, 4, sign)
+    block = np.random.default_rng(3).standard_normal(len(iso))
+    assert np.max(np.abs(sector.gather(block) - iso.T @ block)) <= 1e-15
     # a smaller cutoff's columns are a prefix of a larger one's
-    small = ed._sector_isometry(n_atoms, 2, sign).toarray()
+    small = _isometry(n_atoms, 2, sign)
     assert np.array_equal(iso[: len(small), : small.shape[1]], small)
+
+
+def _operator_cases():
+    rng = np.random.default_rng(5)
+    for n_atoms, mode, include_chi in [
+        (5, FixedDelta(0.3), False), (6, FixedDelta(-0.7), True), (4, FullQubit(), True),
+    ]:
+        params = ModelParams(
+            omega=rng.uniform(1.0, 6.0), lam=rng.uniform(0.2, 2.0), kappa=rng.uniform(-1.0, 1.0),
+            chi=0.3, xi2=0.4 if isinstance(mode, FullQubit) else 0.0, omega_q_prime=0.6,
+        )
+        yield params, EDConfig(n_atoms=n_atoms, impurity_mode=mode, include_chi=include_chi)
+
+
+def test_operator_matches_its_dense_matrix():
+    rng = np.random.default_rng(9)
+    for params, config in _operator_cases():
+        h = build_hamiltonian(params, config, photon_cutoff=5)
+        dense = h.toarray()
+        x = rng.standard_normal(h.shape[0])
+        assert np.max(np.abs(h.matvec(x) - dense @ x)) <= 1e-12 * np.max(np.abs(dense))
+        assert h.nnz == np.count_nonzero(dense)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_atoms=st.integers(1, 12),
+    cutoff=st.integers(1, 12),
+    variant=st.sampled_from(["plain", "chi", "xi2", "qubit", "qubit_chi_xi2"]),
+    omega=st.floats(1.0, 6.0),
+    lam=st.floats(0.1, 2.0),
+    kappa=st.floats(-1.5, 1.0),
+    delta=st.floats(-1.0, 1.0),
+    coupling=st.floats(0.1, 1.0),
+)
+def test_lowest_state_matches_dense_sector(n_atoms, cutoff, variant, omega, lam, kappa, delta, coupling):
+    params = ModelParams(
+        omega=omega, lam=lam, kappa=kappa, omega_q_prime=coupling,
+        chi=-coupling if "chi" in variant else 0.0,
+        xi2=coupling if "xi2" in variant else 0.0,
+    )
+    mode = FullQubit() if variant.startswith("qubit") else FixedDelta(delta)
+    config = EDConfig(n_atoms=n_atoms, impurity_mode=mode, include_chi="chi" in variant)
+    h = build_hamiltonian(params, config, photon_cutoff=cutoff)
+    dense, size = h.toarray(), h.block_size
+    for block in range(len(h.blocks)):
+        sub = dense[block * size:(block + 1) * size, block * size:(block + 1) * size]
+        for sign in (1.0, -1.0) if params.xi2 == 0 else (None,):
+            iso = np.eye(size) if sign is None else _isometry(n_atoms, cutoff, sign)
+            sector = iso.T @ sub @ iso
+            eig = np.linalg.eigvalsh(sector)
+            energy, psi = ed._lowest_state(ed._Sector(h, block, sign), 0.0)
+            assert abs(energy - eig[0]) <= 1e-12 * max(1.0, abs(eig[0])), (block, sign)
+            assert np.linalg.norm(sector @ psi - energy * psi) <= 1e-10 * np.max(np.abs(eig))
+
+
+def test_exhausted_restart_budget_raises():
+    # this critical sector (dimension 293) needs more than two restarts of
+    # the 20-vector basis
+    h = build_hamiltonian(CRITICAL, EDConfig(n_atoms=64, impurity_mode=FixedDelta(0.0)))
+    sector = ed._Sector(h, 0, 1.0)
+    with pytest.raises(ConvergenceFailureError):
+        ed._lowest_state(sector, 0.0, max_restarts=2)
+    energy, _ = ed._lowest_state(sector, 0.0)
+    iso = _isometry(64, 8, 1.0)
+    want = np.linalg.eigvalsh(iso.T @ h.toarray() @ iso)[0]
+    assert abs(energy - want) <= 1e-12 * abs(want)
 
 
 def _observable_cases():
@@ -329,7 +415,7 @@ def test_displaced_sectors_match_fock_oracle(params, config):
         sub = ecs[block * ecs_size:(block + 1) * ecs_size, block * ecs_size:(block + 1) * ecs_size]
         for sign, energy in want.items():
             if sign is not None:
-                iso = ed._sector_isometry(n, ECS_CUTOFF, sign).toarray()
+                iso = _isometry(n, ECS_CUTOFF, sign)
                 got = np.linalg.eigvalsh(iso.T @ sub @ iso)[0]
             else:
                 got = np.linalg.eigvalsh(sub)[0]
@@ -446,9 +532,9 @@ def test_raising_stops_at_dimension_cap():
     assert res.cutoff_raises == 2
     assert not res.converged
     # the reported energy is the sector's lowest at the final cutoff
-    h = build_hamiltonian(CRITICAL, config, photon_cutoff=4)
-    iso = ed._sector_isometry(32, 4, res.parity)
-    want = np.linalg.eigvalsh((iso.T @ h @ iso).toarray())[0]
+    h = build_hamiltonian(CRITICAL, config, photon_cutoff=4).toarray()
+    iso = _isometry(32, 4, res.parity)
+    want = np.linalg.eigvalsh(iso.T @ h @ iso)[0]
     assert abs(res.energy_per_atom * 32 - want) <= 1e-12
 
 

@@ -131,7 +131,7 @@ def _finite(lo, hi):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     omega=_finite(0.5, 100.0),
-    # lam below ~1e-154 squares to 0 and divides by zero in the frequencies
+    # ModelParams refuses lam below ~1.5e-162, where 4 lam^2 underflows to 0
     lam=st.one_of(st.just(0.0), _finite(1e-3, 10.0)),
     kappa=_finite(-2.0, 2.0),
     delta=_finite(-1.0, 1.0),
