@@ -42,7 +42,8 @@ class ModelParams:
     All energies are quoted in units of the atomic transition frequency, so
     omega0 = 1 in typical use.  lam is the collective atom-photon coupling
     (written lambda in the math; `lambda` is reserved in Python).  Every
-    float field must be finite.
+    float field must be finite, and a positive lam must not be so small
+    that 4 lam^2 underflows to 0.
     """
 
     omega: float            # cavity frequency, > 0

@@ -8,7 +8,8 @@ Checked here:
     nonzero count), and the gather/scatter sector map: an isometry onto each
     parity eigenspace whose smaller cutoffs are prefixes
   * the thick-restart Lanczos solve against numpy.linalg.eigvalsh of every
-    dense sector on random small cases (energy and residual), and an
+    dense sector on random small cases (energy and residual); its energy is
+    good to 1e-13 * |E| where ||H|| is thousands of times |E|; and an
     exhausted restart budget raises ConvergenceFailureError
   * the displaced (extended coherent-state) basis against the Fock oracle:
     the lowest eigenvalue of every sigma_z block and parity sector, and the
@@ -294,6 +295,20 @@ def test_lowest_state_matches_dense_sector(n_atoms, cutoff, variant, omega, lam,
             energy, psi = ed._lowest_state(ed._Sector(h, block, sign), 0.0)
             assert abs(energy - eig[0]) <= 1e-12 * max(1.0, abs(eig[0])), (block, sign)
             assert np.linalg.norm(sector @ psi - energy * psi) <= 1e-10 * np.max(np.abs(eig))
+
+
+@pytest.mark.parametrize("omega, n_atoms, cutoff", [(400.0, 32, 12), (1000.0, 12, 10)])
+def test_energy_resolution_is_relative_to_the_energy(omega, n_atoms, cutoff):
+    # lam = 0: the sectors' lowest energies are exactly -f2 N/2 (Pi = +1) and
+    # -f2 N/2 + f2 (Pi = -1), while ||H|| ~ f1 cutoff is thousands of times
+    # larger; the tie rule needs the energy to 1e-12 * max(1, |E|)
+    params = ModelParams(omega=omega, lam=0.0, kappa=-0.5)
+    h = build_hamiltonian(params, EDConfig(n_atoms=n_atoms, impurity_mode=FixedDelta(0.4)),
+                          photon_cutoff=cutoff)
+    f2 = 1.0 - 0.5 * 1.4
+    for sign, want in ((1.0, -f2 * n_atoms / 2.0), (-1.0, -f2 * n_atoms / 2.0 + f2)):
+        energy, _ = ed._lowest_state(ed._Sector(h, 0, sign), 0.0)
+        assert abs(energy - want) <= 1e-13 * abs(want), sign
 
 
 def test_exhausted_restart_budget_raises():
