@@ -243,8 +243,8 @@ def test_sector_isometry_spans_parity_eigenspace(n_atoms, sign):
     assert np.array_equal(iso[: len(small), : small.shape[1]], small)
 
 
-def _operator_cases():
-    rng = np.random.default_rng(5)
+def test_operator_matches_its_dense_matrix():
+    rng = np.random.default_rng(9)
     for n_atoms, mode, include_chi in [
         (5, FixedDelta(0.3), False), (6, FixedDelta(-0.7), True), (4, FullQubit(), True),
     ]:
@@ -252,12 +252,7 @@ def _operator_cases():
             omega=rng.uniform(1.0, 6.0), lam=rng.uniform(0.2, 2.0), kappa=rng.uniform(-1.0, 1.0),
             chi=0.3, xi2=0.4 if isinstance(mode, FullQubit) else 0.0, omega_q_prime=0.6,
         )
-        yield params, EDConfig(n_atoms=n_atoms, impurity_mode=mode, include_chi=include_chi)
-
-
-def test_operator_matches_its_dense_matrix():
-    rng = np.random.default_rng(9)
-    for params, config in _operator_cases():
+        config = EDConfig(n_atoms=n_atoms, impurity_mode=mode, include_chi=include_chi)
         h = build_hamiltonian(params, config, photon_cutoff=5)
         dense = h.toarray()
         x = rng.standard_normal(h.shape[0])
