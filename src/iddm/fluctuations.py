@@ -65,7 +65,9 @@ def excitation_spectrum(
 
     The equilibrium comes from equilibrium_closed_form; the Hessian there must
     be positive semidefinite (up to stability_tol times its scale) or
-    UnstableEquilibriumError is raised.
+    UnstableEquilibriumError is raised.  Near nu -> 1 the rounding of M alone
+    puts an error of about eps_plus^2 u / (2 eps_minus) on eps_minus (u the
+    unit roundoff), which no choice of eigensolver removes.
     """
     sol = equilibrium_closed_form(params, delta)
     m = energy_derivatives(params, delta, (sol.alpha, 0.0, sol.beta, 0.0))[1] / 2.0

@@ -118,16 +118,36 @@ def _spin_k(b1, b2, rim: bool):
     return sqrt(1.0 - s)
 
 
+def _energy(f1: float, f2: float, lam: float, a):
+    a1, a2, b1, b2 = a
+    k = _spin_k(b1, b2, rim=True)
+    return f1 * a1 * a1 + f1 * a2 * a2 + f2 * b1 * b1 + f2 * b2 * b2 - 4.0 * lam * k * a1 * b1
+
+
+def _derivatives(f1: float, f2: float, lam: float, a):
+    """Gradient terms and Hessian entries (00, 02, 03, 22, 23, 33) of `_energy`.
+
+    Entry (1, 1) equals (0, 0); the other entries above the diagonal are 0.
+    """
+    a1, a2, b1, b2 = a
+    k = _spin_k(b1, b2, rim=False)
+    c = 4.0 * lam
+    h_ab1 = -c * (k - b1 * b1 / k)
+    h_ab2 = c * b1 * b2 / k
+    grad = (2.0 * f1 * a1 - c * k * b1, 2.0 * f1 * a2, 2.0 * f2 * b1 + a1 * h_ab1, 2.0 * f2 * b2 + a1 * h_ab2)
+    h_bb11 = 2.0 * f2 + c * a1 * (3.0 * b1 / k + b1**3 / k**3)
+    h_bb12 = c * a1 * b2 * (1.0 / k + b1 * b1 / k**3)
+    h_bb22 = 2.0 * f2 + c * a1 * b1 * (1.0 / k + b2 * b2 / k**3)
+    return grad, (2.0 * f1, h_ab1, h_ab2, h_bb11, h_bb12, h_bb22)
+
+
 def energy(params: ModelParams, delta: float, a) -> float | np.ndarray:
     """Scaled energy per atom at a = (Re alpha, Im alpha, Re beta, Im beta).
 
     The components may be floats or arrays of one shape (evaluated
     elementwise); |beta| > 1 is refused.
     """
-    f1, f2 = _frequencies(params, delta)
-    a1, a2, b1, b2 = a
-    k = _spin_k(b1, b2, rim=True)
-    return f1 * a1 * a1 + f1 * a2 * a2 + f2 * b1 * b1 + f2 * b2 * b2 - 4.0 * params.lam * k * a1 * b1
+    return _energy(*_frequencies(params, delta), params.lam, a)
 
 
 def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray, np.ndarray]:
@@ -136,25 +156,18 @@ def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray
     Takes the same inputs as `energy` but needs |beta| < 1 strictly; K
     appears in denominators.
     """
-    f1, f2 = _frequencies(params, delta)
-    a1, a2, b1, b2 = a
-    k = _spin_k(b1, b2, rim=False)
-    c = 4.0 * params.lam
-    h_ab1 = -c * (k - b1 * b1 / k)
-    h_ab2 = c * b1 * b2 / k
-    shape = np.shape(a1)
+    terms, (h00, h02, h03, h22, h23, h33) = _derivatives(*_frequencies(params, delta), params.lam, a)
+    shape = np.shape(a[0])
     grad = np.empty(shape + (4,))
-    grad[..., 0] = 2.0 * f1 * a1 - c * k * b1
-    grad[..., 1] = 2.0 * f1 * a2
-    grad[..., 2] = 2.0 * f2 * b1 + a1 * h_ab1
-    grad[..., 3] = 2.0 * f2 * b2 + a1 * h_ab2
+    for i, term in enumerate(terms):
+        grad[..., i] = term
     hess = np.zeros(shape + (4, 4))
-    hess[..., 0, 0] = hess[..., 1, 1] = 2.0 * f1
-    hess[..., 0, 2] = hess[..., 2, 0] = h_ab1
-    hess[..., 0, 3] = hess[..., 3, 0] = h_ab2
-    hess[..., 2, 2] = 2.0 * f2 + c * a1 * (3.0 * b1 / k + b1**3 / k**3)
-    hess[..., 2, 3] = hess[..., 3, 2] = c * a1 * b2 * (1.0 / k + b1 * b1 / k**3)
-    hess[..., 3, 3] = 2.0 * f2 + c * a1 * b1 * (1.0 / k + b2 * b2 / k**3)
+    hess[..., 0, 0] = hess[..., 1, 1] = h00
+    hess[..., 0, 2] = hess[..., 2, 0] = h02
+    hess[..., 0, 3] = hess[..., 3, 0] = h03
+    hess[..., 2, 2] = h22
+    hess[..., 2, 3] = hess[..., 3, 2] = h23
+    hess[..., 3, 3] = h33
     return grad, hess
 
 
@@ -204,49 +217,56 @@ _HALVINGS = 40
 _SADDLE_TOL = 1e-10
 
 
-def _descend(params: ModelParams, delta: float, z: np.ndarray, max_iterations: int):
-    """Damped Newton from every row of z = [[Re alpha, Re beta], ...] at once.
+def _newton_step(g0: float, g1: float, h00: float, h01: float, h11: float) -> tuple[float, float]:
+    """-|H|^-1 g for a symmetric 2x2 H, its eigenvalues made positive and floored.
 
-    The step is -|H|^-1 g, with the eigenvalues of the 2x2 Hessian made
-    positive and floored, so it descends at saddles too.  A backtracking step
-    is accepted when it passes Armijo or lowers max|g|; a start whose line
-    search fails stops where it is.  Returns (z, e, max|g|, Hessian) per start.
+    H is diagonalized by the Jacobi rotation theta = atan2(2 h01, h00 - h11)/2;
+    each |eigenvalue| is floored at 1e-12 max|eigenvalue|.
+    """
+    theta = 0.5 * math.atan2(2.0 * h01, h00 - h11)
+    c, s = math.cos(theta), math.sin(theta)
+    w0 = abs(c * c * h00 + 2.0 * c * s * h01 + s * s * h11)
+    w1 = abs(s * s * h00 - 2.0 * c * s * h01 + c * c * h11)
+    floor = 1e-12 * max(w0, w1)
+    p0 = (c * g0 + s * g1) / max(w0, floor)
+    p1 = (c * g1 - s * g0) / max(w1, floor)
+    return s * p1 - c * p0, -s * p0 - c * p1
+
+
+def _descend(f1: float, f2: float, lam: float, x: float, y: float, max_iterations: int):
+    """Damped Newton on the real slice from one start (x, y) = (Re alpha, Re beta).
+
+    The step is `_newton_step`, so it descends at saddles too.  A
+    backtracking step is accepted when it passes Armijo or lowers max|g|; a
+    start whose line search fails stops where it is.  Returns
+    (x, y, e, max|g|, (h00, h01, h11)).
     """
 
-    def surface(z):
-        zero = np.zeros(len(z))
-        a = (z[:, 0], zero, z[:, 1], zero)
-        g, h = energy_derivatives(params, delta, a)
-        return energy(params, delta, a), g[:, ::2], h[:, ::2, ::2]
+    def surface(x, y):
+        a = (x, 0.0, y, 0.0)
+        (g0, _, g1, _), (h00, h01, _, h11, _, _) = _derivatives(f1, f2, lam, a)
+        return _energy(f1, f2, lam, a), g0, g1, h00, h01, h11
 
-    e, g, h = surface(z)
-    gmax = np.max(np.abs(g), axis=1)
-    stalled = np.zeros(len(z), dtype=bool)
+    e, g0, g1, h00, h01, h11 = surface(x, y)
+    gmax = max(abs(g0), abs(g1))
     for _ in range(max_iterations):
-        live = ~stalled & (gmax > _GRAD_FLOOR * np.maximum(1.0, np.abs(e)))
-        if not live.any():
+        if gmax <= _GRAD_FLOOR * max(1.0, abs(e)):
             break
-        w, v = np.linalg.eigh(h)
-        w = np.abs(w)
-        w = np.maximum(w, 1e-12 * w.max(axis=1, keepdims=True))
-        d = -np.einsum("nij,nj->ni", v, np.einsum("nji,nj->ni", v, g) / w)
-        slope = np.sum(g * d, axis=1)
+        d0, d1 = _newton_step(g0, g1, h00, h01, h11)
+        slope = g0 * d0 + g1 * d1
         t = 1.0
-        pending = np.flatnonzero(live)
         for _ in range(_HALVINGS + 1):
-            trial = z[pending] + t * d[pending]
-            trial[:, 1] = np.clip(trial[:, 1], -_BETA_CAP, _BETA_CAP)
-            e_t, g_t, h_t = surface(trial)
-            gmax_t = np.max(np.abs(g_t), axis=1)
-            ok = (e_t <= e[pending] + 1e-4 * t * slope[pending]) | (gmax_t < gmax[pending])
-            done = pending[ok]
-            z[done], e[done], g[done], h[done], gmax[done] = trial[ok], e_t[ok], g_t[ok], h_t[ok], gmax_t[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
+            xt, yt = x + t * d0, min(max(y + t * d1, -_BETA_CAP), _BETA_CAP)
+            trial = surface(xt, yt)
+            gmax_t = max(abs(trial[1]), abs(trial[2]))
+            if trial[0] <= e + 1e-4 * t * slope or gmax_t < gmax:
+                x, y, gmax = xt, yt, gmax_t
+                e, g0, g1, h00, h01, h11 = trial
                 break
             t *= 0.5
-        stalled[pending] = True
-    return z, e, gmax, h
+        else:
+            break
+    return x, y, e, gmax, (h00, h01, h11)
 
 
 def equilibrium_numeric(
@@ -260,7 +280,7 @@ def equilibrium_numeric(
 ) -> MeanFieldSolution:
     """Locate the energy minimum by multistart descent, independent of the closed forms.
 
-    All starts run one vectorized damped Newton descent on the real slice
+    Each start runs its own damped Newton descent on the real slice
     (Re alpha, Re beta); max_iterations (the CLI's --solver-maxiter) caps its
     Newton iterations.  The origin is always one of the starts (it is a
     stationary point, and the exact answer in the normal phase).
@@ -282,29 +302,31 @@ def equilibrium_numeric(
         nu = None
     if seed_count < 1:
         raise InvalidParameterError("seed_count must be >= 1")
+    if max_iterations < 0:
+        raise InvalidParameterError(f"max_iterations must be >= 0, got {max_iterations}")
+    if not (math.isfinite(grad_tol) and grad_tol >= 0):
+        raise InvalidParameterError(f"grad_tol must be finite and >= 0, got {grad_tol}")
 
     alpha_scale = 2.0 * lam / f1 if lam > 0 else 1.0 / f1
     rng = np.random.default_rng(_SEED)
     draws = rng.uniform(-1.0, 1.0, size=(seed_count - 1, 2)) * np.array([alpha_scale, 0.98])
-    z, e, gmax, h = _descend(params, delta, np.vstack([np.zeros((1, 2)), draws]), max_iterations)
+    runs = [_descend(f1, f2, lam, x, y, max_iterations) for x, y in [(0.0, 0.0), *draws.tolist()]]
 
-    w = np.linalg.eigvalsh(h)
+    w = np.linalg.eigvalsh(np.array([[[h00, h01], [h01, h11]] for *_, (h00, h01, h11) in runs]))
     keep = np.flatnonzero(w[:, 0] >= -_SADDLE_TOL * np.abs(w).max(axis=1))
     if keep.size == 0:
         raise ConvergenceFailureError("every candidate is a saddle of the energy surface")
-    best = int(keep[np.argmin(e[keep])])
-    gnorm = float(gmax[best])
+    alpha, beta, _, gnorm, _ = min((runs[i] for i in keep), key=lambda run: run[2])
     if gnorm > grad_tol:
         raise ConvergenceFailureError(
             f"lowest candidate has gradient norm {gnorm:.3e} above tolerance {grad_tol:.3e}"
         )
-    alpha, beta = float(z[best, 0]), float(z[best, 1])
     # Canonical sign: the energy is even under (alpha, beta) -> (-alpha, -beta),
     # and for beta >= 0 it never increases under alpha -> |alpha|.
     if beta < 0:
         alpha, beta = -alpha, -beta
     alpha = abs(alpha)
-    e0 = energy(params, delta, (alpha, 0.0, beta, 0.0))
+    e0 = _energy(f1, f2, lam, (alpha, 0.0, beta, 0.0))
     phase = Phase.NORMAL if nu is None else _classify(nu, critical_tol)
     return MeanFieldSolution(alpha, beta, e0, nu, phase)
 

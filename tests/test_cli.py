@@ -5,7 +5,7 @@ Checked here:
   * exactly-one-of --lambda/--delta is enforced (exit 1 either way)
   * meanfield output parses back to the closed-form equilibrium; --numeric
     agrees with the closed form; a zero iteration budget and a lone start on
-    the origin saddle exit 2
+    the origin saddle exit 2, a negative budget exits 1
   * non-finite model, ED and measurement input exits 1 with an error on stderr,
     and so does a lambda whose 4 lambda^2 underflows to 0
   * config files merge under flags, unknown or ill-typed keys exit 1, and a
@@ -110,6 +110,13 @@ def test_meanfield_zero_budget_exits_2(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_meanfield_negative_budget_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "meanfield", "--delta", "0.75", "--numeric", "--solver-maxiter", "-1"
+    )
+    assert code == 1 and out == "" and "error:" in err
 
 
 def test_meanfield_origin_saddle_exits_2(capsys):

@@ -9,7 +9,11 @@ Checked here:
   * property: gradient and Hessian match central first and second
     differences of the energy at any parameters and amplitudes inside the
     sphere
-  * closed form vs the independent multistart minimizer on random draws
+  * closed form vs the independent multistart minimizer on random draws, and
+    as a property over the draws of acceptance criterion 5: equal phases,
+    nonnegative amplitudes, alpha^2, beta^2 and e0 within 1e-8
+  * the minimizer's 2x2 Newton step matches one built from numpy.linalg.eigh,
+    indefinite, diagonal, equal-diagonal and floored cases included
   * the superradiant energy identity E0 = -(lam^2/f1)(1 - nu)^2
   * critical_delta / critical_lambda closed forms, boundary cases, the
     general xi1 != 0 root, and the standard-Dicke reduction
@@ -17,20 +21,23 @@ Checked here:
   * for kappa < 0 (xi1 = 0) raising delta never restores the normal phase
   * second-difference scans: flat for kappa = 0, kink at the transition
   * refusal behavior: nu <= -1, chi != 0, |beta| out of range, zero budget,
-    a lone origin start in the superradiant phase (a saddle)
+    a lone origin start in the superradiant phase (a saddle), a negative
+    budget and a non-finite or negative gradient tolerance
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from iddm import (
     ChiUnsupportedError,
     ConvergenceFailureError,
     DomainError,
+    IDDMError,
+    InvalidParameterError,
     ModelParams,
     Phase,
     UnboundedPhaseError,
@@ -44,6 +51,7 @@ from iddm import (
     equilibrium_numeric,
     observables,
 )
+from iddm.meanfield import _newton_step
 from dataclasses import replace
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
@@ -285,6 +293,65 @@ def test_numeric_matches_closed_form_on_random_draws():
         assert numeric.alpha >= 0.0 and numeric.beta >= 0.0
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    omega=_finite(1.0, 500.0),
+    lam=st.one_of(st.just(0.0), _finite(1e-3, 30.0)),
+    kappa=_finite(-2.0, 2.0),
+    delta=_finite(-1.0, 1.0),
+)
+def test_numeric_matches_closed_form_property(omega, lam, kappa, delta):
+    params = ModelParams(omega=omega, lam=lam, kappa=kappa)
+    try:
+        closed = equilibrium_closed_form(params, delta)
+    except IDDMError:
+        reject()
+    numeric = equilibrium_numeric(params, delta)
+    assert numeric.phase is closed.phase
+    assert numeric.alpha >= 0.0 and numeric.beta >= 0.0
+    assert abs(closed.alpha2 - numeric.alpha2) <= 1e-8
+    assert abs(closed.beta2 - numeric.beta2) <= 1e-8
+    assert abs(closed.e0 - numeric.e0) <= 1e-8
+
+
+def _eigh_step(g, h):
+    w, v = np.linalg.eigh(h)
+    w = np.abs(w)
+    w = np.maximum(w, 1e-12 * w.max())
+    return -v @ ((v.T @ g) / w)
+
+
+def test_newton_step_matches_eigh():
+    rng = np.random.default_rng(11)
+
+    def rotated(w0, w1):
+        phi = rng.uniform(-math.pi, math.pi)
+        r = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
+        return r @ np.diag([w0, w1]) @ r.T
+
+    cases = []
+    # eigenvalue ratios where the step is well conditioned: between 1e-12 and
+    # about 1e-4 any two backward-stable routes differ by eps/ratio relative
+    for ratio in (1.0, 0.5, 1e-1, 1e-2, 1e-3):
+        for _ in range(40):
+            w0 = 10.0 ** rng.uniform(-3.0, 3.0)
+            cases.append(rotated(w0, rng.choice([-1.0, 1.0]) * ratio * w0))
+    for ratio in (1e-14, -1e-14, 0.0):  # the floor 1e-12 max|eig| applies
+        cases += [rotated(3.0, ratio * 3.0) for _ in range(20)]
+    cases += [
+        np.diag([2.0, 5.0]), np.diag([5.0, -2.0]), np.diag([-2.0, -5.0]), np.diag([4.0, 0.0]),
+        np.array([[3.0, 1.5], [1.5, 3.0]]), np.array([[3.0, -4.0], [-4.0, 3.0]]),
+        np.array([[-1.0, 0.2], [0.2, -1.0]]), np.diag([7.0, 7.0]),
+    ]
+    for h in cases:
+        h = (h + h.T) / 2.0
+        for _ in range(3):
+            g = rng.normal(size=2) * 10.0 ** rng.uniform(-3.0, 3.0)
+            step = np.array(_newton_step(g[0], g[1], h[0, 0], h[0, 1], h[1, 1]))
+            reference = _eigh_step(g, h)
+            assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference), h
+
+
 def test_numeric_normal_phase_is_clean():
     sol = equilibrium_numeric(FIG2, 0.0)
     assert sol.phase is Phase.NORMAL
@@ -294,6 +361,14 @@ def test_numeric_normal_phase_is_clean():
 def test_numeric_zero_budget_raises():
     with pytest.raises(ConvergenceFailureError):
         equilibrium_numeric(FIG2, 1.0, max_iterations=0)
+
+
+def test_numeric_refuses_bad_budgets():
+    with pytest.raises(InvalidParameterError):
+        equilibrium_numeric(FIG2, 1.0, max_iterations=-1)
+    for grad_tol in (float("nan"), float("inf"), -1e-10):
+        with pytest.raises(InvalidParameterError):
+            equilibrium_numeric(FIG2, 1.0, max_iterations=0, grad_tol=grad_tol)
 
 
 def test_numeric_refuses_origin_saddle():
