@@ -132,13 +132,13 @@ def _derivatives(f1: float, f2: float, lam: float, a):
     a1, a2, b1, b2 = a
     k = _spin_k(b1, b2, rim=False)
     c = 4.0 * lam
-    h_ab1 = -c * (k - b1 * b1 / k)
-    h_ab2 = c * b1 * b2 / k
-    grad = (2.0 * f1 * a1 - c * k * b1, 2.0 * f1 * a2, 2.0 * f2 * b1 + a1 * h_ab1, 2.0 * f2 * b2 + a1 * h_ab2)
-    h_bb11 = 2.0 * f2 + c * a1 * (3.0 * b1 / k + b1**3 / k**3)
-    h_bb12 = c * a1 * b2 * (1.0 / k + b1 * b1 / k**3)
-    h_bb22 = 2.0 * f2 + c * a1 * b1 * (1.0 / k + b2 * b2 / k**3)
-    return grad, (2.0 * f1, h_ab1, h_ab2, h_bb11, h_bb12, h_bb22)
+    h02 = -c * (k - b1 * b1 / k)
+    h03 = c * b1 * b2 / k
+    h22 = 2.0 * f2 + c * a1 * (3.0 * b1 / k + b1**3 / k**3)
+    h23 = c * a1 * b2 * (1.0 / k + b1 * b1 / k**3)
+    h33 = 2.0 * f2 + c * a1 * b1 * (1.0 / k + b2 * b2 / k**3)
+    grad = (2.0 * f1 * a1 - c * k * b1, 2.0 * f1 * a2, 2.0 * f2 * b1 + a1 * h02, 2.0 * f2 * b2 + a1 * h03)
+    return grad, (2.0 * f1, h02, h03, h22, h23, h33)
 
 
 def energy(params: ModelParams, delta: float, a) -> float | np.ndarray:
@@ -236,10 +236,11 @@ def _newton_step(g0: float, g1: float, h00: float, h01: float, h11: float) -> tu
 def _descend(f1: float, f2: float, lam: float, x: float, y: float, max_iterations: int):
     """Damped Newton on the real slice from one start (x, y) = (Re alpha, Re beta).
 
-    The step is `_newton_step`, so it descends at saddles too.  A
-    backtracking step is accepted when it passes Armijo or lowers max|g|; a
-    start whose line search fails stops where it is.  Returns
-    (x, y, e, max|g|, (h00, h01, h11)).
+    Plain floats: at two unknowns numpy's per-call cost outweighs the
+    arithmetic.  The step is `_newton_step`, so it descends at saddles too.
+    A backtracking step is accepted when it passes Armijo or lowers max|g|;
+    a start whose line search fails stops where it is.  Returns (x, y, e,
+    max|g|, (h00, h01, h11)).
     """
 
     def surface(x, y):
