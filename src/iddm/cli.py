@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -44,7 +43,7 @@ from .meanfield import (
 )
 from .measurement import ProjectiveMeasurement, Sign, WernerState, angle_for_target_delta, measure
 from .model import ModelParams
-from .sweep import GridSpec, _fmt, run_grid, write_phase_diagram_csv
+from .sweep import GridSpec, _fmt, format_rows_jsonl, run_grid, write_phase_diagram_csv
 
 __all__ = ["main", "run"]
 
@@ -281,10 +280,6 @@ def _cmd_meanfield(v: dict, provided: set) -> int:
     return 0
 
 
-def _json_num(x: float):
-    return None if math.isnan(x) else x
-
-
 def _cmd_sweep(v: dict, provided: set) -> int:
     spec = GridSpec(
         params=_params(v),
@@ -296,14 +291,7 @@ def _cmd_sweep(v: dict, provided: set) -> int:
         if v["format"] == "csv":
             write_phase_diagram_csv(rows, out)
         else:
-            for r in rows:
-                out.write(json.dumps({
-                    "delta": r.delta, "lambda": r.lam,
-                    "alpha2": _json_num(r.alpha2), "beta2": _json_num(r.beta2),
-                    "e0": _json_num(r.e0), "jz_over_n": _json_num(r.jz_over_n),
-                    "i_over_n": _json_num(r.i_over_n),
-                    "phase": r.phase, "error": r.error,
-                }) + "\n")
+            out.write(format_rows_jsonl(rows))
     return 0
 
 

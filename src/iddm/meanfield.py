@@ -44,7 +44,7 @@ from .errors import (
     UnboundedPhaseError,
     ZeroKappaError,
 )
-from .model import ModelParams, check_population, effective_frequencies
+from .model import ModelParams, _frequency_pair, check_population
 
 __all__ = [
     "Phase",
@@ -98,8 +98,7 @@ class MeanFieldSolution:
 def _frequencies(params: ModelParams, delta: float) -> tuple[float, float]:
     if params.chi != 0:
         raise ChiUnsupportedError("mean-field routines require chi = 0")
-    ef = effective_frequencies(params, delta)
-    return ef.f1, ef.f2
+    return _frequency_pair(params, delta)
 
 
 def _spin_k(b1, b2, rim: bool):
@@ -201,7 +200,7 @@ def equilibrium_closed_form(
     beta = math.sqrt((1.0 - nu) / 2.0)
     k = math.sqrt((1.0 + nu) / 2.0)
     alpha = 2.0 * lam * k * beta / f1
-    e0 = energy(params, delta, (alpha, 0.0, beta, 0.0))
+    e0 = _energy(f1, f2, lam, (alpha, 0.0, beta, 0.0))
     return MeanFieldSolution(alpha, beta, e0, nu, Phase.SUPERRADIANT)
 
 
@@ -372,8 +371,8 @@ def critical_lambda(params: ModelParams, delta: float) -> float | None:
     Returns None when f2 <= 0, where the system is superradiant at every
     lam > 0 and no finite threshold exists.
     """
-    ef = effective_frequencies(params, delta)
-    product = ef.f1 * ef.f2
+    f1, f2 = _frequency_pair(params, delta)
+    product = f1 * f2
     if product <= 0:
         return None
     return 0.5 * math.sqrt(product)
@@ -428,11 +427,17 @@ def derivative_scan(
         delta = check_population(delta)
     elif delta is not None:
         raise InvalidParameterError("delta scans take no separate delta argument")
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value}")
     if not step > 0:
         raise InvalidParameterError(f"step must be > 0, got {step}")
     if not stop > start:
         raise InvalidParameterError("stop must exceed start")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise InvalidParameterError(f"(stop - start)/step = {span} overflows")
+    count = int(round(span)) + 1
     if count < 3:
         raise InvalidParameterError("grid must contain at least 3 points")
     h = (stop - start) / (count - 1)

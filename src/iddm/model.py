@@ -95,21 +95,23 @@ def check_population(delta: float) -> float:
     return float(delta)
 
 
+def _frequency_pair(params: ModelParams, delta: float) -> tuple[float, float]:
+    """(f1, f2) at impurity population delta, with the refusals of `effective_frequencies`."""
+    delta = check_population(delta)
+    f1 = params.omega + params.xi1 * delta
+    if f1 <= 0:
+        raise NonPositiveF1Error(f"f1 = omega + xi1*delta = {f1} must be > 0")
+    return f1, params.omega0 + params.kappa * (1.0 + delta)
+
+
 def effective_frequencies(params: ModelParams, delta: float) -> EffectiveFrequencies:
     """Return (f1, f2, nu) at impurity population delta.
 
     Raises NonPositiveF1Error when omega + xi1*delta <= 0; every ground-state
     statement downstream assumes a confining photon branch.
     """
-    delta = check_population(delta)
-    f1 = params.omega + params.xi1 * delta
-    if f1 <= 0:
-        raise NonPositiveF1Error(f"f1 = omega + xi1*delta = {f1} must be > 0")
-    f2 = params.omega0 + params.kappa * (1.0 + delta)
-    if params.lam > 0:
-        nu = f1 * f2 / (4.0 * params.lam**2)
-    else:
-        nu = None
+    f1, f2 = _frequency_pair(params, delta)
+    nu = f1 * f2 / (4.0 * params.lam**2) if params.lam > 0 else None
     return EffectiveFrequencies(f1=f1, f2=f2, nu=nu)
 
 

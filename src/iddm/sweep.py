@@ -8,14 +8,16 @@ columns set to nan.  The CSV layout is part of the contract:
     delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error
 
 with floats at 17 significant digits, LF line endings and UTF-8 encoding, so
-repeated runs of the same grid are byte-identical.
+repeated runs of the same grid are byte-identical.  The JSON-lines layout
+holds one object per row with the same keys (lam written as "lambda"),
+byte-identical to json.dumps of that dict with the nan numerics as null.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error"
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
+_JSON_ROW = ('{"delta": %s, "lambda": %s, "alpha2": %s, "beta2": %s, "e0": %s, '
+             '"jz_over_n": %s, "i_over_n": %s, "phase": %s, "error": %s}\n')
 
 _ERROR_TAGS = {
     UnboundedPhaseError: "unbounded_phase",
@@ -67,8 +72,7 @@ class GridSpec:
                 raise InvalidParameterError(f"single-point {name} range needs min == max")
 
 
-@dataclass(frozen=True)
-class PhaseDiagramRow:
+class PhaseDiagramRow(NamedTuple):
     """One grid point; numeric fields are nan when error is nonempty."""
 
     delta: float
@@ -111,18 +115,11 @@ def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
                 except IDDMError as exc:
                     error = _error_tag(exc)
             if error:
-                rows.append(PhaseDiagramRow(delta=delta, lam=lam, alpha2=nan, beta2=nan, e0=nan,
-                                            jz_over_n=nan, i_over_n=nan, phase="error", error=error))
+                rows.append(PhaseDiagramRow(delta, lam, nan, nan, nan, nan, nan, "error", error))
                 continue
             jz, photons = observables(sol)
-            rows.append(
-                PhaseDiagramRow(
-                    delta=delta, lam=lam,
-                    alpha2=sol.alpha2, beta2=sol.beta2, e0=sol.e0,
-                    jz_over_n=jz, i_over_n=photons,
-                    phase=sol.phase.value,
-                )
-            )
+            rows.append(PhaseDiagramRow(delta, lam, sol.alpha2, sol.beta2, sol.e0, jz, photons,
+                                        sol.phase.value))
     return rows
 
 
@@ -141,17 +138,26 @@ def _fmt(x: float) -> str:
 
 
 def format_rows_csv(rows: Iterable[PhaseDiagramRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.delta), _fmt(r.lam), _fmt(r.alpha2), _fmt(r.beta2), _fmt(r.e0),
-                    _fmt(r.jz_over_n), _fmt(r.i_over_n), r.phase, r.error,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return CSV_HEADER + "\n" + "".join([_CSV_ROW % r for r in rows])
+
+
+def _json_float(x: float, nan: str) -> str:
+    """x as json.dumps writes it, with `nan` written for nan."""
+    if x != x:
+        return nan
+    return repr(x) if abs(x) != math.inf else ("Infinity" if x > 0 else "-Infinity")
+
+
+def format_rows_jsonl(rows: Iterable[PhaseDiagramRow]) -> str:
+    """The JSON-lines layout described in the module docstring."""
+    from json.encoder import encode_basestring_ascii  # here, so that `import iddm` skips json
+
+    return "".join([
+        _JSON_ROW % (_json_float(r.delta, "NaN"), _json_float(r.lam, "NaN"),
+                     *[_json_float(x, "null") for x in r[2:7]],  # alpha2 .. i_over_n
+                     encode_basestring_ascii(r.phase), encode_basestring_ascii(r.error))
+        for r in rows
+    ])
 
 
 def write_phase_diagram_csv(rows: Sequence[PhaseDiagramRow], stream: TextIO) -> None:

@@ -11,7 +11,8 @@ Checked here:
   * config files merge under flags, unknown or ill-typed keys exit 1, and a
     config-driven run is byte-identical to the flag-driven one
   * deriv emits the documented CSV with empty edge cells and shows the
-    curvature jump at the transition
+    curvature jump at the transition; a non-finite scan edge or step, or a
+    (stop - start)/step that overflows, exits 1 with an error on stderr
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
     byte-identical
   * ed emits one JSON record per atom number with parity exactly +-1;
@@ -258,6 +259,23 @@ def test_deriv_delta_scan_rejects_fixed_delta(capsys):
         "--step", "0.01", "--delta", "0.3",
     )
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--from", "0", "--to", "inf", "--step", "0.1"], "stop must be finite"),
+    (["--from=-inf", "--to", "1", "--step", "0.1"], "start must be finite"),
+    (["--from", "nan", "--to", "1", "--step", "0.1"], "start must be finite"),
+    (["--from", "0", "--to", "nan", "--step", "0.1"], "stop must be finite"),
+    (["--from", "0", "--to", "1", "--step", "inf"], "step must be finite"),
+    (["--from", "0", "--to", "1", "--step", "nan"], "step must be finite"),
+    (["--from", "0", "--to", "1e300", "--step", "1e-300"], "overflows"),
+    (["--from=-1e308", "--to", "1e308", "--step", "1"], "overflows"),
+], ids=["stop-inf", "start-minus-inf", "start-nan", "stop-nan", "step-inf", "step-nan",
+        "count-overflow", "span-overflow"])
+def test_deriv_non_finite_or_overflowing_grid_exits_1(capsys, grid, message):
+    # --flag=value, so that argparse does not read -inf as an option
+    code, out, err = run_cli(capsys, "deriv", "--wrt", "lambda", "--delta", "0", *grid)
+    assert code == 1 and out == "" and "error:" in err and message in err
 
 
 def test_sweep_json_lines_tagged_row(capsys):

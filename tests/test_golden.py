@@ -6,6 +6,12 @@ kappa = -2, where about 15 % of the rows are error rows; and a lambda scan
 from 0 to 12 in steps of 0.002 at delta = 0) write exactly the bytes whose
 sha256 digests are recorded below.  The digests were taken from the program
 before any performance work, so a faster path must reproduce every bit.
+
+Also checked: the stdout of meanfield, spectrum and critical --delta at the
+reference parameters, at delta = 0.2 (normal phase) and delta = 0.8
+(superradiant), and of critical --lambda 5.  These go through the closed
+form and the effective-frequency helper; their digests were taken before
+those were reworked for speed.
 """
 
 import hashlib
@@ -37,9 +43,36 @@ GOLDEN = {
 }
 
 
+_POINT = {d: ["--delta", d] for d in ("0.2", "0.8")}
+
+STDOUT_GOLDEN = {
+    "meanfield-normal": (["meanfield", *_FIG2, *_POINT["0.2"]],
+                         "b8232ca7bf1a91021345fec630ed111b5bdd755c935cc8885432579af98a717e"),
+    "meanfield-superradiant": (["meanfield", *_FIG2, *_POINT["0.8"]],
+                               "396002d9f6e706e919df52d255aaa6b0ab5475d2d00d89de786d38c365db9989"),
+    "spectrum-normal": (["spectrum", *_FIG2, *_POINT["0.2"]],
+                        "459edfcd9b26489132bcd8c298fa2e2f9ec82884bcf2e926703d8a2bbf29ec88"),
+    "spectrum-superradiant": (["spectrum", *_FIG2, *_POINT["0.8"]],
+                              "406e02e69a42e57fef483f66b63adf902b7ed4b217fad121de7fe0d8376f18b9"),
+    "critical-delta-normal": (["critical", *_FIG2[:6], *_POINT["0.2"]],
+                              "276820794a47887f0ca64f9774bc71fb868d1caf1d416bf8c681d77af82fc0a9"),
+    "critical-delta-superradiant": (["critical", *_FIG2[:6], *_POINT["0.8"]],
+                                    "33c9ce52894d7b69ee1d79b6a6445d6b70c2cd2d0acb5839b9e7d9a30a805c70"),
+    "critical-lambda": (["critical", *_FIG2],
+                        "d9361c1a17b36ceba0fdfb097f20e90cd05059ccf7edd46412f4d60276d608a9"),
+}
+
+
 @pytest.mark.parametrize("name", GOLDEN)
 def test_reference_output_digest(tmp_path, name):
     argv, digest = GOLDEN[name]
     out = tmp_path / name
     assert main([*argv, "--output", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", STDOUT_GOLDEN)
+def test_reference_stdout_digest(capsys, name):
+    argv, digest = STDOUT_GOLDEN[name]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest

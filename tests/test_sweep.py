@@ -14,14 +14,25 @@ Checked here:
     form per point) row for row and bit for bit, on grids that hit every
     error tag
   * grid validation errors, non-finite axis edges included
+  * run_grid calls the closed form through the sweep module's own binding
+    exactly once per grid point, error rows included, and every row carries
+    .error (the benchmark's span tracer counts on both)
+  * hypothesis: on rows with nan, +-0, +-inf, 5e-324 and 1e308 in any field,
+    with and without an error tag, the CSV equals the per-field
+    "%.17g"-and-join output, the JSON lines equal json.dumps of each row's
+    dict, both parse back to the same float bits, and a nan numeric reads
+    back as nan from the CSV and as null from the JSON lines
 """
 
 import io
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iddm import (
     CSV_HEADER,
@@ -37,7 +48,8 @@ from iddm import (
     trace_critical_curve,
     write_phase_diagram_csv,
 )
-from iddm.sweep import _error_tag, format_rows_csv
+import iddm.sweep
+from iddm.sweep import PhaseDiagramRow, _error_tag, format_rows_csv, format_rows_jsonl
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
@@ -132,6 +144,27 @@ def test_run_grid_matches_per_point_reference(name):
     assert {r[-1] for r in rows} == tags
 
 
+@pytest.mark.parametrize("name", ["tracer-self-test", "unbounded"])
+def test_run_grid_calls_closed_form_once_per_point(monkeypatch, name):
+    params, delta_range, lambda_range = {
+        "tracer-self-test": (FIG2, (0.0, 1.0, 3), (4.0, 8.0, 5)),
+        "unbounded": REFERENCE_GRIDS["unbounded"][:3],
+    }[name]
+    calls = []
+    closed_form = iddm.sweep.equilibrium_closed_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(iddm.sweep, "equilibrium_closed_form", counted)
+    rows = run_grid(GridSpec(params, delta_range=delta_range, lambda_range=lambda_range))
+    assert len(calls) == len(rows) == delta_range[2] * lambda_range[2]
+    assert all(type(r.error) is str for r in rows)
+    errors = sum(1 for r in rows if r.error)
+    assert errors == 0 if name == "tracer-self-test" else errors > 0
+
+
 def test_critical_curve_identity():
     curve = trace_critical_curve(FIG2, delta_range=(-1.0, 1.0), count=41)
     assert len(curve) == 41
@@ -195,3 +228,54 @@ def test_grid_validation():
             GridSpec(FIG2, delta_range=(bad, 1.0, 3))
         with pytest.raises(InvalidParameterError, match="must be finite"):
             GridSpec(FIG2, lambda_range=(0.0, bad, 3))
+
+
+def _csv_by_field(rows):
+    """The CSV writer as it was first written: one "%.17g" per field and a join."""
+    lines = [CSV_HEADER]
+    for r in rows:
+        lines.append(",".join(["%.17g" % x for x in r[:7]] + [r.phase, r.error]))
+    return "\n".join(lines) + "\n"
+
+
+def _jsonl_by_dict(rows):
+    """The JSON-lines writer as it was first written: json.dumps of one dict per row."""
+    def num(x):
+        return None if math.isnan(x) else x
+    return "".join(json.dumps({
+        "delta": r.delta, "lambda": r.lam, "alpha2": num(r.alpha2), "beta2": num(r.beta2),
+        "e0": num(r.e0), "jz_over_n": num(r.jz_over_n), "i_over_n": num(r.i_over_n),
+        "phase": r.phase, "error": r.error,
+    }) + "\n" for r in rows)
+
+
+_EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_ROWS = st.lists(st.builds(
+    PhaseDiagramRow, *[_FLOATS] * 7,
+    phase=st.sampled_from([p.value for p in Phase] + ["error"]),
+    error=st.sampled_from(["", "unbounded_phase", "non_positive_f1", "chi_unsupported",
+                           "invalid_parameter"]),
+), max_size=6)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_ROWS)
+def test_csv_and_json_lines_round_trip(rows):
+    csv_text, jsonl_text = format_rows_csv(rows), format_rows_jsonl(rows)
+    assert csv_text == _csv_by_field(rows)
+    assert jsonl_text == _jsonl_by_dict(rows)
+
+    csv_rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+    json_rows = [json.loads(line) for line in jsonl_text.splitlines()]
+    assert len(csv_rows) == len(json_rows) == len(rows)
+    for row, fields, record in zip(rows, csv_rows, json_rows):
+        values = list(record.values())
+        assert list(record) == ["delta", "lambda", *PhaseDiagramRow._fields[2:]]
+        assert fields[7:] == values[7:] == [row.phase, row.error]
+        for i, x in enumerate(row[:7]):
+            from_json = math.nan if values[i] is None else values[i]
+            assert float(fields[i]).hex() == from_json.hex() == x.hex()
+            if math.isnan(x):
+                assert fields[i] == "nan"
+                assert (values[i] is None) == (i >= 2)  # delta and lambda are written NaN
