@@ -18,6 +18,9 @@ config keys are rejected.  Exit codes: 0 success, 1 invalid input, 2 solver
 convergence failure.  Set IDDM_THREADS before launching to pin the linear
 algebra thread count (it is applied when the package is first imported).
 
+ed runs N = 100 without --n, doubles its photon cutoff until converged, solves
+to machine precision, and includes chi Jz^2/N whenever --chi is nonzero.
+
 Every subcommand is deterministic: the same invocation produces byte
 identical output.
 """
@@ -82,7 +85,6 @@ _MODEL_OPTS = [
     _Opt("--xi1", "xi1", float, 0.0, "dispersive impurity shift of the cavity"),
     _Opt("--xi2", "xi2", float, 0.0, "impurity-induced cavity displacement"),
     _Opt("--omega-q-prime", "omega_q_prime", float, 0.0, "shifted impurity splitting"),
-    _Opt("--n-atoms", "n_atoms", int, 100, "atom number"),
 ]
 
 _COMMAND_OPTS = {
@@ -117,13 +119,10 @@ _COMMAND_OPTS = {
         _Opt("--delta", "delta", float, None, "impurity population", required=True),
     ],
     "ed": [
-        _Opt("--n", "n", None, None, "atom number, repeatable", action="append_int"),
+        _Opt("--n", "n", None, (100,), "atom number, repeatable", action="append_int"),
         _Opt("--delta", "delta", float, 0.0, "frozen impurity population"),
         _Opt("--full-qubit", "full_qubit", None, False, "keep the impurity dynamical", action="flag"),
         _Opt("--cutoff", "cutoff", int, 8, "first displaced-photon cutoff (raised until converged)"),
-        _Opt("--include-chi", "include_chi", None, False, "include the chi Jz^2 term", action="flag"),
-        _Opt("--convergence-factor", "convergence_factor", float, 2.0, "cutoff enlargement factor"),
-        _Opt("--solver-tol", "solver_tol", float, 0.0, "eigensolver residual tolerance"),
         _Opt("--dimension-cap", "dimension_cap", int, 1_000_000, "refuse larger Hilbert spaces"),
         _Opt("--output", "output", str, "-", "output path, - for stdout"),
     ],
@@ -178,11 +177,11 @@ def _coerce(o: _Opt, raw):
             raise CLIError(f"config key {o.key!r} must be a boolean")
         return raw
     if o.action == "append_int":
-        items = raw if isinstance(raw, list) else [raw]
+        items = raw if isinstance(raw, list) and raw else [raw]  # [] fails int() below
         try:
             return [int(v) for v in items]
         except (TypeError, ValueError):
-            raise CLIError(f"config key {o.key!r} must be an integer or list of integers")
+            raise CLIError(f"config key {o.key!r} must be an integer or a nonempty list of integers")
     try:
         value = o.conv(raw)
     except (TypeError, ValueError):
@@ -232,7 +231,7 @@ def _params(v: dict) -> ModelParams:
     return ModelParams(
         omega=v["omega"], lam=v["lam"], kappa=v["kappa"], omega0=v["omega0"],
         chi=v["chi"], xi1=v["xi1"], xi2=v["xi2"],
-        omega_q_prime=v["omega_q_prime"], n_atoms=v["n_atoms"],
+        omega_q_prime=v["omega_q_prime"],
     )
 
 
@@ -325,14 +324,13 @@ def _cmd_ed(v: dict, provided: set) -> int:
     from . import ed as ed_mod  # here, so that only ED runs pay its import
 
     params = _params(v)
-    n_list = v["n"] if v["n"] else [params.n_atoms]
+    n_list = v["n"]
     if v["full_qubit"] and "delta" in provided:
         raise CLIError("--delta does not apply to --full-qubit runs")
     mode = ed_mod.FullQubit() if v["full_qubit"] else ed_mod.FixedDelta(v["delta"])
     base = ed_mod.EDConfig(
         n_atoms=n_list[0], photon_cutoff=v["cutoff"], impurity_mode=mode,
-        include_chi=v["include_chi"], convergence_factor=v["convergence_factor"],
-        solver_tolerance=v["solver_tol"], dimension_cap=v["dimension_cap"],
+        dimension_cap=v["dimension_cap"],
     )
     records = []
     if v["full_qubit"]:

@@ -40,14 +40,14 @@ and mapped to and from the block by index gather and scatter.  With
 xi2 != 0 each block is one sector.  Every sector is solved from the uniform
 start vector by a thick-restart Lanczos solver (Wu & Simon, SIAM J. Matrix
 Anal. Appl. 22, 602, 2000), which stops when its Ritz residual falls to
-max(solver_tolerance, eps) times the largest |Ritz value|, and the lowest
-sector is kept.  Sectors whose energies agree within 1e-12 * max(1, |E|),
-the solver's resolution, count as tied, and a tie goes to the first in the
-fixed order (upper block, then Pi = +1), so the reported sector never flips
-with roundoff.  The truncation check re-solves only that sector at an
-enlarged cutoff, starting from the base vector padded with zeros; if the
-energy moves too much the enlarged cutoff becomes the base and the check
-repeats (see ground_state).
+machine epsilon times the largest |Ritz value|, and the lowest sector is
+kept.  Sectors whose energies agree within 1e-12 * max(1, |E|), the
+solver's resolution, count as tied, and a tie goes to the first in the fixed
+order (upper block, then Pi = +1), so the reported sector never flips with
+roundoff.  The truncation check re-solves only that sector at twice the
+cutoff, starting from the base vector padded with zeros; if the energy moves
+too much the doubled cutoff becomes the base and the check repeats (see
+ground_state).
 """
 
 from __future__ import annotations
@@ -94,19 +94,13 @@ class EDConfig:
     """Settings for one diagonalization run.
 
     photon_cutoff is the highest displaced photon level of the first
-    truncation, not the final one: ground_state enlarges the cutoff by
-    convergence_factor until the energy stops moving or the next enlargement
-    would exceed dimension_cap.  solver_tolerance bounds each eigensolve's
-    Ritz residual relative to the largest |Ritz value|; 0 means machine
-    epsilon, the default.  Both floats must be finite.
+    truncation, not the final one: ground_state doubles the cutoff until the
+    energy stops moving or the next doubling would exceed dimension_cap.
     """
 
     n_atoms: int
     photon_cutoff: int = 8
     impurity_mode: FixedDelta | FullQubit = FixedDelta(0.0)
-    include_chi: bool = False
-    convergence_factor: float = 2.0
-    solver_tolerance: float = 0.0
     dimension_cap: int = 1_000_000
 
     def __post_init__(self):
@@ -114,13 +108,6 @@ class EDConfig:
             raise InvalidParameterError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.photon_cutoff < 1:
             raise InvalidParameterError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
-        for name in ("convergence_factor", "solver_tolerance"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.convergence_factor > 1:
-            raise InvalidParameterError("convergence_factor must exceed 1")
-        if self.solver_tolerance < 0:
-            raise InvalidParameterError("solver_tolerance must be >= 0")
         if self.dimension_cap < 1:
             raise InvalidParameterError("dimension_cap must be >= 1")
 
@@ -197,11 +184,6 @@ def _frame(params: ModelParams, n_atoms: int, delta: float):
     return ef.f1, ef.f2, d, gamma, t
 
 
-def _check_dimension(dim: int, cap: int):
-    if dim > cap:
-        raise DimensionTooLargeError(f"Hilbert-space dimension {dim} exceeds cap {cap}")
-
-
 class Hamiltonian:
     """H in the displaced basis, applied block by block and never assembled.
 
@@ -260,7 +242,7 @@ def _block(params: ModelParams, config: EDConfig, delta: float, cutoff: int, shi
     f1, f2, d, gamma, t = _frame(params, n, delta)
     diag = f1 * (np.arange(cutoff + 1.0)[:, None] - (d * d)[None, :])
     terms = [(_franck_condon(gamma, cutoff), -f2 * t, 1)]
-    if config.include_chi and params.chi != 0:
+    if params.chi != 0:
         # Jz^2 = T^2: diagonal t_{k-1}^2 + t_k^2, and t_k t_{k+1} two steps up
         t2 = t * t
         diag = diag + (params.chi / n) * (np.concatenate([t2, [0.0]]) + np.concatenate([[0.0], t2]))
@@ -279,7 +261,9 @@ def build_hamiltonian(
     else:
         half = 0.5 * params.omega_q_prime
         populations = [(1.0, half), (-1.0, -half)]
-    _check_dimension(len(populations) * (cutoff + 1) * (config.n_atoms + 1), config.dimension_cap)
+    dim = len(populations) * (cutoff + 1) * (config.n_atoms + 1)
+    if dim > config.dimension_cap:
+        raise DimensionTooLargeError(f"Hilbert-space dimension {dim} exceeds cap {config.dimension_cap}")
     blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
     return Hamiltonian(config.n_atoms, cutoff, blocks)
 
@@ -366,7 +350,7 @@ def _rayleigh(op, v: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _lowest_state(
-    op, tol: float, v0: np.ndarray | None = None, max_restarts: int | None = None
+    op, v0: np.ndarray | None = None, max_restarts: int | None = None
 ) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the symmetric operator op by thick-restart Lanczos.
 
@@ -374,8 +358,8 @@ def _lowest_state(
     orthogonalized against all the others, a second time by the DGKS rule.
     A restart keeps the lowest half of the Ritz vectors and the residual
     vector (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602, 2000).  The solve
-    stops when the Ritz residual |beta s_last| is at most max(tol, eps) times
-    the largest |Ritz value|, the spectrum's scale, or when the Krylov space
+    stops when the Ritz residual |beta s_last| is at most machine epsilon
+    times the largest |Ritz value|, the spectrum's scale, or when the Krylov space
     is invariant.  It raises ConvergenceFailureError when max_restarts
     restarts (default 10 * dim, as ARPACK's iteration budget) do not suffice.
     """
@@ -383,7 +367,7 @@ def _lowest_state(
     size = min(KRYLOV_SIZE, dim)
     keep = size // 2
     budget = 10 * dim if max_restarts is None else max_restarts
-    bound = max(tol, np.finfo(float).eps)
+    bound = np.finfo(float).eps
     basis = np.empty((size + 1, dim))
     basis[0] = np.full(dim, 1.0 / math.sqrt(dim)) if v0 is None else _unit(v0)
     t = np.zeros((size, size))  # op on the basis: an arrowhead, then tridiagonal
@@ -442,16 +426,15 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
     The ground state is the lowest of the symmetry sectors (see the module
     docstring), and parity is that sector's sign, exactly +1.0 or -1.0; it is
     None in FullQubit mode and when xi2 != 0.  The winning sector's energy is
-    re-computed at max(cutoff + 1, ceil(convergence_factor * cutoff)),
-    warm-started; converged means the per-atom energy moved by at most
-    1e-8 * max(1, |E/N|).  Otherwise the enlarged cutoff becomes the base,
-    the other sectors are re-solved there, and the check repeats, until it
-    passes or the next enlargement would exceed dimension_cap (then converged
-    is False; a first check that does not fit raises DimensionTooLargeError).
+    re-computed at twice the cutoff, warm-started; converged means the
+    per-atom energy moved by at most 1e-8 * max(1, |E/N|).  Otherwise the
+    doubled cutoff becomes the base, the other sectors are re-solved there,
+    and the check repeats, until it passes or the next doubling would exceed
+    dimension_cap (then converged is False; a first check that does not fit
+    raises DimensionTooLargeError).
     Reported observables come from the final base state.
     """
     n = config.n_atoms
-    tol = config.solver_tolerance
     fixed = isinstance(config.impurity_mode, FixedDelta)
     blocks = (0,) if fixed else (0, 1)
     signs = (1.0, -1.0) if params.xi2 == 0 else (None,)
@@ -459,7 +442,7 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
 
     base = config.photon_cutoff
     h = build_hamiltonian(params, config, base)
-    solves = {key: _lowest_state(_Sector(h, *key), tol) for key in sectors}
+    solves = {key: _lowest_state(_Sector(h, *key)) for key in sectors}
     raises = 0
     while True:
         lowest = min(energy for energy, _ in solves.values())
@@ -469,14 +452,14 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
         )
         energy, psi = solves[key]
         e_atom = energy / n
-        larger = max(base + 1, int(math.ceil(config.convergence_factor * base)))
+        larger = 2 * base
         if raises and len(blocks) * (larger + 1) * (n + 1) > config.dimension_cap:
             break
         h = build_hamiltonian(params, config, larger)
         enlarged = _Sector(h, *key)
         warm = np.zeros(enlarged.shape[0])
         warm[: len(psi)] = psi
-        energy2, psi2 = _lowest_state(enlarged, tol, warm)
+        energy2, psi2 = _lowest_state(enlarged, warm)
         shift = abs(energy2 / n - e_atom)
         converged = shift <= 1e-8 * max(1.0, abs(e_atom))
         if converged:
@@ -485,7 +468,7 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
         base = larger
         solves = {
             other: (energy2, psi2) if other == key
-            else _lowest_state(_Sector(h, *other), tol)
+            else _lowest_state(_Sector(h, *other))
             for other in sectors
         }
 

@@ -58,13 +58,11 @@ class SpectrumResult:
     stable: bool
 
 
-def excitation_spectrum(
-    params: ModelParams, delta: float, *, stability_tol: float = 1e-9
-) -> SpectrumResult:
+def excitation_spectrum(params: ModelParams, delta: float) -> SpectrumResult:
     """Normal-mode energies (eps_minus, eps_plus) at the mean-field equilibrium.
 
     The equilibrium comes from equilibrium_closed_form; the Hessian there must
-    be positive semidefinite (up to stability_tol times its scale) or
+    be positive semidefinite (up to 1e-9 times its scale) or
     UnstableEquilibriumError is raised.  Near nu -> 1 the rounding of M alone
     puts an error of about eps_plus^2 u / (2 eps_minus) on eps_minus (u the
     unit roundoff), which no choice of eigensolver removes.
@@ -72,7 +70,7 @@ def excitation_spectrum(
     sol = equilibrium_closed_form(params, delta)
     m = energy_derivatives(params, delta, (sol.alpha, 0.0, sol.beta, 0.0))[1] / 2.0
     scale = max(1.0, float(np.max(np.abs(m))))
-    stable = bool(np.min(np.linalg.eigvalsh(m)) >= -stability_tol * scale)
+    stable = bool(np.min(np.linalg.eigvalsh(m)) >= -1e-9 * scale)
     if not stable:
         raise UnstableEquilibriumError("fluctuation Hessian is not positive semidefinite")
     freqs = np.sort(np.abs(np.linalg.eigvals(SYMPLECTIC_FORM @ m).imag))

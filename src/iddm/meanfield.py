@@ -170,15 +170,13 @@ def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray
     return grad, hess
 
 
-def _classify(nu: float, critical_tol: float) -> Phase:
-    if abs(nu - 1.0) <= critical_tol:
+def _classify(nu: float) -> Phase:
+    if abs(nu - 1.0) <= CRITICAL_NU_TOL:
         return Phase.CRITICAL
     return Phase.NORMAL if nu > 1.0 else Phase.SUPERRADIANT
 
 
-def equilibrium_closed_form(
-    params: ModelParams, delta: float, *, critical_tol: float = CRITICAL_NU_TOL
-) -> MeanFieldSolution:
+def equilibrium_closed_form(params: ModelParams, delta: float) -> MeanFieldSolution:
     """Global minimum of the scaled energy from the closed-form branch rules.
 
     The reported e0 is the energy function evaluated at the amplitudes, not
@@ -194,12 +192,14 @@ def equilibrium_closed_form(
     nu = f1 * f2 / (4.0 * lam * lam)
     if nu <= -1.0:
         raise UnboundedPhaseError(f"nu = {nu} <= -1: no interior minimum")
-    phase = _classify(nu, critical_tol)
+    phase = _classify(nu)
     if phase is not Phase.SUPERRADIANT:
         return MeanFieldSolution(0.0, 0.0, 0.0, nu, phase)
     beta = math.sqrt((1.0 - nu) / 2.0)
     k = math.sqrt((1.0 + nu) / 2.0)
     alpha = 2.0 * lam * k * beta / f1
+    if alpha * alpha == math.inf:
+        raise InvalidParameterError(f"alpha = {alpha} at f1 = {f1}: alpha^2 overflows")
     e0 = _energy(f1, f2, lam, (alpha, 0.0, beta, 0.0))
     return MeanFieldSolution(alpha, beta, e0, nu, Phase.SUPERRADIANT)
 
@@ -210,6 +210,8 @@ _BETA_CAP = 1.0 - 1e-9
 _SEED = 20240817
 # A start stops once max|g| <= _GRAD_FLOOR * max(1, |e|), the roundoff level.
 _GRAD_FLOOR = 1e-14
+# The winning candidate must reach max|g| <= _GRAD_TOL.
+_GRAD_TOL = 1e-10
 _HALVINGS = 40
 # A candidate whose lowest Hessian eigenvalue is below -_SADDLE_TOL * max|eig|
 # is a saddle; the margin keeps a flat critical-point origin in play.
@@ -274,9 +276,7 @@ def equilibrium_numeric(
     delta: float,
     seed_count: int = 8,
     *,
-    grad_tol: float = 1e-10,
     max_iterations: int = 500,
-    critical_tol: float = CRITICAL_NU_TOL,
 ) -> MeanFieldSolution:
     """Locate the energy minimum by multistart descent, independent of the closed forms.
 
@@ -304,8 +304,6 @@ def equilibrium_numeric(
         raise InvalidParameterError("seed_count must be >= 1")
     if max_iterations < 0:
         raise InvalidParameterError(f"max_iterations must be >= 0, got {max_iterations}")
-    if not (math.isfinite(grad_tol) and grad_tol >= 0):
-        raise InvalidParameterError(f"grad_tol must be finite and >= 0, got {grad_tol}")
 
     alpha_scale = 2.0 * lam / f1 if lam > 0 else 1.0 / f1
     rng = np.random.default_rng(_SEED)
@@ -317,9 +315,9 @@ def equilibrium_numeric(
     if keep.size == 0:
         raise ConvergenceFailureError("every candidate is a saddle of the energy surface")
     alpha, beta, _, gnorm, _ = min((runs[i] for i in keep), key=lambda run: run[2])
-    if gnorm > grad_tol:
+    if gnorm > _GRAD_TOL:
         raise ConvergenceFailureError(
-            f"lowest candidate has gradient norm {gnorm:.3e} above tolerance {grad_tol:.3e}"
+            f"lowest candidate has gradient norm {gnorm:.3e} above tolerance {_GRAD_TOL:.3e}"
         )
     # Canonical sign: the energy is even under (alpha, beta) -> (-alpha, -beta),
     # and for beta >= 0 it never increases under alpha -> |alpha|.
@@ -327,7 +325,7 @@ def equilibrium_numeric(
         alpha, beta = -alpha, -beta
     alpha = abs(alpha)
     e0 = _energy(f1, f2, lam, (alpha, 0.0, beta, 0.0))
-    phase = Phase.NORMAL if nu is None else _classify(nu, critical_tol)
+    phase = Phase.NORMAL if nu is None else _classify(nu)
     return MeanFieldSolution(alpha, beta, e0, nu, phase)
 
 

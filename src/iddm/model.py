@@ -42,8 +42,8 @@ class ModelParams:
     All energies are quoted in units of the atomic transition frequency, so
     omega0 = 1 in typical use.  lam is the collective atom-photon coupling
     (written lambda in the math; `lambda` is reserved in Python).  Every
-    float field must be finite, and a positive lam must not be so small
-    that 4 lam^2 underflows to 0.
+    float field must be finite, and 4 lam^2 must neither underflow to 0
+    (for lam > 0) nor overflow.
     """
 
     omega: float            # cavity frequency, > 0
@@ -54,7 +54,6 @@ class ModelParams:
     xi1: float = 0.0        # dispersive impurity shift of the cavity
     xi2: float = 0.0        # impurity-induced cavity displacement
     omega_q_prime: float = 0.0  # shifted impurity splitting (constant offset)
-    n_atoms: int = 100      # default atom number for finite-size runs
 
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
@@ -71,8 +70,8 @@ class ModelParams:
         if self.lam > 0 and 4.0 * self.lam * self.lam == 0:
             # nu = f1 f2 / (4 lam^2) would divide by zero
             raise InvalidParameterError(f"lambda = {self.lam} is too small: 4 lambda^2 underflows to 0")
-        if self.n_atoms < 1:
-            raise InvalidParameterError(f"n_atoms must be >= 1, got {self.n_atoms}")
+        if 4.0 * self.lam * self.lam == math.inf:
+            raise InvalidParameterError(f"lambda = {self.lam} is too large: 4 lambda^2 overflows")
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ _ERROR_TAGS = {
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular sweep grid; each range is (min, max, count)."""
+    """Rectangular sweep grid; each range is (min, max, count), its span finite."""
 
     params: ModelParams
     delta_range: tuple[float, float, int] = (-1.0, 1.0, 201)
@@ -68,6 +68,8 @@ class GridSpec:
                 raise InvalidParameterError(f"{name} range edges must be finite, got ({lo}, {hi})")
             if lo > hi:
                 raise InvalidParameterError(f"{name} range must have min <= max")
+            if hi - lo == math.inf:
+                raise InvalidParameterError(f"{name} range span {hi} - {lo} overflows")
             if count == 1 and lo != hi:
                 raise InvalidParameterError(f"single-point {name} range needs min == max")
 
@@ -86,10 +88,6 @@ class PhaseDiagramRow(NamedTuple):
     error: str = ""
 
 
-def _axis(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, count)
-
-
 def _error_tag(exc: IDDMError) -> str:
     for cls, tag in _ERROR_TAGS.items():
         if isinstance(exc, cls):
@@ -100,14 +98,14 @@ def _error_tag(exc: IDDMError) -> str:
 def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
     """Closed-form equilibrium on the full grid, delta outer, lambda inner."""
     columns = []  # one ModelParams per lambda; a refused lambda tags its whole column
-    for lam in _axis(*spec.lambda_range).tolist():
+    for lam in np.linspace(*spec.lambda_range).tolist():
         try:
             columns.append((lam, replace(spec.params, lam=lam), ""))
         except IDDMError as exc:
             columns.append((lam, None, _error_tag(exc)))
     rows = []
     nan = math.nan
-    for delta in _axis(*spec.delta_range).tolist():
+    for delta in np.linspace(*spec.delta_range).tolist():
         for lam, params, error in columns:
             if not error:
                 try:

@@ -7,18 +7,23 @@ Checked here:
     agrees with the closed form; a zero iteration budget and a lone start on
     the origin saddle exit 2, a negative budget exits 1
   * non-finite model, ED and measurement input exits 1 with an error on stderr,
-    and so does a lambda whose 4 lambda^2 underflows to 0
+    and so does a lambda whose 4 lambda^2 underflows to 0 or overflows; an
+    alpha^2 that overflows (tiny f1) exits 1 and tags its sweep row
   * config files merge under flags, unknown or ill-typed keys exit 1, and a
-    config-driven run is byte-identical to the flag-driven one
+    config-driven run is byte-identical to the flag-driven one; as a property
+    over random splits of the options between config and flags, a flag wins
+    over the config and the config over the default
+  * the retired settings (n_atoms, include_chi, convergence_factor,
+    solver_tol) exit 1 as flags and as config keys
   * deriv emits the documented CSV with empty edge cells and shows the
     curvature jump at the transition; a non-finite scan edge or step, or a
     (stop - start)/step that overflows, exits 1 with an error on stderr
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
     byte-identical
-  * ed emits one JSON record per atom number with parity exactly +-1;
-    --full-qubit rejects --delta
+  * ed emits one JSON record per atom number with parity exactly +-1, runs
+    at N = 100 without --n and refuses N = 0; --full-qubit rejects --delta
   * measure solves --target and reports the collapsed state
-  * non-finite sweep axis edges exit 1
+  * non-finite sweep axis edges, and edges whose span overflows, exit 1
   * the module entry point works end to end, and importing the package does
     not load scipy.optimize; neither the package import nor any subcommand,
     ed included, loads scipy at all, the ED names resolve on use, and no
@@ -33,6 +38,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import iddm
 from iddm import ModelParams, equilibrium_closed_form, normal_phase_spectrum
@@ -153,24 +160,56 @@ def test_underflowing_lambda_exits_1(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ed", "--n", "4", "--solver-tol", "nan"],
-    ["ed", "--n", "4", "--convergence-factor", "inf"],
+    ["meanfield", "--delta", "0"],
+    ["spectrum", "--delta", "0"],
+    ["critical"],
+    ["sweep", "--delta-count", "1", "--delta-max", "-1", "--lambda-count", "1", "--lambda-max", "0"],
+], ids=["meanfield", "spectrum", "critical", "sweep"])
+def test_overflowing_lambda_exits_1(capsys, argv):
+    # 4 lambda^2 overflows to inf here, and lambda^2 itself raised OverflowError
+    code, out, err = run_cli(capsys, *argv, "--lambda", "1e200")
+    assert code == 1 and out == "" and "error:" in err and "overflows" in err
+
+
+def test_overflowing_alpha_is_refused(capsys):
+    # f1 = 1e-300 puts alpha near 1e300 in the superradiant phase; alpha^2 overflows
+    model = ["--omega", "1e-300", "--lambda", "1"]
+    code, out, err = run_cli(capsys, "meanfield", *model, "--delta", "0")
+    assert code == 1 and out == "" and "overflows" in err
+    code, out, _ = run_cli(capsys, "sweep", *model, "--lambda-count", "1", "--lambda-min", "1",
+                           "--lambda-max", "1", "--delta-count", "1", "--delta-min", "0",
+                           "--delta-max", "0", "--format", "json-lines")
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["phase"] == "error" and record["error"] == "invalid_parameter"
+
+
+@pytest.mark.parametrize("argv", [
     ["measure", "--z", "0.5", "--theta", "nan"],
     ["measure", "--z", "0.5", "--target", "nan"],
     ["measure", "--z", "0.5", "--theta", "inf"],
-], ids=["solver-tol-nan", "convergence-factor-inf", "theta-nan", "target-nan", "theta-inf"])
+], ids=["theta-nan", "target-nan", "theta-inf"])
 def test_non_finite_ed_and_measure_input_exits_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == "" and "must be finite" in err
 
 
-@pytest.mark.parametrize("edge", ["delta-min", "delta-max", "lambda-min", "lambda-max"])
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_grid_edge_exits_1(capsys, edge, value):
+_GRID_EDGE_CASES = [
+    pytest.param([f"--{edge}={value}"], "must be finite", id=f"{value}-{edge}")
+    for value in ("nan", "inf", "-inf")
+    for edge in ("delta-min", "delta-max", "lambda-min", "lambda-max")
+] + [
+    pytest.param([f"--{axis}-min=-1.7e308", f"--{axis}-max=1.7e308"], "overflows",
+                 id=f"{axis}-span-overflow")
+    for axis in ("delta", "lambda")
+]
+
+
+@pytest.mark.parametrize("edges, message", _GRID_EDGE_CASES)
+def test_non_finite_grid_edge_exits_1(capsys, edges, message):
     # --flag=value, so that argparse does not read -inf as an option
-    code, out, err = run_cli(capsys, "sweep", "--delta-count", "3", "--lambda-count", "2",
-                             f"--{edge}={value}")
-    assert code == 1 and out == "" and "must be finite" in err
+    code, out, err = run_cli(capsys, "sweep", "--delta-count", "3", "--lambda-count", "2", *edges)
+    assert code == 1 and out == "" and message in err
 
 
 def test_nu_undefined_at_zero_coupling(capsys):
@@ -227,6 +266,68 @@ def test_config_rejections(tmp_path, capsys):
     assert run_cli(capsys, "meanfield", "--delta", "0.5", "--config", str(not_json))[0] == 1
 
     assert run_cli(capsys, "meanfield", "--delta", "0.5", "--config", str(tmp_path / "absent.json"))[0] == 1
+
+
+# model options and their draws; every value is accepted by ModelParams
+_PRECEDENCE_OPTIONS = {
+    "omega": st.floats(0.5, 500.0),
+    "omega0": st.floats(0.5, 2.0),
+    "lambda": st.floats(0.0, 10.0),
+    "kappa": st.floats(-1.0, 1.0),
+    "xi1": st.floats(-0.4, 0.4),
+    "xi2": st.floats(-1.0, 1.0),
+    "omega_q_prime": st.floats(-1.0, 1.0),
+    "delta": st.floats(-1.0, 1.0),
+}
+# settings that no longer exist, each with a value the old code accepted
+_RETIRED = {"n_atoms": 5, "include_chi": True, "convergence_factor": 2.0, "solver_tol": 0.0}
+
+
+def _flag(key, value):
+    flag = "--" + key.replace("_", "-")
+    return flag if value is True else f"{flag}={value!r}"
+
+
+def _retired_use(path, key, where):
+    """The argv that names the retired setting key as a flag or in a config file at path."""
+    if where == "flag":
+        return [_flag(key, _RETIRED[key])]
+    path.write_text(json.dumps({key: _RETIRED[key]}))
+    return ["--config", str(path)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["meanfield", "ed"]), data=st.data())
+def test_flags_win_over_config_and_config_over_defaults(tmp_path, capsys, command, data):
+    # each option comes from the default, the config, a flag or both; the run
+    # must equal one that passes the winning values as flags alone
+    config, flags, winners = {}, [], {}
+    for key, values in _PRECEDENCE_OPTIONS.items():
+        source = data.draw(st.sampled_from(["default", "config", "flag", "both"]), label=key)
+        if source in ("config", "both"):
+            config[key] = winners[key] = data.draw(values, label=f"config {key}")
+        if source in ("flag", "both"):
+            winners[key] = data.draw(values, label=f"flag {key}")
+            flags.append(_flag(key, winners[key]))
+    extra = ["--n", "2"] if command == "ed" else []
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    want = run_cli(capsys, command, *[_flag(k, v) for k, v in winners.items()], *extra)
+    assert run_cli(capsys, command, "--config", str(path), *flags, *extra) == want
+    retired = data.draw(st.sampled_from([None, *_RETIRED]), label="retired")
+    if retired is not None:
+        where = data.draw(st.sampled_from(["flag", "config"]), label="where")
+        code, out, err = run_cli(capsys, command, *_retired_use(tmp_path / "retired.json", retired, where),
+                                 *flags, *extra)
+        assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("key", sorted(_RETIRED))
+def test_retired_settings_exit_1(tmp_path, capsys, key, where):
+    code, out, err = run_cli(capsys, "ed", "--n", "2", *_retired_use(tmp_path / "run.json", key, where))
+    assert code == 1 and out == "" and "error:" in err
 
 
 def test_deriv_csv_shape_and_jump(capsys):
@@ -345,6 +446,17 @@ def test_ed_records(capsys):
         assert r["cutoff_shift"] >= 0
         assert isinstance(r["sector_gap"], float)
         assert r["cutoff_raises"] == 0
+
+
+def test_ed_atom_number(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "ed", "--omega", "4", "--lambda", "1")
+    assert code == 0 and json.loads(out)["n_atoms"] == 100
+    code, out, err = run_cli(capsys, "ed", "--n", "0")
+    assert code == 1 and out == "" and "n_atoms must be >= 1" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": []}))
+    code, out, err = run_cli(capsys, "ed", "--config", str(cfg))
+    assert code == 1 and out == "" and "nonempty" in err
 
 
 def test_ed_cutoff_raises_recorded(capsys):

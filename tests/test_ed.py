@@ -31,7 +31,10 @@ Checked here:
     converges at N = 256
   * results are deterministic across repeated runs
   * the full-qubit mode picks the lower of the two impurity branches
-  * the basis-size cap raises DimensionTooLargeError
+  * the basis-size cap raises DimensionTooLargeError, and EDConfig refuses
+    a zero atom number, cutoff or cap
+  * `iddm ed --full-qubit --chi 0.3` includes the chi Jz^2 / N term: its
+    energy is the Fock oracle's lowest eigenvalue with chi
   * the sector solve against the dense Fock oracle: the energy is the lowest
     eigenvalue of the full matrix, and parity is the sign of the Fock sector
     that holds it; parity is exactly +-1 in the near-degenerate superradiant
@@ -41,6 +44,7 @@ Checked here:
     vector and equals a cold solve of the same sector
 """
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -57,6 +61,7 @@ from iddm import (
     EDConfig,
     FixedDelta,
     FullQubit,
+    InvalidParameterError,
     ModelParams,
     build_hamiltonian,
     effective_frequencies,
@@ -65,6 +70,7 @@ from iddm import (
     ground_state,
     parity_operator,
 )
+from iddm.cli import main
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 SMALL = ModelParams(omega=4.0, lam=2.0, kappa=-0.5)
@@ -92,7 +98,7 @@ def _fock_block(params, config, delta, cutoff):
     h = h + (params.lam / math.sqrt(n)) * np.kron(x, jp + jp.T)
     if params.xi2 != 0:
         h = h + params.xi2 * delta * np.kron(x, spin_eye)
-    if config.include_chi and params.chi != 0:
+    if params.chi != 0:
         h = h + (params.chi / n) * np.kron(boson_eye, jz @ jz)
     return h
 
@@ -127,7 +133,7 @@ def _lowest_by_sector(h, signs):
 
 
 def test_single_atom_hamiltonian_by_hand():
-    params = ModelParams(omega=2.0, lam=0.3, kappa=-0.5, n_atoms=1)
+    params = ModelParams(omega=2.0, lam=0.3, kappa=-0.5)
     config = EDConfig(n_atoms=1, photon_cutoff=1, impurity_mode=FixedDelta(0.5))
     h = _fock(params, config, 1)
     f1 = 2.0
@@ -146,7 +152,7 @@ def test_single_atom_hamiltonian_by_hand():
 
 
 def test_drive_term_photon_ladder():
-    params = ModelParams(omega=2.0, lam=0.0, kappa=0.0, xi2=0.7, n_atoms=1)
+    params = ModelParams(omega=2.0, lam=0.0, kappa=0.0, xi2=0.7)
     config = EDConfig(n_atoms=1, photon_cutoff=3, impurity_mode=FixedDelta(1.0))
     h = _fock(params, config, 3)
     # photon block of xi2 * delta * (a + a^dagger): sqrt(n + 1) ladder
@@ -179,7 +185,7 @@ def test_franck_condon_matches_exact_sum(gamma):
 
 
 def test_decoupled_ground_energy_exact():
-    params = ModelParams(omega=3.0, lam=0.0, kappa=-0.5, n_atoms=6)
+    params = ModelParams(omega=3.0, lam=0.0, kappa=-0.5)
     config = EDConfig(n_atoms=6, photon_cutoff=2, impurity_mode=FixedDelta(0.4))
     res = ground_state(params, config)
     f2 = 1.0 - 0.5 * 1.4
@@ -190,7 +196,7 @@ def test_decoupled_ground_energy_exact():
 
 def test_displaced_oscillator_energy():
     # lam = 0 with a linear drive: exact energy -f2/2 - xi2^2 delta^2 / (f1 N)
-    params = ModelParams(omega=2.5, lam=0.0, kappa=-0.5, xi2=0.8, n_atoms=8)
+    params = ModelParams(omega=2.5, lam=0.0, kappa=-0.5, xi2=0.8)
     config = EDConfig(n_atoms=8, photon_cutoff=12, impurity_mode=FixedDelta(0.6))
     res = ground_state(params, config)
     f1 = 2.5
@@ -204,20 +210,14 @@ def test_displaced_oscillator_energy():
 
 def test_hermitian_and_parity_commutes():
     rng = np.random.default_rng(7)
-    for include_chi in (False, True):
+    for chi in (0.0, 0.4):
         params = ModelParams(
             omega=rng.uniform(1.0, 10.0),
             lam=rng.uniform(0.0, 3.0),
             kappa=rng.uniform(-1.0, 1.0),
-            chi=0.4 if include_chi else 0.0,
-            n_atoms=6,
+            chi=chi,
         )
-        config = EDConfig(
-            n_atoms=6,
-            photon_cutoff=8,
-            impurity_mode=FixedDelta(0.3),
-            include_chi=include_chi,
-        )
+        config = EDConfig(n_atoms=6, photon_cutoff=8, impurity_mode=FixedDelta(0.3))
         h = build_hamiltonian(params, config, photon_cutoff=8).toarray()
         assert np.max(np.abs(h - h.T)) <= 1e-12
         pi = parity_operator(6, 8).toarray()
@@ -245,14 +245,14 @@ def test_sector_isometry_spans_parity_eigenspace(n_atoms, sign):
 
 def test_operator_matches_its_dense_matrix():
     rng = np.random.default_rng(9)
-    for n_atoms, mode, include_chi in [
-        (5, FixedDelta(0.3), False), (6, FixedDelta(-0.7), True), (4, FullQubit(), True),
+    for n_atoms, mode, chi in [
+        (5, FixedDelta(0.3), 0.0), (6, FixedDelta(-0.7), 0.3), (4, FullQubit(), 0.3),
     ]:
         params = ModelParams(
             omega=rng.uniform(1.0, 6.0), lam=rng.uniform(0.2, 2.0), kappa=rng.uniform(-1.0, 1.0),
-            chi=0.3, xi2=0.4 if isinstance(mode, FullQubit) else 0.0, omega_q_prime=0.6,
+            chi=chi, xi2=0.4 if isinstance(mode, FullQubit) else 0.0, omega_q_prime=0.6,
         )
-        config = EDConfig(n_atoms=n_atoms, impurity_mode=mode, include_chi=include_chi)
+        config = EDConfig(n_atoms=n_atoms, impurity_mode=mode)
         h = build_hamiltonian(params, config, photon_cutoff=5)
         dense = h.toarray()
         x = rng.standard_normal(h.shape[0])
@@ -278,7 +278,7 @@ def test_lowest_state_matches_dense_sector(n_atoms, cutoff, variant, omega, lam,
         xi2=coupling if "xi2" in variant else 0.0,
     )
     mode = FullQubit() if variant.startswith("qubit") else FixedDelta(delta)
-    config = EDConfig(n_atoms=n_atoms, impurity_mode=mode, include_chi="chi" in variant)
+    config = EDConfig(n_atoms=n_atoms, impurity_mode=mode)
     h = build_hamiltonian(params, config, photon_cutoff=cutoff)
     dense, size = h.toarray(), h.block_size
     for block in range(len(h.blocks)):
@@ -287,7 +287,7 @@ def test_lowest_state_matches_dense_sector(n_atoms, cutoff, variant, omega, lam,
             iso = np.eye(size) if sign is None else _isometry(n_atoms, cutoff, sign)
             sector = iso.T @ sub @ iso
             eig = np.linalg.eigvalsh(sector)
-            energy, psi = ed._lowest_state(ed._Sector(h, block, sign), 0.0)
+            energy, psi = ed._lowest_state(ed._Sector(h, block, sign))
             assert abs(energy - eig[0]) <= 1e-12 * max(1.0, abs(eig[0])), (block, sign)
             assert np.linalg.norm(sector @ psi - energy * psi) <= 1e-10 * np.max(np.abs(eig))
 
@@ -302,7 +302,7 @@ def test_energy_resolution_is_relative_to_the_energy(omega, n_atoms, cutoff):
                           photon_cutoff=cutoff)
     f2 = 1.0 - 0.5 * 1.4
     for sign, want in ((1.0, -f2 * n_atoms / 2.0), (-1.0, -f2 * n_atoms / 2.0 + f2)):
-        energy, _ = ed._lowest_state(ed._Sector(h, 0, sign), 0.0)
+        energy, _ = ed._lowest_state(ed._Sector(h, 0, sign))
         assert abs(energy - want) <= 1e-13 * abs(want), sign
 
 
@@ -312,8 +312,8 @@ def test_exhausted_restart_budget_raises():
     h = build_hamiltonian(CRITICAL, EDConfig(n_atoms=64, impurity_mode=FixedDelta(0.0)))
     sector = ed._Sector(h, 0, 1.0)
     with pytest.raises(ConvergenceFailureError):
-        ed._lowest_state(sector, 0.0, max_restarts=2)
-    energy, _ = ed._lowest_state(sector, 0.0)
+        ed._lowest_state(sector, max_restarts=2)
+    energy, _ = ed._lowest_state(sector)
     iso = _isometry(64, 8, 1.0)
     want = np.linalg.eigvalsh(iso.T @ h.toarray() @ iso)[0]
     assert abs(energy - want) <= 1e-12 * abs(want)
@@ -367,8 +367,8 @@ def test_sector_tie_goes_to_first_sector(monkeypatch, offset, parity):
     calls = []
     solve = ed._lowest_state
 
-    def shifted(h, tol, v0=None):
-        energy, psi = solve(h, tol, v0)
+    def shifted(h, v0=None):
+        energy, psi = solve(h, v0)
         calls.append(energy)
         return (energy - offset * abs(energy) if len(calls) == 2 else energy), psi
 
@@ -388,7 +388,6 @@ def _dense_oracle_cases():
             lam=rng.uniform(0.2, 2.0),
             kappa=rng.uniform(-1.0, 1.0),
             omega_q_prime=rng.uniform(-1.0, 1.0),
-            n_atoms=n,
         )
         if variant == "f2_negative":
             kwargs["kappa"] = rng.uniform(-2.0, -1.2)  # f2 < 0 at delta >= 0
@@ -397,7 +396,7 @@ def _dense_oracle_cases():
         if variant in ("xi2", "qubit_xi2"):
             kwargs["xi2"] = rng.uniform(0.1, 1.0)
         mode = FullQubit() if variant.startswith("qubit") else FixedDelta(rng.uniform(0.0, 1.0))
-        config = EDConfig(n_atoms=n, impurity_mode=mode, include_chi=variant == "chi")
+        config = EDConfig(n_atoms=n, impurity_mode=mode)
         cases.append(pytest.param(ModelParams(**kwargs), config, id=f"{variant}-N{n}"))
     return cases
 
@@ -457,8 +456,8 @@ def test_warm_started_check_matches_cold_solve(monkeypatch, n_atoms, mode):
     calls = []
     solve = ed._lowest_state
 
-    def spy(h, tol, v0=None):
-        energy, psi = solve(h, tol, v0)
+    def spy(h, v0=None):
+        energy, psi = solve(h, v0)
         calls.append((h, v0, energy, psi))
         return energy, psi
 
@@ -472,7 +471,7 @@ def test_warm_started_check_matches_cold_solve(monkeypatch, n_atoms, mode):
         np.array_equal(start[: len(psi)], psi) and not start[len(psi):].any()
         for _, _, _, psi in calls[:-1]
     )
-    cold, _ = solve(h2, 0.0)
+    cold, _ = solve(h2)
     assert abs(warm - cold) / n_atoms <= 1e-12
 
 
@@ -567,7 +566,7 @@ def test_deterministic_repeat():
 
 
 def test_full_qubit_selects_lower_branch():
-    params = ModelParams(omega=4.0, lam=1.0, kappa=-0.5, omega_q_prime=3.0, n_atoms=6)
+    params = ModelParams(omega=4.0, lam=1.0, kappa=-0.5, omega_q_prime=3.0)
     # a common generous cutoff keeps the three truncations identical
     up = ground_state(
         params, EDConfig(n_atoms=6, photon_cutoff=40, impurity_mode=FixedDelta(1.0))
@@ -593,3 +592,23 @@ def test_dimension_cap():
     )
     with pytest.raises(DimensionTooLargeError):
         build_hamiltonian(FIG2, config, photon_cutoff=2000)
+
+
+def test_config_refuses_bad_sizes():
+    for kwargs in ({"n_atoms": 0}, {"n_atoms": 4, "photon_cutoff": 0}, {"n_atoms": 4, "dimension_cap": 0}):
+        with pytest.raises(InvalidParameterError):
+            EDConfig(**kwargs)
+
+
+def test_cli_full_qubit_includes_chi(capsys):
+    # the chi Jz^2 / N term follows --chi alone; the Fock oracle carries it
+    argv = ["ed", "--full-qubit", "--chi", "0.3", "--omega", "4", "--lambda", "1",
+            "--omega-q-prime", "2", "--n", "4"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    params = ModelParams(omega=4.0, lam=1.0, kappa=-0.5, chi=0.3, omega_q_prime=2.0)
+    config = EDConfig(n_atoms=4, impurity_mode=FullQubit())
+    want, without_chi = (np.linalg.eigvalsh(_fock(p, config, FOCK_CUTOFF))[0]
+                         for p in (params, replace(params, chi=0.0)))
+    assert abs(record["energy_per_atom"] * 4 - want) <= 1e-10 * max(1.0, abs(want))
+    assert abs(want - without_chi) > 1e-3  # the term shifts the energy visibly at this size

@@ -22,7 +22,7 @@ Checked here:
   * second-difference scans: flat for kappa = 0, kink at the transition
   * refusal behavior: nu <= -1, chi != 0, |beta| out of range, zero budget,
     a lone origin start in the superradiant phase (a saddle), a negative
-    budget and a non-finite or negative gradient tolerance
+    budget, and a superradiant alpha whose square overflows
 """
 
 import math
@@ -366,9 +366,12 @@ def test_numeric_zero_budget_raises():
 def test_numeric_refuses_bad_budgets():
     with pytest.raises(InvalidParameterError):
         equilibrium_numeric(FIG2, 1.0, max_iterations=-1)
-    for grad_tol in (float("nan"), float("inf"), -1e-10):
-        with pytest.raises(InvalidParameterError):
-            equilibrium_numeric(FIG2, 1.0, max_iterations=0, grad_tol=grad_tol)
+
+
+def test_closed_form_refuses_overflowing_alpha():
+    # f1 = 1e-300: alpha = 2 lam K beta / f1 ~ 1e300, and alpha^2 overflows
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        equilibrium_closed_form(ModelParams(omega=1e-300, lam=1.0), 0.0)
 
 
 def test_numeric_refuses_origin_saddle():

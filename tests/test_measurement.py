@@ -11,12 +11,17 @@ Checked here:
   * angle_for_target_delta inverts the map and round-trips through measure
   * edge cases: z = 0 (no steering), z = 1 (pure-state limit), targets
     beyond +-z are rejected, unmeasured population is zero
+  * property over z, theta and sign: probability 1/2, delta = +-z cos 2theta,
+    a Hermitian positive-semidefinite collapsed state of trace 1; and any
+    target in [-z, z] is reached through angle_for_target_delta
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iddm import (
     ProjectiveMeasurement,
@@ -143,3 +148,25 @@ def test_invalid_fidelity_rejected():
         WernerState(-0.1)
     with pytest.raises(ValueError):
         WernerState(1.1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    z=st.floats(0.0, 1.0),
+    theta=st.floats(-10.0, 10.0),
+    sign=st.sampled_from(Sign),
+    share=st.floats(-1.0, 1.0),
+)
+def test_measurement_identities_property(z, theta, sign, share):
+    out = measure(WernerState(z), ProjectiveMeasurement(theta, sign))
+    assert abs(out.probability - 0.5) <= 1e-14
+    want = z * math.cos(2.0 * theta)
+    assert abs(out.delta - (want if sign is Sign.PLUS else -want)) <= 1e-12
+    rho = out.density_matrix
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+    assert np.min(np.linalg.eigvalsh(rho)) >= -1e-15
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    target = share * z
+    theta_t, sign_t = angle_for_target_delta(z, target)
+    reached = measure(WernerState(z), ProjectiveMeasurement(theta_t, sign_t))
+    assert abs(reached.delta - target) <= 1e-12

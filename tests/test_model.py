@@ -6,7 +6,7 @@ Checked here:
   * affinity of f1, f2 in delta; constancy when kappa = xi1 = 0
   * the microscopic reductions to (omega, omega0, lam, chi) and (xi1, xi2)
   * input validation (delta range, positivity, zero detunings, a lambda whose
-    4 lam^2 underflows to 0)
+    4 lam^2 underflows to 0 or overflows)
 """
 
 import math
@@ -79,9 +79,9 @@ def test_params_validation():
     with pytest.raises(InvalidParameterError):
         ModelParams(omega=1.0, lam=-0.1)
     with pytest.raises(InvalidParameterError):
-        ModelParams(omega=1.0, lam=1.0, n_atoms=0)
-    with pytest.raises(InvalidParameterError):
         ModelParams(omega=1.0, lam=1e-200)  # 4 lam^2 underflows to 0
+    with pytest.raises(InvalidParameterError):
+        ModelParams(omega=1.0, lam=1e154)  # 4 lam^2 overflows
     assert effective_frequencies(ModelParams(omega=1.0, lam=1e-160), 0.0).nu == math.inf
     for field in ("omega", "lam", "kappa", "omega0", "chi", "xi1", "xi2", "omega_q_prime"):
         for bad in (math.nan, math.inf, -math.inf):
