@@ -33,7 +33,6 @@ from .errors import (
 )
 from .model import (
     CavityMicroParams,
-    EffectiveFrequencies,
     ImpurityMicroParams,
     ModelParams,
     derive_cavity_params,
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 # milliseconds, which a process that runs no ED need not pay.
 _ED_NAMES = frozenset({
     "EDConfig", "EDResult", "FiniteSizeEntry", "FixedDelta", "FullQubit",
-    "build_hamiltonian", "finite_size_scan", "ground_state", "parity_operator",
+    "build_hamiltonian", "finite_size_scan", "ground_state",
 })
 
 

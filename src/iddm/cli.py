@@ -46,7 +46,7 @@ from .meanfield import (
 )
 from .measurement import ProjectiveMeasurement, Sign, WernerState, angle_for_target_delta, measure
 from .model import ModelParams
-from .sweep import GridSpec, _fmt, format_rows_jsonl, run_grid, write_phase_diagram_csv
+from .sweep import GridSpec, format_rows_jsonl, run_grid, write_phase_diagram_csv
 
 __all__ = ["main", "run"]
 
@@ -233,6 +233,10 @@ def _params(v: dict) -> ModelParams:
         chi=v["chi"], xi1=v["xi1"], xi2=v["xi2"],
         omega_q_prime=v["omega_q_prime"],
     )
+
+
+def _fmt(x: float) -> str:
+    return "%.17g" % x
 
 
 @contextlib.contextmanager

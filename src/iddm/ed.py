@@ -68,7 +68,6 @@ __all__ = [
     "EDResult",
     "FiniteSizeEntry",
     "build_hamiltonian",
-    "parity_operator",
     "ground_state",
     "finite_size_scan",
 ]
@@ -173,15 +172,21 @@ def _frame(params: ModelParams, n_atoms: int, delta: float):
     """(f1, f2, d, gamma, t) of one block's displaced basis.
 
     d[k] = d_m for k = m + N/2 = 0 .. N, gamma = d_m - d_{m+1}, and
-    t[k] = <k+1|Jx|k> on the Jz basis, k = 0 .. N-1.
+    t[k] = <k+1|Jx|k> on the Jz basis, k = 0 .. N-1.  Raises
+    InvalidParameterError when the largest d_m^2 overflows.
     """
-    ef = effective_frequencies(params, delta)
-    m = np.arange(n_atoms + 1) - n_atoms / 2.0
-    d = -(2.0 * params.lam * m / math.sqrt(n_atoms) + params.xi2 * delta) / ef.f1
-    gamma = 2.0 * params.lam / (math.sqrt(n_atoms) * ef.f1)
+    f1, f2 = effective_frequencies(params, delta)
     j = n_atoms / 2.0
+    reach = (2.0 * params.lam * j / math.sqrt(n_atoms) + abs(params.xi2 * delta)) / f1
+    if not math.isfinite(reach * reach):
+        raise InvalidParameterError(
+            f"displacement d_m = -g_m/f1 reaches {reach} at f1 = {f1}: d_m^2 overflows"
+        )
+    m = np.arange(n_atoms + 1) - j
+    d = -(2.0 * params.lam * m / math.sqrt(n_atoms) + params.xi2 * delta) / f1
+    gamma = 2.0 * params.lam / (math.sqrt(n_atoms) * f1)
     t = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1.0))
-    return ef.f1, ef.f2, d, gamma, t
+    return f1, f2, d, gamma, t
 
 
 class Hamiltonian:
@@ -217,12 +222,6 @@ class Hamiltonian:
             out[:, step:] += fc @ (x[:, :-step] * spin)
             out[:, :-step] += fc.T @ (x[:, step:] * spin)
         return out.ravel()
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        size = self.block_size
-        return np.concatenate(
-            [self.apply_block(b, x[b * size:(b + 1) * size]) for b in range(len(self.blocks))]
-        )
 
     def toarray(self) -> np.ndarray:
         size = self.block_size
@@ -266,21 +265,6 @@ def build_hamiltonian(
         raise DimensionTooLargeError(f"Hilbert-space dimension {dim} exceeds cap {config.dimension_cap}")
     blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
     return Hamiltonian(config.n_atoms, cutoff, blocks)
-
-
-class _Parity:
-    def __init__(self, n_atoms: int, photon_cutoff: int):
-        self.n_atoms, self.photon_cutoff = n_atoms, photon_cutoff
-        self.shape = ((photon_cutoff + 1) * (n_atoms + 1),) * 2
-
-    def toarray(self) -> np.ndarray:
-        level_sign = (-1.0) ** np.arange(self.photon_cutoff + 1)
-        return np.kron(np.diag(level_sign), np.eye(self.n_atoms + 1)[::-1])
-
-
-def parity_operator(n_atoms: int, photon_cutoff: int) -> _Parity:
-    """Parity (-1)^n |n, N-k><n, k| on the FixedDelta displaced basis (xi2 = 0)."""
-    return _Parity(n_atoms, photon_cutoff)
 
 
 class _SectorMap:
@@ -513,8 +497,8 @@ def finite_size_scan(
         raise InvalidParameterError("n_list must not be empty")
     template = config if config is not None else EDConfig(n_atoms=n_list[0])
     sol = equilibrium_closed_form(params, delta)
-    ef = effective_frequencies(params, delta)
-    target = sol.e0 - ef.f2 / 2.0
+    _, f2 = effective_frequencies(params, delta)
+    target = sol.e0 - f2 / 2.0
 
     entries = []
     for n in n_list:

@@ -20,7 +20,9 @@ has the closed form
 
     eps_pm^2 = [f1^2 + f2^2 +- sqrt((f1^2 - f2^2)^2 + 16 lam^2 f1 f2)]/2,
 
-exposed separately as an independent check.
+exposed separately as an independent check; eps_-^2 is evaluated as
+2 f1 f2 (f1 f2 - 4 lam^2) / (f1^2 + f2^2 + sqrt(...)), which does not cancel
+when f1 >> f2.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ def normal_phase_spectrum(params: ModelParams, delta: float) -> tuple[float, flo
         raise InvalidParameterError("closed normal-phase spectrum needs nu >= 1")
     a = f1 * f1 + f2 * f2
     r = np.sqrt((f1 * f1 - f2 * f2) ** 2 + 16.0 * lam * lam * f1 * f2)
-    eps_minus = np.sqrt(max(0.0, (a - r) / 2.0))
+    # (a - r)/2 cancels when f1 >> f2; (a - r)(a + r) = 4 f1 f2 (f1 f2 - 4 lam^2)
+    eps_minus = np.sqrt(2.0 * f1 * f2 * (f1 * f2 - 4.0 * lam * lam) / (a + r))
     eps_plus = np.sqrt((a + r) / 2.0)
     return float(eps_minus), float(eps_plus)

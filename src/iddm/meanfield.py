@@ -9,7 +9,8 @@ a = (Re alpha, Im alpha, Re beta, Im beta):
     K = sqrt(1 - |beta|^2),
 
 with f1, f2 the effective frequencies at population delta, and
-`energy_derivatives` gives its gradient and Hessian in the same components.
+`energy_derivatives` gives its gradient (4,) and Hessian (4, 4) in the same
+components.  Both take plain float components, one point per call.
 This is the one place the surface is written; the fluctuation spectrum and
 the numerical minimizer both use it.  The minimum is real, so on the real
 slice it reads E0 = f1 alpha^2 + f2 beta^2 - 4 lam K alpha beta.  For nu =
@@ -44,7 +45,7 @@ from .errors import (
     UnboundedPhaseError,
     ZeroKappaError,
 )
-from .model import ModelParams, _frequency_pair, check_population
+from .model import ModelParams, check_population, effective_frequencies
 
 __all__ = [
     "Phase",
@@ -98,23 +99,35 @@ class MeanFieldSolution:
 def _frequencies(params: ModelParams, delta: float) -> tuple[float, float]:
     if params.chi != 0:
         raise ChiUnsupportedError("mean-field routines require chi = 0")
-    return _frequency_pair(params, delta)
+    return effective_frequencies(params, delta)
 
 
-def _spin_k(b1, b2, rim: bool):
-    """K = sqrt(1 - |beta|^2) for float or array components.
+def _nu(f1: float, f2: float, lam: float) -> float | None:
+    """nu = f1 f2 / (4 lam^2), or None at lam = 0.
+
+    Raises UnboundedPhaseError where the energy has no interior minimum:
+    nu <= -1, or lam = 0 with f2 < 0.
+    """
+    if lam == 0:
+        if f2 < 0:
+            raise UnboundedPhaseError("lam = 0 with f2 < 0: minimum sits on the |beta| = 1 boundary")
+        return None
+    nu = f1 * f2 / (4.0 * lam * lam)
+    if nu <= -1.0:
+        raise UnboundedPhaseError(f"nu = {nu} <= -1: no interior minimum")
+    return nu
+
+
+def _spin_k(b1: float, b2: float, rim: bool) -> float:
+    """K = sqrt(1 - |beta|^2).
 
     Raises DomainError outside the sphere, and on its rim |beta| = 1 unless
     rim is set.
     """
     s = b1 * b1 + b2 * b2
-    if isinstance(s, np.ndarray):
-        inside, sqrt = (s <= 1.0 if rim else s < 1.0).all(), np.sqrt
-    else:
-        inside, sqrt = (s <= 1.0 if rim else s < 1.0), math.sqrt
-    if not inside:
+    if not (s <= 1.0 if rim else s < 1.0):
         raise DomainError("|beta| must be <= 1" if rim else "derivatives need |beta| < 1")
-    return sqrt(1.0 - s)
+    return math.sqrt(1.0 - s)
 
 
 def _energy(f1: float, f2: float, lam: float, a):
@@ -140,34 +153,28 @@ def _derivatives(f1: float, f2: float, lam: float, a):
     return grad, (2.0 * f1, h02, h03, h22, h23, h33)
 
 
-def energy(params: ModelParams, delta: float, a) -> float | np.ndarray:
+def energy(params: ModelParams, delta: float, a) -> float:
     """Scaled energy per atom at a = (Re alpha, Im alpha, Re beta, Im beta).
 
-    The components may be floats or arrays of one shape (evaluated
-    elementwise); |beta| > 1 is refused.
+    The four components are floats; |beta| > 1 is refused.
     """
     return _energy(*_frequencies(params, delta), params.lam, a)
 
 
 def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient (..., 4) and Hessian (..., 4, 4) of `energy` in the components of a.
+    """Gradient (4,) and Hessian (4, 4) of `energy` in the components of a.
 
     Takes the same inputs as `energy` but needs |beta| < 1 strictly; K
     appears in denominators.
     """
-    terms, (h00, h02, h03, h22, h23, h33) = _derivatives(*_frequencies(params, delta), params.lam, a)
-    shape = np.shape(a[0])
-    grad = np.empty(shape + (4,))
-    for i, term in enumerate(terms):
-        grad[..., i] = term
-    hess = np.zeros(shape + (4, 4))
-    hess[..., 0, 0] = hess[..., 1, 1] = h00
-    hess[..., 0, 2] = hess[..., 2, 0] = h02
-    hess[..., 0, 3] = hess[..., 3, 0] = h03
-    hess[..., 2, 2] = h22
-    hess[..., 2, 3] = hess[..., 3, 2] = h23
-    hess[..., 3, 3] = h33
-    return grad, hess
+    grad, (h00, h02, h03, h22, h23, h33) = _derivatives(*_frequencies(params, delta), params.lam, a)
+    hess = np.array([
+        [h00, 0.0, h02, h03],
+        [0.0, h00, 0.0, 0.0],
+        [h02, 0.0, h22, h23],
+        [h03, 0.0, h23, h33],
+    ])
+    return np.array(grad), hess
 
 
 def _classify(nu: float) -> Phase:
@@ -185,13 +192,9 @@ def equilibrium_closed_form(params: ModelParams, delta: float) -> MeanFieldSolut
     """
     f1, f2 = _frequencies(params, delta)
     lam = params.lam
-    if lam == 0:
-        if f2 < 0:
-            raise UnboundedPhaseError("lam = 0 with f2 < 0: minimum sits on the |beta| = 1 boundary")
+    nu = _nu(f1, f2, lam)
+    if nu is None:
         return MeanFieldSolution(0.0, 0.0, 0.0, None, Phase.NORMAL)
-    nu = f1 * f2 / (4.0 * lam * lam)
-    if nu <= -1.0:
-        raise UnboundedPhaseError(f"nu = {nu} <= -1: no interior minimum")
     phase = _classify(nu)
     if phase is not Phase.SUPERRADIANT:
         return MeanFieldSolution(0.0, 0.0, 0.0, nu, phase)
@@ -292,14 +295,7 @@ def equilibrium_numeric(
     """
     f1, f2 = _frequencies(params, delta)
     lam = params.lam
-    if lam == 0 and f2 < 0:
-        raise UnboundedPhaseError("lam = 0 with f2 < 0: minimum sits on the |beta| = 1 boundary")
-    if lam > 0:
-        nu = f1 * f2 / (4.0 * lam * lam)
-        if nu <= -1.0:
-            raise UnboundedPhaseError(f"nu = {nu} <= -1: no interior minimum")
-    else:
-        nu = None
+    nu = _nu(f1, f2, lam)
     if seed_count < 1:
         raise InvalidParameterError("seed_count must be >= 1")
     if max_iterations < 0:
@@ -369,7 +365,7 @@ def critical_lambda(params: ModelParams, delta: float) -> float | None:
     Returns None when f2 <= 0, where the system is superradiant at every
     lam > 0 and no finite threshold exists.
     """
-    f1, f2 = _frequency_pair(params, delta)
+    f1, f2 = effective_frequencies(params, delta)
     product = f1 * f2
     if product <= 0:
         return None

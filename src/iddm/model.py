@@ -9,9 +9,10 @@ effective frequencies,
     f2 = omega0 + kappa * (1 + delta) (atomic branch)
 
 and the dimensionless combination nu = f1 * f2 / (4 lambda^2), which equals 1
-on the phase boundary.  This module holds the parameter containers, the
-effective-frequency helper, and the reductions from microscopic cavity-BEC and
-impurity-drive parameters to the model coefficients.
+on the phase boundary (nu itself is computed and checked in `meanfield`).
+This module holds the parameter containers, the (f1, f2) helper, and the
+reductions from microscopic cavity-BEC and impurity-drive parameters to the
+model coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .errors import InvalidParameterError, NonPositiveF1Error, ZeroDetuningError
 
 __all__ = [
     "ModelParams",
-    "EffectiveFrequencies",
     "CavityMicroParams",
     "ImpurityMicroParams",
     "effective_frequencies",
@@ -74,19 +74,6 @@ class ModelParams:
             raise InvalidParameterError(f"lambda = {self.lam} is too large: 4 lambda^2 overflows")
 
 
-@dataclass(frozen=True)
-class EffectiveFrequencies:
-    """Effective branch frequencies at a fixed impurity population.
-
-    nu is None when lam = 0; the ratio f1*f2/(4 lam^2) is undefined there and
-    the phase is decided directly from the sign of f2.
-    """
-
-    f1: float
-    f2: float
-    nu: float | None
-
-
 def check_population(delta: float) -> float:
     """Validate an impurity population delta = <sigma_z> in [-1, 1]."""
     if not -1.0 <= delta <= 1.0:
@@ -94,24 +81,18 @@ def check_population(delta: float) -> float:
     return float(delta)
 
 
-def _frequency_pair(params: ModelParams, delta: float) -> tuple[float, float]:
-    """(f1, f2) at impurity population delta, with the refusals of `effective_frequencies`."""
+def effective_frequencies(params: ModelParams, delta: float) -> tuple[float, float]:
+    """Return (f1, f2) at impurity population delta.
+
+    Raises InvalidParameterError outside [-1, 1] and NonPositiveF1Error when
+    omega + xi1*delta <= 0; every ground-state statement downstream assumes
+    a confining photon branch.
+    """
     delta = check_population(delta)
     f1 = params.omega + params.xi1 * delta
     if f1 <= 0:
         raise NonPositiveF1Error(f"f1 = omega + xi1*delta = {f1} must be > 0")
     return f1, params.omega0 + params.kappa * (1.0 + delta)
-
-
-def effective_frequencies(params: ModelParams, delta: float) -> EffectiveFrequencies:
-    """Return (f1, f2, nu) at impurity population delta.
-
-    Raises NonPositiveF1Error when omega + xi1*delta <= 0; every ground-state
-    statement downstream assumes a confining photon branch.
-    """
-    f1, f2 = _frequency_pair(params, delta)
-    nu = f1 * f2 / (4.0 * params.lam**2) if params.lam > 0 else None
-    return EffectiveFrequencies(f1=f1, f2=f2, nu=nu)
 
 
 @dataclass(frozen=True)

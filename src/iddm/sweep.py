@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -131,14 +131,6 @@ def trace_critical_curve(
     return [(float(d), critical_lambda(params, float(d))) for d in np.linspace(lo, hi, count)]
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def format_rows_csv(rows: Iterable[PhaseDiagramRow]) -> str:
-    return CSV_HEADER + "\n" + "".join([_CSV_ROW % r for r in rows])
-
-
 def _json_float(x: float, nan: str) -> str:
     """x as json.dumps writes it, with `nan` written for nan."""
     if x != x:
@@ -158,6 +150,6 @@ def format_rows_jsonl(rows: Iterable[PhaseDiagramRow]) -> str:
     ])
 
 
-def write_phase_diagram_csv(rows: Sequence[PhaseDiagramRow], stream: TextIO) -> None:
+def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
     """Write the CSV contract described in the module docstring."""
-    stream.write(format_rows_csv(rows))
+    stream.write(CSV_HEADER + "\n" + "".join([_CSV_ROW % r for r in rows]))

@@ -35,7 +35,6 @@ from iddm import (
     ground_state,
     measure,
     normal_phase_spectrum,
-    parity_operator,
     run_grid,
     trace_critical_curve,
     angle_for_target_delta,
@@ -286,7 +285,8 @@ def test_criterion_08_parity_invariant(report):
     try:
         config = EDConfig(n_atoms=6, photon_cutoff=8, impurity_mode=FixedDelta(0.3))
         h = build_hamiltonian(FIG2, config, photon_cutoff=8).toarray()
-        pi = parity_operator(6, 8).toarray()
+        # parity (-1)^n |n, N-k><n, k| on the displaced basis at N = 6, cutoff 8
+        pi = np.kron(np.diag((-1.0) ** np.arange(9)), np.eye(7)[::-1])
         norm = float(np.max(np.abs(h @ pi - pi @ h)))
         if norm > 1e-12:
             failures.append(f"|H Pi - Pi H|_max = {norm:.3e} > 1e-12")

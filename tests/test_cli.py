@@ -8,7 +8,8 @@ Checked here:
     the origin saddle exit 2, a negative budget exits 1
   * non-finite model, ED and measurement input exits 1 with an error on stderr,
     and so does a lambda whose 4 lambda^2 underflows to 0 or overflows; an
-    alpha^2 that overflows (tiny f1) exits 1 and tags its sweep row
+    alpha^2 that overflows (tiny f1) exits 1 and tags its sweep row; an ED
+    displacement d_m whose square overflows exits 1 without a numpy warning
   * config files merge under flags, unknown or ill-typed keys exit 1, and a
     config-driven run is byte-identical to the flag-driven one; as a property
     over random splits of the options between config and flags, a flag wins
@@ -28,13 +29,18 @@ Checked here:
     not load scipy.optimize; neither the package import nor any subcommand,
     ed included, loads scipy at all, the ED names resolve on use, and no
     module of the package imports scipy
+  * every name in each module's __all__ resolves, and the package's lazy ED
+    names are exactly ed's exports
 """
 
 import ast
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -182,6 +188,19 @@ def test_overflowing_alpha_is_refused(capsys):
     assert code == 0
     (record,) = [json.loads(line) for line in out.splitlines()]
     assert record["phase"] == "error" and record["error"] == "invalid_parameter"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ed", "--full-qubit", "--omega", "1e-300", "--lambda", "1", "--n", "2"],
+    ["ed", "--omega", "1e-300", "--lambda", "0", "--xi2", "1", "--delta", "0.5", "--n", "2"],
+], ids=["coupling", "drive"])
+def test_overflowing_ed_displacement_is_refused(capsys, argv):
+    # f1 = 1e-300 puts d_m = -g_m/f1 near 1e300; d_m^2 overflows before any numpy work
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "d_m^2 overflows" in err
+    assert caught == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -603,3 +622,12 @@ def test_package_source_imports_no_scipy():
             else:
                 continue
             assert not any(name.split(".")[0] == "scipy" for name in names), (path.name, names)
+
+
+def test_exported_names_resolve():
+    for info in pkgutil.iter_modules(iddm.__path__):
+        module = importlib.import_module(f"iddm.{info.name}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__
+    assert iddm._ED_NAMES == set(iddm.ed.__all__)
+    assert all(getattr(iddm, name) is getattr(iddm.ed, name) for name in iddm._ED_NAMES)

@@ -4,9 +4,9 @@ Checked here:
   * the Fock-basis oracle: a hand-built 4x4 Hamiltonian for N = 1, cutoff 1,
     and the photon ladder of the drive term
   * the Franck-Condon matrix against its exact finite sum
-  * the matrix-free Hamiltonian against its own dense matrix (product and
-    nonzero count), and the gather/scatter sector map: an isometry onto each
-    parity eigenspace whose smaller cutoffs are prefixes
+  * the matrix-free Hamiltonian against its own dense matrix (each block's
+    product and the nonzero count), and the gather/scatter sector map: an
+    isometry onto each parity eigenspace whose smaller cutoffs are prefixes
   * the thick-restart Lanczos solve against numpy.linalg.eigvalsh of every
     dense sector on random small cases (energy and residual); its energy is
     good to 1e-13 * |E| where ||H|| is thousands of times |E|; and an
@@ -68,7 +68,6 @@ from iddm import (
     equilibrium_closed_form,
     finite_size_scan,
     ground_state,
-    parity_operator,
 )
 from iddm.cli import main
 
@@ -84,7 +83,7 @@ CRITICAL = ModelParams(omega=1.0, lam=math.sqrt(0.5) / 2.0, kappa=-0.5)  # nu = 
 
 def _fock_block(params, config, delta, cutoff):
     n = config.n_atoms
-    ef = effective_frequencies(params, delta)
+    f1, f2 = effective_frequencies(params, delta)
     j = n / 2.0
     m = -j + np.arange(n + 1)
     jz = np.diag(m)
@@ -94,7 +93,7 @@ def _fock_block(params, config, delta, cutoff):
     x = a + a.T
     spin_eye = np.eye(n + 1)
     boson_eye = np.eye(cutoff + 1)
-    h = ef.f1 * np.kron(num, spin_eye) + ef.f2 * np.kron(boson_eye, jz)
+    h = f1 * np.kron(num, spin_eye) + f2 * np.kron(boson_eye, jz)
     h = h + (params.lam / math.sqrt(n)) * np.kron(x, jp + jp.T)
     if params.xi2 != 0:
         h = h + params.xi2 * delta * np.kron(x, spin_eye)
@@ -117,6 +116,11 @@ def _fock(params, config, cutoff):
 def _fock_signs(n_atoms, cutoff):
     n_idx, k_idx = np.divmod(np.arange((cutoff + 1) * (n_atoms + 1)), n_atoms + 1)
     return np.where((n_idx + k_idx) % 2 == 0, 1.0, -1.0)
+
+
+def _parity(n_atoms, cutoff):
+    """Parity (-1)^n |n, N-k><n, k| on the FixedDelta displaced basis (xi2 = 0), dense."""
+    return np.kron(np.diag((-1.0) ** np.arange(cutoff + 1)), np.eye(n_atoms + 1)[::-1])
 
 
 def _isometry(n_atoms, cutoff, sign):
@@ -220,7 +224,7 @@ def test_hermitian_and_parity_commutes():
         config = EDConfig(n_atoms=6, photon_cutoff=8, impurity_mode=FixedDelta(0.3))
         h = build_hamiltonian(params, config, photon_cutoff=8).toarray()
         assert np.max(np.abs(h - h.T)) <= 1e-12
-        pi = parity_operator(6, 8).toarray()
+        pi = _parity(6, 8)
         assert np.max(np.abs(pi @ pi - np.eye(len(pi)))) == 0.0
         assert np.max(np.abs(h @ pi - pi @ h)) <= 1e-12
 
@@ -231,7 +235,7 @@ def test_sector_isometry_spans_parity_eigenspace(n_atoms, sign):
     # the gather/scatter sector map: scatter is an isometry P onto the
     # Pi = sign eigenspace, and gather is its transpose
     iso = _isometry(n_atoms, 4, sign)
-    pi = parity_operator(n_atoms, 4).toarray()
+    pi = _parity(n_atoms, 4)
     assert np.max(np.abs(iso.T @ iso - np.eye(iso.shape[1]))) <= 1e-15
     assert np.max(np.abs(pi @ iso - sign * iso)) <= 1e-15
     assert iso.shape[1] == np.sum(np.linalg.eigvalsh(pi) * sign > 0)
@@ -255,8 +259,11 @@ def test_operator_matches_its_dense_matrix():
         config = EDConfig(n_atoms=n_atoms, impurity_mode=mode)
         h = build_hamiltonian(params, config, photon_cutoff=5)
         dense = h.toarray()
-        x = rng.standard_normal(h.shape[0])
-        assert np.max(np.abs(h.matvec(x) - dense @ x)) <= 1e-12 * np.max(np.abs(dense))
+        size = h.block_size
+        for b in range(len(h.blocks)):
+            block = dense[b * size:(b + 1) * size, b * size:(b + 1) * size]
+            x = rng.standard_normal(size)
+            assert np.max(np.abs(h.apply_block(b, x) - block @ x)) <= 1e-12 * np.max(np.abs(dense))
         assert h.nnz == np.count_nonzero(dense)
 
 

@@ -42,15 +42,15 @@ def _falls_like_one_over_n(residuals):
 
 @pytest.mark.parametrize("params, delta", POINTS)
 def test_energy_correction_tends_to_fluctuation_coefficient(params, delta):
-    ef = effective_frequencies(params, delta)
+    f1, f2 = effective_frequencies(params, delta)
     sol = equilibrium_closed_form(params, delta)
     spec = excitation_spectrum(params, delta)
-    f2_tilde = ef.f2 if sol.phase is Phase.NORMAL else ef.f2 / ef.nu
-    c1 = (spec.eps_minus + spec.eps_plus - ef.f1 - f2_tilde) / 2.0
+    f2_tilde = f2 if sol.phase is Phase.NORMAL else f2 / sol.nu
+    c1 = (spec.eps_minus + spec.eps_plus - f1 - f2_tilde) / 2.0
     residuals = []
     for n in N_LIST:
         res = ground_state(params, EDConfig(n_atoms=n, impurity_mode=FixedDelta(delta)))
-        residual = abs(n * (res.energy_per_atom - (sol.e0 - ef.f2 / 2.0)) - c1)
+        residual = abs(n * (res.energy_per_atom - (sol.e0 - f2 / 2.0)) - c1)
         # the truncation must sit well below what is measured
         assert n * res.cutoff_shift <= 1e-2 * residual
         residuals.append(residual)

@@ -6,6 +6,8 @@ Checked here:
     of the energy at random interior points (Im alpha, Im beta != 0 included)
   * normal-phase spectra from the Hessian route match the closed two-mode
     formula; both modes are positive above and below the transition
+  * the closed formula's eps_- is within 1e-14 relative of a 60-digit
+    reference where f1 >> f2, where (a - r)/2 would cancel
   * the soft mode closes at the phase boundary and reopens on both sides
   * the Hessian is positive semidefinite at every admissible equilibrium
   * spectra are continuous across the boundary
@@ -14,6 +16,7 @@ Checked here:
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from iddm import (
     ModelParams,
     Phase,
     critical_lambda,
+    effective_frequencies,
     energy,
     energy_derivatives,
     equilibrium_closed_form,
@@ -69,7 +73,7 @@ def test_hessian_symmetric_and_matches_finite_differences():
                     a + steps[i] + steps[j], a + steps[i] - steps[j],
                     a - steps[i] + steps[j], a - steps[i] - steps[j],
                 ])
-                e_pp, e_pm, e_mp, e_mm = energy(params, delta, corners.T)
+                e_pp, e_pm, e_mp, e_mm = [energy(params, delta, c) for c in corners]
                 fd[i, j] = (e_pp - e_pm - e_mp + e_mm) / (4.0 * h * h)
         assert np.max(np.abs(m - fd)) <= 1e-5 * max(1.0, np.max(np.abs(m)))
 
@@ -94,6 +98,20 @@ def test_normal_phase_matches_closed_formula():
         scale = max(1.0, hi)
         assert abs(res.eps_minus - lo) <= 1e-9 * scale
         assert abs(res.eps_plus - hi) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("omega, lam, delta", [(400.0, 5.0, 0.2), (400.0, 1.0, 0.9), (4000.0, 1.0, 0.95)])
+def test_normal_phase_soft_mode_matches_high_precision_reference(omega, lam, delta):
+    # eps_-^2 = (a - r)/2 loses up to 8.5e-7 relative here; the program's f1, f2
+    # are the reference's exact inputs
+    params = replace(FIG2, omega=omega, lam=lam)
+    f1, f2 = (mpmath.mpf(f) for f in effective_frequencies(params, delta))
+    with mpmath.workdps(60):
+        a = f1**2 + f2**2
+        r = mpmath.sqrt((f1**2 - f2**2) ** 2 + 16 * mpmath.mpf(lam) ** 2 * f1 * f2)
+        reference = mpmath.sqrt((a - r) / 2)
+        eps_minus, _ = normal_phase_spectrum(params, delta)
+        assert abs(eps_minus - reference) <= 1e-14 * reference
 
 
 def test_soft_mode_closes_and_reopens():

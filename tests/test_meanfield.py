@@ -86,8 +86,6 @@ def test_energy_rejects_beta_outside_sphere():
     with pytest.raises(DomainError):
         energy(FIG2, 0.5, _real(0.1, 1.01))
     with pytest.raises(DomainError):
-        energy(FIG2, 0.5, (np.zeros(2), np.zeros(2), np.array([0.1, 1.01]), np.zeros(2)))
-    with pytest.raises(DomainError):
         energy_derivatives(FIG2, 0.5, _real(0.1, 1.0))
     assert math.isfinite(energy(FIG2, 0.5, _real(0.1, 1.0)))  # the rim is in the value's domain
 
@@ -115,7 +113,7 @@ def test_gradient_zero_at_superradiant_equilibrium():
 
 
 def test_gradient_matches_finite_differences():
-    # all four components, Im alpha and Im beta nonzero; arrays evaluate pointwise
+    # all four components, Im alpha and Im beta nonzero
     rng = np.random.default_rng(7)
     h = 1e-6
     for _ in range(100):
@@ -128,7 +126,7 @@ def test_gradient_matches_finite_differences():
         a = np.concatenate([rng.uniform(-2.0, 2.0, size=2), rng.uniform(-0.6, 0.6, size=2)])
         grad, _ = energy_derivatives(params, delta, a)
         steps = h * np.eye(4)
-        fd = (energy(params, delta, (a + steps).T) - energy(params, delta, (a - steps).T)) / (2 * h)
+        fd = np.array([energy(params, delta, a + s) - energy(params, delta, a - s) for s in steps]) / (2 * h)
         assert np.max(np.abs(grad - fd)) <= 1e-5 * max(1.0, np.max(np.abs(grad)))
 
 
@@ -154,7 +152,8 @@ def test_derivatives_match_finite_differences_property(omega, lam, kappa, delta,
     steps = h * np.eye(4)
 
     def e(x):
-        return energy(params, delta, x.T)
+        # the energy at each point x[..., :] of a stack of points
+        return np.apply_along_axis(lambda p: energy(params, delta, p), -1, x)
 
     fd_grad = (e(a + steps) - e(a - steps)) / (2 * h)
     # second differences along e_i + e_j and e_i - e_j give the mixed partials

@@ -1,7 +1,8 @@
 """Parameter containers and effective frequencies.
 
 Checked here:
-  * frozen reference values of (f1, f2, nu) at the standard parameter set
+  * frozen reference values of (f1, f2), and of nu as the closed form
+    reports it, at the standard parameter set
   * the undefined-nu marker at lam = 0
   * affinity of f1, f2 in delta; constancy when kappa = xi1 = 0
   * the microscopic reductions to (omega, omega0, lam, chi) and (xi1, xi2)
@@ -24,39 +25,36 @@ from iddm import (
     derive_cavity_params,
     derive_impurity_couplings,
     effective_frequencies,
+    equilibrium_closed_form,
 )
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
 
 def test_reference_point_frequencies():
-    ef = effective_frequencies(FIG2, 0.5)
-    assert ef.f1 == 400.0
-    assert ef.f2 == 0.25
-    assert ef.nu == 1.0
+    assert effective_frequencies(FIG2, 0.5) == (400.0, 0.25)
+    assert equilibrium_closed_form(FIG2, 0.5).nu == 1.0
 
 
 def test_zero_f2_at_full_population():
-    ef = effective_frequencies(FIG2, 1.0)
-    assert ef.f2 == 0.0
-    assert ef.nu == 0.0
+    assert effective_frequencies(FIG2, 1.0)[1] == 0.0
+    assert equilibrium_closed_form(FIG2, 1.0).nu == 0.0
 
 
 def test_decoupled_kappa_nu():
-    ef = effective_frequencies(ModelParams(omega=400.0, lam=5.0, kappa=0.0), 0.3)
-    assert ef.f1 == 400.0
-    assert ef.f2 == 1.0
-    assert ef.nu == 4.0
+    params = ModelParams(omega=400.0, lam=5.0, kappa=0.0)
+    assert effective_frequencies(params, 0.3) == (400.0, 1.0)
+    assert equilibrium_closed_form(params, 0.3).nu == 4.0
 
 
 def test_xi1_shifts_f1():
-    ef = effective_frequencies(ModelParams(omega=400.0, lam=5.0, xi1=0.04), 0.5)
-    assert math.isclose(ef.f1, 400.02, rel_tol=0, abs_tol=1e-12)
+    f1, _ = effective_frequencies(ModelParams(omega=400.0, lam=5.0, xi1=0.04), 0.5)
+    assert math.isclose(f1, 400.02, rel_tol=0, abs_tol=1e-12)
 
 
 def test_nu_undefined_at_zero_coupling():
-    ef = effective_frequencies(ModelParams(omega=400.0, lam=0.0, kappa=-0.5), 0.5)
-    assert ef.nu is None
+    params = ModelParams(omega=400.0, lam=0.0, kappa=-0.5)
+    assert equilibrium_closed_form(params, 0.5).nu is None
 
 
 def test_nonpositive_f1_rejected():
@@ -82,7 +80,7 @@ def test_params_validation():
         ModelParams(omega=1.0, lam=1e-200)  # 4 lam^2 underflows to 0
     with pytest.raises(InvalidParameterError):
         ModelParams(omega=1.0, lam=1e154)  # 4 lam^2 overflows
-    assert effective_frequencies(ModelParams(omega=1.0, lam=1e-160), 0.0).nu == math.inf
+    assert equilibrium_closed_form(ModelParams(omega=1.0, lam=1e-160), 0.0).nu == math.inf
     for field in ("omega", "lam", "kappa", "omega0", "chi", "xi1", "xi2", "omega_q_prime"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidParameterError):
@@ -105,14 +103,13 @@ def test_frequencies_affine_in_delta():
             fm = effective_frequencies(params, (a + b) / 2.0)
         except NonPositiveF1Error:
             continue
-        assert math.isclose(fm.f1, (fa.f1 + fb.f1) / 2.0, rel_tol=1e-12, abs_tol=1e-12)
-        assert math.isclose(fm.f2, (fa.f2 + fb.f2) / 2.0, rel_tol=1e-12, abs_tol=1e-12)
+        for m, fa_i, fb_i in zip(fm, fa, fb):
+            assert math.isclose(m, (fa_i + fb_i) / 2.0, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_frequencies_constant_without_impurity_couplings():
     params = ModelParams(omega=123.4, lam=3.0, kappa=0.0, xi1=0.0)
-    values = {(effective_frequencies(params, d).f1, effective_frequencies(params, d).f2)
-              for d in np.linspace(-1.0, 1.0, 17)}
+    values = {effective_frequencies(params, d) for d in np.linspace(-1.0, 1.0, 17)}
     assert values == {(123.4, 1.0)}
 
 

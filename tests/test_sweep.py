@@ -49,7 +49,7 @@ from iddm import (
     write_phase_diagram_csv,
 )
 import iddm.sweep
-from iddm.sweep import PhaseDiagramRow, _error_tag, format_rows_csv, format_rows_jsonl
+from iddm.sweep import PhaseDiagramRow, _error_tag, format_rows_jsonl
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
@@ -187,16 +187,22 @@ def test_phase_flip_brackets_threshold():
     assert max(normal) + 0.1 + 1e-12 >= min(superradiant)
 
 
+def _csv_text(rows):
+    out = io.StringIO()
+    write_phase_diagram_csv(rows, out)
+    return out.getvalue()
+
+
 def test_csv_exact_row():
     spec = GridSpec(FIG2, delta_range=(0.0, 0.0, 1), lambda_range=(2.0, 2.0, 1))
-    text = format_rows_csv(run_grid(spec))
+    text = _csv_text(run_grid(spec))
     assert text == CSV_HEADER + "\n" + "0,2,0,0,0,-0.5,0,normal,\n"
 
 
 def test_csv_error_row():
     params = ModelParams(omega=400.0, lam=5.0, kappa=-2.0)
     spec = GridSpec(params, delta_range=(1.0, 1.0, 1), lambda_range=(0.0, 0.0, 1))
-    text = format_rows_csv(run_grid(spec))
+    text = _csv_text(run_grid(spec))
     assert text.splitlines()[1] == "1,0,nan,nan,nan,nan,nan,error,unbounded_phase"
 
 
@@ -262,7 +268,7 @@ _ROWS = st.lists(st.builds(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_ROWS)
 def test_csv_and_json_lines_round_trip(rows):
-    csv_text, jsonl_text = format_rows_csv(rows), format_rows_jsonl(rows)
+    csv_text, jsonl_text = _csv_text(rows), format_rows_jsonl(rows)
     assert csv_text == _csv_by_field(rows)
     assert jsonl_text == _jsonl_by_dict(rows)
 
