@@ -53,20 +53,6 @@ from .meanfield import (
     equilibrium_numeric,
     observables,
 )
-from .fluctuations import (
-    SpectrumResult,
-    excitation_spectrum,
-    normal_phase_spectrum,
-)
-from .measurement import (
-    CollapsedImpurity,
-    ProjectiveMeasurement,
-    Sign,
-    WernerState,
-    angle_for_target_delta,
-    measure,
-    unmeasured_population,
-)
 from .sweep import (
     CSV_HEADER,
     GridSpec,
@@ -78,16 +64,22 @@ from .sweep import (
 
 __version__ = "0.1.0"
 
-# The ED names resolve on first use (PEP 562): importing ed takes several
-# milliseconds, which a process that runs no ED need not pay.
-_ED_NAMES = frozenset({
-    "EDConfig", "EDResult", "FiniteSizeEntry", "FixedDelta", "FullQubit",
-    "build_hamiltonian", "finite_size_scan", "ground_state",
-})
+# The names of the modules that load numpy resolve on first use (PEP 562), so
+# that a process that runs only the closed form, the sweep or the CLI's
+# mean-field commands never imports numpy.
+_LAZY_NAMES = {
+    **dict.fromkeys(("SpectrumResult", "excitation_spectrum", "normal_phase_spectrum"),
+                    "fluctuations"),
+    **dict.fromkeys(("CollapsedImpurity", "ProjectiveMeasurement", "Sign", "WernerState",
+                     "angle_for_target_delta", "measure", "unmeasured_population"),
+                    "measurement"),
+    **dict.fromkeys(("EDConfig", "EDResult", "FiniteSizeEntry", "FixedDelta", "FullQubit",
+                     "build_hamiltonian", "finite_size_scan", "ground_state"), "ed"),
+}
 
 
 def __getattr__(name):
-    if name in _ED_NAMES:
-        from . import ed
-        return getattr(ed, name)
+    if name in _LAZY_NAMES:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

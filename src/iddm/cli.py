@@ -17,6 +17,7 @@ set (omega = 400, omega0 = 1, kappa = -0.5, lambda = 5).  A JSON config file
 config keys are rejected.  Exit codes: 0 success, 1 invalid input, 2 solver
 convergence failure.  Set IDDM_THREADS before launching to pin the linear
 algebra thread count (it is applied when the package is first imported).
+The critical, sweep and closed-form meanfield subcommands never import numpy.
 
 ed runs N = 100 without --n, doubles its photon cutoff until converged, solves
 to machine precision, and includes chi Jz^2/N whenever --chi is nonzero.
@@ -35,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import ConvergenceFailureError, IDDMError
-from .fluctuations import excitation_spectrum
 from .meanfield import (
     critical_delta,
     critical_lambda,
@@ -44,9 +44,11 @@ from .meanfield import (
     equilibrium_numeric,
     observables,
 )
-from .measurement import ProjectiveMeasurement, Sign, WernerState, angle_for_target_delta, measure
 from .model import ModelParams
 from .sweep import GridSpec, format_rows_jsonl, run_grid, write_phase_diagram_csv
+
+# fluctuations, measurement and ed load numpy; the subcommands that use them
+# import them.
 
 __all__ = ["main", "run"]
 
@@ -317,6 +319,8 @@ def _cmd_deriv(v: dict, provided: set) -> int:
 
 
 def _cmd_spectrum(v: dict, provided: set) -> int:
+    from .fluctuations import excitation_spectrum
+
     res = excitation_spectrum(_params(v), v["delta"])
     print(f"eps_minus = {_fmt(res.eps_minus)}")
     print(f"eps_plus = {_fmt(res.eps_plus)}")
@@ -325,7 +329,7 @@ def _cmd_spectrum(v: dict, provided: set) -> int:
 
 
 def _cmd_ed(v: dict, provided: set) -> int:
-    from . import ed as ed_mod  # here, so that only ED runs pay its import
+    from . import ed as ed_mod
 
     params = _params(v)
     n_list = v["n"]
@@ -358,6 +362,8 @@ def _cmd_ed(v: dict, provided: set) -> int:
 
 
 def _cmd_measure(v: dict, provided: set) -> int:
+    from .measurement import ProjectiveMeasurement, Sign, WernerState, angle_for_target_delta, measure
+
     z = v["z"]
     if v["target"] is not None:
         if v["theta"] is not None or v["sign"] is not None:

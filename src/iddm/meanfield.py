@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ChiUnsupportedError,
@@ -46,6 +45,9 @@ from .errors import (
     ZeroKappaError,
 )
 from .model import ModelParams, check_population, effective_frequencies
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Phase",
@@ -73,8 +75,7 @@ class Phase(Enum):
     CRITICAL = "critical"
 
 
-@dataclass(frozen=True)
-class MeanFieldSolution:
+class MeanFieldSolution(NamedTuple):
     """Equilibrium amplitudes at one (params, delta) point.
 
     alpha and beta are canonicalized to the nonnegative pair; the energy is
@@ -167,6 +168,8 @@ def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray
     Takes the same inputs as `energy` but needs |beta| < 1 strictly; K
     appears in denominators.
     """
+    import numpy as np
+
     grad, (h00, h02, h03, h22, h23, h33) = _derivatives(*_frequencies(params, delta), params.lam, a)
     hess = np.array([
         [h00, 0.0, h02, h03],
@@ -300,6 +303,8 @@ def equilibrium_numeric(
         raise InvalidParameterError("seed_count must be >= 1")
     if max_iterations < 0:
         raise InvalidParameterError(f"max_iterations must be >= 0, got {max_iterations}")
+
+    import numpy as np
 
     alpha_scale = 2.0 * lam / f1 if lam > 0 else 1.0 / f1
     rng = np.random.default_rng(_SEED)
@@ -437,6 +442,8 @@ def derivative_scan(
     h = (stop - start) / (count - 1)
     if abs(h - step) > 1e-9 * step:
         raise InvalidParameterError("(stop - start) must be an integer multiple of step")
+
+    import numpy as np
 
     grid = np.linspace(start, stop, count)
     e0 = np.empty(count)

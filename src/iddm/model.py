@@ -84,15 +84,20 @@ def check_population(delta: float) -> float:
 def effective_frequencies(params: ModelParams, delta: float) -> tuple[float, float]:
     """Return (f1, f2) at impurity population delta.
 
-    Raises InvalidParameterError outside [-1, 1] and NonPositiveF1Error when
-    omega + xi1*delta <= 0; every ground-state statement downstream assumes
-    a confining photon branch.
+    Raises InvalidParameterError outside [-1, 1] and when f1 or f2 overflows,
+    and NonPositiveF1Error when omega + xi1*delta <= 0; every ground-state
+    statement downstream assumes a confining photon branch.
     """
     delta = check_population(delta)
     f1 = params.omega + params.xi1 * delta
     if f1 <= 0:
         raise NonPositiveF1Error(f"f1 = omega + xi1*delta = {f1} must be > 0")
-    return f1, params.omega0 + params.kappa * (1.0 + delta)
+    if f1 == math.inf:
+        raise InvalidParameterError(f"f1 = omega + xi1*delta = {f1} overflows")
+    f2 = params.omega0 + params.kappa * (1.0 + delta)
+    if not math.isfinite(f2):
+        raise InvalidParameterError(f"f2 = omega0 + kappa*(1 + delta) = {f2} overflows")
+    return f1, f2
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, TextIO
 
-import numpy as np
-
 from .errors import (
     ChiUnsupportedError,
     IDDMError,
@@ -95,17 +93,30 @@ def _error_tag(exc: IDDMError) -> str:
     return "invalid_parameter"
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.linspace(lo, hi, count).tolist() bit for bit, without numpy."""
+    lo, hi = float(lo), float(hi)
+    span = hi - lo
+    if count == 1:
+        return [0.0 * span + lo]
+    div = count - 1
+    step = span / div
+    if step == 0:  # a subnormal span: scale i/div, as numpy does
+        return [i / div * span + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
 def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
     """Closed-form equilibrium on the full grid, delta outer, lambda inner."""
     columns = []  # one ModelParams per lambda; a refused lambda tags its whole column
-    for lam in np.linspace(*spec.lambda_range).tolist():
+    for lam in _linspace(*spec.lambda_range):
         try:
             columns.append((lam, replace(spec.params, lam=lam), ""))
         except IDDMError as exc:
             columns.append((lam, None, _error_tag(exc)))
     rows = []
     nan = math.nan
-    for delta in np.linspace(*spec.delta_range).tolist():
+    for delta in _linspace(*spec.delta_range):
         for lam, params, error in columns:
             if not error:
                 try:
@@ -128,7 +139,7 @@ def trace_critical_curve(
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
     lo, hi = delta_range
-    return [(float(d), critical_lambda(params, float(d))) for d in np.linspace(lo, hi, count)]
+    return [(d, critical_lambda(params, d)) for d in _linspace(lo, hi, count)]
 
 
 def _json_float(x: float, nan: str) -> str:

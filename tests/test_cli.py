@@ -25,18 +25,27 @@ Checked here:
     at N = 100 without --n and refuses N = 0; --full-qubit rejects --delta
   * measure solves --target and reports the collapsed state
   * non-finite sweep axis edges, and edges whose span overflows, exit 1
+  * an f1 or f2 that overflows to +-inf exits 1 naming the frequency, from
+    meanfield, critical, ed and spectrum, and tags its sweep row
+    invalid_parameter
   * the module entry point works end to end, and importing the package does
     not load scipy.optimize; neither the package import nor any subcommand,
     ed included, loads scipy at all, the ED names resolve on use, and no
     module of the package imports scipy
-  * every name in each module's __all__ resolves, and the package's lazy ED
-    names are exactly ed's exports
+  * numpy stays unloaded by `import iddm`, `import iddm.cli`, sweep (CSV and
+    JSON lines), the closed-form meanfield and critical; the modules they
+    load have no module-level numpy import; IDDM_THREADS=1 has set
+    OPENBLAS_NUM_THREADS when numpy is first imported
+  * every name in each module's __all__ resolves, the package's lazy ED
+    names are exactly ed's exports, and each lazy name (ED, fluctuations,
+    measurement) is its module's object
 """
 
 import ast
 import importlib
 import json
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -185,6 +194,33 @@ def test_overflowing_alpha_is_refused(capsys):
     code, out, _ = run_cli(capsys, "sweep", *model, "--lambda-count", "1", "--lambda-min", "1",
                            "--lambda-max", "1", "--delta-count", "1", "--delta-min", "0",
                            "--delta-max", "0", "--format", "json-lines")
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["phase"] == "error" and record["error"] == "invalid_parameter"
+
+
+_F1_OVERFLOW = ["--omega", "1e308", "--xi1", "1e308", "--delta", "1"]
+_F2_OVERFLOW = ["--omega0", "1e308", "--kappa", "1e308", "--delta", "1"]
+
+
+@pytest.mark.parametrize("argv, frequency", [
+    (["meanfield", *_F1_OVERFLOW, "--lambda", "1"], "f1"),
+    (["critical", *_F1_OVERFLOW], "f1"),
+    (["meanfield", *_F2_OVERFLOW, "--lambda", "1"], "f2"),
+    (["ed", *_F1_OVERFLOW, "--lambda", "1", "--n", "2"], "f1"),
+    (["spectrum", "--omega0", "1e308", "--kappa=-1e308", "--delta", "1", "--lambda", "1"], "f2"),
+], ids=["meanfield-f1", "critical-f1", "meanfield-f2", "ed-f1", "spectrum-f2"])
+def test_overflowing_frequency_exits_1(capsys, argv, frequency):
+    # f1 = omega + xi1*delta or f2 = omega0 + kappa*(1 + delta) overflows to +-inf
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {frequency} = ") and "overflows" in err
+
+
+def test_overflowing_frequency_tags_sweep_row(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--omega", "1e308", "--xi1", "1e308",
+                           "--delta-count", "1", "--delta-min", "1", "--lambda-count", "1",
+                           "--lambda-min", "1", "--lambda-max", "1", "--format", "json-lines")
     assert code == 0
     (record,) = [json.loads(line) for line in out.splitlines()]
     assert record["phase"] == "error" and record["error"] == "invalid_parameter"
@@ -582,6 +618,52 @@ def test_non_ed_runs_leave_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+_NO_NUMPY = """
+import contextlib, io, sys
+import iddm, iddm.cli
+assert "numpy" not in sys.modules, "import iddm, iddm.cli"
+for argv in [
+    ["sweep", "--delta-count", "3", "--lambda-count", "2"],
+    ["sweep", "--delta-count", "3", "--lambda-count", "2", "--format", "json-lines"],
+    ["meanfield", "--delta", "0.1"],
+    ["critical", "--delta", "0.1"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert iddm.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+"""
+
+
+def test_mean_field_commands_leave_numpy_unloaded():
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Records the thread setting the environment holds when numpy is first imported.
+_THREADS_AT_NUMPY_IMPORT = """
+import contextlib, io, os, sys
+class Probe:
+    seen = []
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+sys.meta_path.insert(0, Probe())
+from iddm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["spectrum", "--delta", "0.1"]) == 0
+assert "numpy" in sys.modules and Probe.seen == ["1"], Probe.seen
+"""
+
+
+def test_iddm_threads_is_set_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["IDDM_THREADS"] = "1"
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AT_NUMPY_IMPORT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_ed_names_resolve_on_use():
     code = ("import sys, iddm\n"
             "from iddm import FixedDelta, EDConfig\n"
@@ -589,7 +671,13 @@ def test_ed_names_resolve_on_use():
             "assert 'scipy' not in sys.modules\n"
             "assert iddm.ground_state is iddm.ed.ground_state and FixedDelta is iddm.ed.FixedDelta\n"
             "assert EDConfig is iddm.ed.EDConfig\n"
-            "assert not hasattr(iddm, 'no_such_name')\n")
+            "assert not hasattr(iddm, 'no_such_name')\n"
+            "import iddm.fluctuations, iddm.measurement\n"
+            "for module in (iddm.fluctuations, iddm.measurement):\n"
+            "    names = [n for n, m in iddm._LAZY_NAMES.items() if m == module.__name__[5:]]\n"
+            "    assert names and all(getattr(iddm, n) is getattr(module, n) for n in names)\n"
+            "assert iddm.excitation_spectrum is iddm.fluctuations.excitation_spectrum\n"
+            "assert iddm.Sign is iddm.measurement.Sign and iddm.measure is iddm.measurement.measure\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     proc = subprocess.run([sys.executable, "-m", "iddm", "ed", "--n", "2"],
@@ -624,10 +712,44 @@ def test_package_source_imports_no_scipy():
             assert not any(name.split(".")[0] == "scipy" for name in names), (path.name, names)
 
 
+# The modules that `import iddm` and the mean-field subcommands load.
+_NUMPY_FREE_MODULES = ("__init__.py", "errors.py", "model.py", "meanfield.py", "sweep.py", "cli.py")
+
+
+def _runs_on_import(body):
+    """The statements of body that run on import: not in a def, nor under `if TYPE_CHECKING`."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            yield from _runs_on_import(node.orelse)
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _runs_on_import(getattr(node, field, []))
+
+
+def test_mean_field_modules_import_no_numpy_at_module_level():
+    src = Path(iddm.__file__).parent
+    for filename in _NUMPY_FREE_MODULES:
+        path = src / filename
+        for node in _runs_on_import(ast.parse(path.read_text(), filename=str(path)).body):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "numpy" for name in names), (filename, names)
+
+
 def test_exported_names_resolve():
     for info in pkgutil.iter_modules(iddm.__path__):
         module = importlib.import_module(f"iddm.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], module.__name__
-    assert iddm._ED_NAMES == set(iddm.ed.__all__)
-    assert all(getattr(iddm, name) is getattr(iddm.ed, name) for name in iddm._ED_NAMES)
+    ed_names = {name for name, module in iddm._LAZY_NAMES.items() if module == "ed"}
+    assert ed_names == set(iddm.ed.__all__)
+    for name, module in iddm._LAZY_NAMES.items():
+        module = importlib.import_module(f"iddm.{module}")
+        assert name in module.__all__ and getattr(iddm, name) is getattr(module, name)

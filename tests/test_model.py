@@ -7,7 +7,7 @@ Checked here:
   * affinity of f1, f2 in delta; constancy when kappa = xi1 = 0
   * the microscopic reductions to (omega, omega0, lam, chi) and (xi1, xi2)
   * input validation (delta range, positivity, zero detunings, a lambda whose
-    4 lam^2 underflows to 0 or overflows)
+    4 lam^2 underflows to 0 or overflows, an f1 or f2 that overflows)
 """
 
 import math
@@ -61,6 +61,19 @@ def test_nonpositive_f1_rejected():
     params = ModelParams(omega=1.0, lam=5.0, xi1=-2.0)
     with pytest.raises(NonPositiveF1Error):
         effective_frequencies(params, 1.0)
+
+
+@pytest.mark.parametrize("params, delta, frequency", [
+    (ModelParams(omega=1e308, lam=1.0, xi1=1e308), 1.0, "f1"),
+    (ModelParams(omega=1e308, lam=1.0, xi1=-1e308), -1.0, "f1"),
+    (ModelParams(omega=1.0, lam=1.0, omega0=1e308, kappa=1e308), 1.0, "f2"),
+    (ModelParams(omega=1.0, lam=1.0, kappa=-1e308), 1.0, "f2"),
+], ids=["f1-inf", "f1-inf-negative-xi1", "f2-inf", "f2-minus-inf"])
+def test_overflowing_frequency_rejected(params, delta, frequency):
+    # a plain InvalidParameterError, so that a sweep tags the row invalid_parameter
+    with pytest.raises(InvalidParameterError, match=f"^{frequency} = .* overflows$") as caught:
+        effective_frequencies(params, delta)
+    assert type(caught.value) is InvalidParameterError
 
 
 def test_population_range_enforced():

@@ -14,6 +14,10 @@ Checked here:
     form per point) row for row and bit for bit, on grids that hit every
     error tag
   * grid validation errors, non-finite axis edges included
+  * hypothesis: the axes' _linspace equals np.linspace(...).tolist() bit
+    for bit (any two nans equal) at 1, 2 and more points, on equal edges,
+    +-0, subnormal spans whose step rounds to 0, spans near the float
+    maximum and non-finite edges
   * run_grid calls the closed form through the sweep module's own binding
     exactly once per grid point, error rows included, and every row carries
     .error (the benchmark's span tracer counts on both)
@@ -49,7 +53,7 @@ from iddm import (
     write_phase_diagram_csv,
 )
 import iddm.sweep
-from iddm.sweep import PhaseDiagramRow, _error_tag, format_rows_jsonl
+from iddm.sweep import PhaseDiagramRow, _error_tag, _linspace, format_rows_jsonl
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
@@ -234,6 +238,43 @@ def test_grid_validation():
             GridSpec(FIG2, delta_range=(bad, 1.0, 3))
         with pytest.raises(InvalidParameterError, match="must be finite"):
             GridSpec(FIG2, lambda_range=(0.0, bad, 3))
+
+
+_HALF_MAX = 8.988465674311579e307  # a span from -_HALF_MAX to _HALF_MAX is the largest finite one
+_EDGES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, -5e-324, 2.2e-308, _HALF_MAX, -_HALF_MAX,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+_SUBNORMAL_EDGES = st.integers(-40, 40).map(lambda k: k * 5e-324)
+
+
+@st.composite
+def _linspace_args(draw):
+    count = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(1, 400)))
+    kind = draw(st.sampled_from(["any", "equal", "subnormal"]))
+    edges = _SUBNORMAL_EDGES if kind == "subnormal" else _EDGES
+    lo = draw(edges)
+    return lo, lo if kind == "equal" else draw(edges), count
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_linspace_args())
+def test_linspace_matches_numpy_bit_for_bit(args):
+    with np.errstate(all="ignore"):  # inf - inf and friends
+        expected = np.linspace(*args).tolist()
+    got = _linspace(*args)
+    assert all(type(x) is float for x in got)
+    # float.hex is exact, keeps the sign of zero and reads "nan" for every nan
+    assert [x.hex() for x in got] == [x.hex() for x in expected], args
+
+
+def test_linspace_covers_the_subnormal_branch():
+    # step = 1e-322 / 99 rounds to 0, so numpy scales i/div by the span instead
+    assert (1e-322 - 0.0) / 99 == 0.0
+    assert _linspace(0.0, 1e-322, 100) == np.linspace(0.0, 1e-322, 100).tolist()
+    assert len(set(_linspace(0.0, 1e-322, 100))) == 21
 
 
 def _csv_by_field(rows):
