@@ -17,8 +17,8 @@ set (omega = 400, omega0 = 1, kappa = -0.5, lambda = 5).  A JSON config file
 config keys are rejected.  Exit codes: 0 success, 1 invalid input, 2 solver
 convergence failure.  Set IDDM_THREADS before launching to pin the linear
 algebra thread count (it is applied when the package is first imported).
-The critical, sweep and closed-form meanfield subcommands never import numpy;
-deriv, spectrum, measure, meanfield --numeric and ed load it when they run.
+The critical, sweep, deriv and closed-form meanfield subcommands never import
+numpy; spectrum, measure, meanfield --numeric and ed load it when they run.
 
 ed runs N = 100 without --n, doubles its photon cutoff until converged, solves
 to machine precision, and includes chi Jz^2/N whenever --chi is nonzero.

@@ -180,10 +180,18 @@ def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray
     return np.array(grad), hess
 
 
-def _classify(nu: float) -> Phase:
+# The closed form runs once per grid point: module globals and tuple.__new__
+# skip the Enum attribute lookups and the NamedTuple's Python-level __new__.
+_NORMAL, _SUPERRADIANT, _CRITICAL = Phase.NORMAL, Phase.SUPERRADIANT, Phase.CRITICAL
+_new_tuple = tuple.__new__
+
+
+def _classify(nu: float | None) -> Phase:
+    if nu is None:
+        return _NORMAL
     if abs(nu - 1.0) <= CRITICAL_NU_TOL:
-        return Phase.CRITICAL
-    return Phase.NORMAL if nu > 1.0 else Phase.SUPERRADIANT
+        return _CRITICAL
+    return _NORMAL if nu > 1.0 else _SUPERRADIANT
 
 
 def equilibrium_closed_form(params: ModelParams, delta: float) -> MeanFieldSolution:
@@ -196,18 +204,16 @@ def equilibrium_closed_form(params: ModelParams, delta: float) -> MeanFieldSolut
     f1, f2 = _frequencies(params, delta)
     lam = params.lam
     nu = _nu(f1, f2, lam)
-    if nu is None:
-        return MeanFieldSolution(0.0, 0.0, 0.0, None, Phase.NORMAL)
     phase = _classify(nu)
-    if phase is not Phase.SUPERRADIANT:
-        return MeanFieldSolution(0.0, 0.0, 0.0, nu, phase)
+    if phase is not _SUPERRADIANT:
+        return _new_tuple(MeanFieldSolution, (0.0, 0.0, 0.0, nu, phase))
     beta = math.sqrt((1.0 - nu) / 2.0)
     k = math.sqrt((1.0 + nu) / 2.0)
     alpha = 2.0 * lam * k * beta / f1
     if alpha * alpha == math.inf:
         raise InvalidParameterError(f"alpha = {alpha} at f1 = {f1}: alpha^2 overflows")
     e0 = _energy(f1, f2, lam, (alpha, 0.0, beta, 0.0))
-    return MeanFieldSolution(alpha, beta, e0, nu, Phase.SUPERRADIANT)
+    return _new_tuple(MeanFieldSolution, (alpha, beta, e0, nu, _SUPERRADIANT))
 
 
 # Keep the numeric minimizer's beta strictly inside the sphere; the gradient
@@ -326,7 +332,7 @@ def equilibrium_numeric(
         alpha, beta = -alpha, -beta
     alpha = abs(alpha)
     e0 = _energy(f1, f2, lam, (alpha, 0.0, beta, 0.0))
-    phase = Phase.NORMAL if nu is None else _classify(nu)
+    phase = _classify(nu)
     return MeanFieldSolution(alpha, beta, e0, nu, phase)
 
 
@@ -382,6 +388,19 @@ def observables(solution: MeanFieldSolution) -> tuple[float, float]:
     return solution.beta2 - 0.5, solution.alpha2
 
 
+def _linspace(lo: float, hi: float, count: int) -> list[float]:
+    """np.linspace(lo, hi, count).tolist() bit for bit, without numpy."""
+    lo, hi = float(lo), float(hi)
+    span = hi - lo
+    if count == 1:
+        return [0.0 * span + lo]
+    div = count - 1
+    step = span / div
+    if step == 0:  # a subnormal span: scale i/div, as numpy does
+        return [i / div * span + lo for i in range(div)] + [hi]
+    return [i * step + lo for i in range(div)] + [hi]
+
+
 @dataclass(frozen=True)
 class DerivativeScan:
     """Ground-state energy on a uniform grid with central first and second differences.
@@ -393,10 +412,10 @@ class DerivativeScan:
     """
 
     parameter_name: str
-    grid: np.ndarray
-    e0_values: np.ndarray
-    d1_values: np.ndarray
-    d2_values: np.ndarray
+    grid: list[float]
+    e0_values: list[float]
+    d1_values: list[float]
+    d2_values: list[float]
     step: float
     jump_index: int
     jump_location: float
@@ -442,28 +461,28 @@ def derivative_scan(
     h = (stop - start) / (count - 1)
     if abs(h - step) > 1e-9 * step:
         raise InvalidParameterError("(stop - start) must be an integer multiple of step")
+    if h * h == 0:
+        raise InvalidParameterError(f"step = {h}: step^2 underflows to 0")
 
-    import numpy as np
-
-    grid = np.linspace(start, stop, count)
-    e0 = np.empty(count)
+    grid = _linspace(start, stop, count)
+    e0 = []
     for i, v in enumerate(grid):
         try:
             if parameter_name == "delta":
-                sol = equilibrium_closed_form(params, float(v))
+                sol = equilibrium_closed_form(params, v)
             else:
-                sol = equilibrium_closed_form(replace(params, lam=float(v)), delta)
+                sol = equilibrium_closed_form(replace(params, lam=v), delta)
         except IDDMError as exc:
             raise type(exc)(f"{parameter_name} = {v} (grid index {i}): {exc}") from exc
-        e0[i] = sol.e0
-
-    d1 = (e0[2:] - e0[:-2]) / (2.0 * h)
-    d2 = (e0[2:] - 2.0 * e0[1:-1] + e0[:-2]) / (h * h)
-    steps = np.abs(np.diff(d2))
-    j = int(np.argmax(steps)) if steps.size else 0
+        e0.append(sol.e0)
+    d1 = [(e0[i + 2] - e0[i]) / (2.0 * h) for i in range(count - 2)]
+    d2 = [(e0[i + 2] - 2.0 * e0[i + 1] + e0[i]) / (h * h) for i in range(count - 2)]
+    if not all(map(math.isfinite, d1 + d2)):
+        raise InvalidParameterError(f"differences of E0 are not finite at step = {h}")
+    steps = [abs(b - a) for a, b in zip(d2, d2[1:])]
+    j = max(range(len(steps)), key=steps.__getitem__, default=0)  # the first maximum, as np.argmax
     interior = grid[1:-1]
-    location = 0.5 * (interior[j] + interior[j + 1]) if steps.size else float(interior[0])
-    size = float(steps[j]) if steps.size else 0.0
+    location = 0.5 * (interior[j] + interior[j + 1]) if steps else interior[0]
     return DerivativeScan(
         parameter_name=parameter_name,
         grid=grid,
@@ -472,6 +491,6 @@ def derivative_scan(
         d2_values=d2,
         step=h,
         jump_index=j,
-        jump_location=float(location),
-        jump_size=size,
+        jump_location=location,
+        jump_size=steps[j] if steps else 0.0,
     )

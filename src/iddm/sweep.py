@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     NonPositiveF1Error,
     UnboundedPhaseError,
 )
-from .meanfield import critical_lambda, equilibrium_closed_form, observables
+from .meanfield import _SUPERRADIANT, _linspace, _new_tuple, critical_lambda, equilibrium_closed_form
 from .model import ModelParams
 
 __all__ = [
@@ -40,8 +41,12 @@ __all__ = [
 
 CSV_HEADER = "delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error"
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
+_CSV_CHUNK = 2048  # rows per write: the document is never held as one string
 _JSON_ROW = ('{"delta": %s, "lambda": %s, "alpha2": %s, "beta2": %s, "e0": %s, '
              '"jz_over_n": %s, "i_over_n": %s, "phase": %s, "error": %s}\n')
+
+# alpha2, beta2, e0, jz_over_n, i_over_n at alpha = beta = 0: every normal and critical row
+_ORIGIN_COLUMNS = (0.0, 0.0, 0.0, -0.5, 0.0)
 
 _ERROR_TAGS = {
     UnboundedPhaseError: "unbounded_phase",
@@ -93,19 +98,6 @@ def _error_tag(exc: IDDMError) -> str:
     return "invalid_parameter"
 
 
-def _linspace(lo: float, hi: float, count: int) -> list[float]:
-    """np.linspace(lo, hi, count).tolist() bit for bit, without numpy."""
-    lo, hi = float(lo), float(hi)
-    span = hi - lo
-    if count == 1:
-        return [0.0 * span + lo]
-    div = count - 1
-    step = span / div
-    if step == 0:  # a subnormal span: scale i/div, as numpy does
-        return [i / div * span + lo for i in range(div)] + [hi]
-    return [i * step + lo for i in range(div)] + [hi]
-
-
 def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
     """Closed-form equilibrium on the full grid, delta outer, lambda inner."""
     columns = []  # one ModelParams per lambda; a refused lambda tags its whole column
@@ -120,15 +112,17 @@ def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
         for lam, params, error in columns:
             if not error:
                 try:
-                    sol = equilibrium_closed_form(params, delta)
+                    alpha, beta, e0, _, phase = equilibrium_closed_form(params, delta)
                 except IDDMError as exc:
                     error = _error_tag(exc)
             if error:
                 rows.append(PhaseDiagramRow(delta, lam, nan, nan, nan, nan, nan, "error", error))
-                continue
-            jz, photons = observables(sol)
-            rows.append(PhaseDiagramRow(delta, lam, sol.alpha2, sol.beta2, sol.e0, jz, photons,
-                                        sol.phase.value))
+            elif phase is _SUPERRADIANT:
+                alpha2, beta2 = alpha**2, beta**2
+                rows.append(_new_tuple(PhaseDiagramRow, (delta, lam, alpha2, beta2, e0, beta2 - 0.5, alpha2,
+                                                         "superradiant", "")))
+            else:  # _value_ skips the Enum's `value` property
+                rows.append(_new_tuple(PhaseDiagramRow, (delta, lam, *_ORIGIN_COLUMNS, phase._value_, "")))
     return rows
 
 
@@ -162,5 +156,8 @@ def format_rows_jsonl(rows: Iterable[PhaseDiagramRow]) -> str:
 
 
 def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
-    """Write the CSV contract described in the module docstring."""
-    stream.write(CSV_HEADER + "\n" + "".join([_CSV_ROW % r for r in rows]))
+    """Write the CSV contract described in the module docstring, _CSV_CHUNK rows per write."""
+    stream.write(CSV_HEADER + "\n")
+    rows = iter(rows)
+    while chunk := [_CSV_ROW % r for r in islice(rows, _CSV_CHUNK)]:
+        stream.write("".join(chunk))

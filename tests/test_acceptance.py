@@ -105,9 +105,9 @@ def test_criterion_02_second_order_signature(report):
             d1_jump = float(np.max(np.abs(np.diff(scan.d1_values))))
             if d1_jump > 1e-2:
                 failures.append(f"first derivative jumps by {d1_jump:.3e} > 1e-2")
-            inner = scan.grid[1:-1]
-            below = scan.d2_values[inner < 0.5 - 1.5e-3]
-            above = scan.d2_values[inner > 0.5 + 1.5e-3]
+            inner, d2 = np.asarray(scan.grid[1:-1]), np.asarray(scan.d2_values)
+            below = d2[inner < 0.5 - 1.5e-3]
+            above = d2[inner > 0.5 + 1.5e-3]
             if float(np.max(np.abs(below))) > 1e-2:
                 failures.append("second derivative is not 0 +- 1e-2 below the transition")
             if float(np.max(np.abs(above + 0.5))) > 1e-2:

@@ -17,8 +17,9 @@ Checked here:
   * the retired settings (n_atoms, include_chi, convergence_factor,
     solver_tol) exit 1 as flags and as config keys
   * deriv emits the documented CSV with empty edge cells and shows the
-    curvature jump at the transition; a non-finite scan edge or step, or a
-    (stop - start)/step that overflows, exits 1 with an error on stderr
+    curvature jump at the transition; a non-finite scan edge or step, a
+    (stop - start)/step that overflows, a step whose square underflows to 0
+    and a grid whose differences of E0 overflow exit 1 with an error on stderr
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
     byte-identical
   * ed emits one JSON record per atom number with parity exactly +-1, runs
@@ -33,7 +34,8 @@ Checked here:
     ed included, loads scipy at all, the ED names resolve on use, and no
     module of the package imports scipy
   * numpy stays unloaded by `import iddm`, `import iddm.cli`, sweep (CSV and
-    JSON lines), the closed-form meanfield and critical; the modules they
+    JSON lines), the closed-form meanfield, critical and deriv (lambda and
+    delta scans); the modules they
     load have no module-level numpy import; IDDM_THREADS=1 has set
     OPENBLAS_NUM_THREADS when numpy is first imported
   * every name in each module's __all__ resolves, the package's lazy ED
@@ -426,11 +428,19 @@ def test_deriv_delta_scan_rejects_fixed_delta(capsys):
     (["--from", "0", "--to", "1", "--step", "nan"], "step must be finite"),
     (["--from", "0", "--to", "1e300", "--step", "1e-300"], "overflows"),
     (["--from=-1e308", "--to", "1e308", "--step", "1"], "overflows"),
+    # h*h = 1e-324 rounds to 0
+    (["--wrt", "delta", "--from", "0", "--to", "1e-160", "--step", "1e-162", "--lambda", "9"],
+     "step^2 underflows to 0"),
+    # the second difference at the kink next to delta = -1 overflows to -inf
+    (["--wrt", "delta", "--from=-1", "--to=-0.9999999999999858", "--step", "8.881784197001252e-16",
+      "--kappa", "1e300", "--lambda", "1e143"], "differences of E0 are not finite"),
 ], ids=["stop-inf", "start-minus-inf", "start-nan", "stop-nan", "step-inf", "step-nan",
-        "count-overflow", "span-overflow"])
+        "count-overflow", "span-overflow", "step-squared-underflow", "d2-overflow"])
 def test_deriv_non_finite_or_overflowing_grid_exits_1(capsys, grid, message):
-    # --flag=value, so that argparse does not read -inf as an option
-    code, out, err = run_cli(capsys, "deriv", "--wrt", "lambda", "--delta", "0", *grid)
+    # --flag=value, so that argparse does not read -inf as an option; a grid
+    # without --wrt scans lambda at delta = 0
+    scan = [] if "--wrt" in grid else ["--wrt", "lambda", "--delta", "0"]
+    code, out, err = run_cli(capsys, "deriv", *scan, *grid)
     assert code == 1 and out == "" and "error:" in err and message in err
 
 
@@ -627,6 +637,8 @@ for argv in [
     ["sweep", "--delta-count", "3", "--lambda-count", "2", "--format", "json-lines"],
     ["meanfield", "--delta", "0.1"],
     ["critical", "--delta", "0.1"],
+    ["deriv", "--wrt", "lambda", "--from", "6", "--to", "8", "--step", "0.01", "--delta", "0"],
+    ["deriv", "--wrt", "delta", "--from", "0", "--to", "1", "--step", "0.01"],
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv

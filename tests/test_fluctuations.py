@@ -8,6 +8,9 @@ Checked here:
     formula; both modes are positive above and below the transition
   * the closed formula's eps_- is within 1e-14 relative of a 60-digit
     reference where f1 >> f2, where (a - r)/2 would cancel
+  * superradiant spectra from the Hessian route match the cancellation-free
+    closed form (Emary & Brandes with f2 -> f2/nu) on random draws with
+    |1 - nu| >= 1e-3: eps_- within 1e-12 of itself, eps_+ within 1e-13
   * the soft mode closes at the phase boundary and reopens on both sides
   * the Hessian is positive semidefinite at every admissible equilibrium
   * spectra are continuous across the boundary
@@ -22,6 +25,7 @@ import pytest
 
 from iddm import (
     DomainError,
+    IDDMError,
     ModelParams,
     Phase,
     critical_lambda,
@@ -112,6 +116,36 @@ def test_normal_phase_soft_mode_matches_high_precision_reference(omega, lam, del
         reference = mpmath.sqrt((a - r) / 2)
         eps_minus, _ = normal_phase_spectrum(params, delta)
         assert abs(eps_minus - reference) <= 1e-14 * reference
+
+
+def test_superradiant_spectrum_matches_closed_formula():
+    # Emary & Brandes (PRE 67, 066203, 2003) with f2 -> f2/nu, eps_-^2 written
+    # without the cancellation of (a - r)/2; eps_- is compared relative to
+    # itself, so an error of the size of u*eps_+ would show
+    rng = np.random.default_rng(53)
+    done = 0
+    while done < 300:
+        params = ModelParams(
+            omega=rng.uniform(1.0, 500.0),
+            lam=rng.uniform(0.0, 30.0),
+            kappa=rng.uniform(-2.0, 2.0),
+        )
+        delta = rng.uniform(-1.0, 1.0)
+        try:
+            sol = equilibrium_closed_form(params, delta)
+        except IDDMError:
+            continue
+        nu = sol.nu
+        if sol.phase is not Phase.SUPERRADIANT or abs(1.0 - nu) < 1e-3:
+            continue
+        done += 1
+        f1, f2 = effective_frequencies(params, delta)
+        a = f1**2 + (f2 / nu) ** 2
+        r = math.sqrt((f1**2 - (f2 / nu) ** 2) ** 2 + 4.0 * f1**2 * f2**2)
+        eps_minus = math.sqrt(2.0 * f1**2 * f2**2 * (1.0 - nu**2) / (nu**2 * (a + r)))
+        res = excitation_spectrum(params, delta)
+        assert abs(res.eps_minus - eps_minus) <= 1e-12 * eps_minus
+        assert abs(res.eps_plus - math.sqrt((a + r) / 2.0)) <= 1e-13 * res.eps_plus
 
 
 def test_soft_mode_closes_and_reopens():

@@ -19,7 +19,10 @@ Checked here:
     general xi1 != 0 root, and the standard-Dicke reduction
   * branch continuity across the phase boundary
   * for kappa < 0 (xi1 = 0) raising delta never restores the normal phase
-  * second-difference scans: flat for kappa = 0, kink at the transition
+  * second-difference scans: flat for kappa = 0, kink at the transition;
+    as a property over delta and lambda scans that cross the transition or
+    stay flat in the normal phase, bit for bit the scan written with numpy
+    (np.linspace, slice differences, np.argmax: the first of tied steps)
   * refusal behavior: nu <= -1, chi != 0, |beta| out of range, zero budget,
     a lone origin start in the superradiant phase (a saddle), a negative
     budget, and a superradiant alpha whose square overflows
@@ -29,7 +32,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from iddm import (
@@ -454,9 +457,9 @@ def test_observables_values():
 def test_scan_flat_for_zero_kappa():
     params = ModelParams(omega=400.0, lam=5.0, kappa=0.0)
     scan = derivative_scan(params, "delta", 0.0, 1.0, 0.01)
-    assert np.all(scan.e0_values == 0.0)
-    assert np.all(scan.d1_values == 0.0)
-    assert np.all(scan.d2_values == 0.0)
+    assert np.all(np.asarray(scan.e0_values) == 0.0)
+    assert np.all(np.asarray(scan.d1_values) == 0.0)
+    assert np.all(np.asarray(scan.d2_values) == 0.0)
 
 
 def test_scan_lambda_kink_at_threshold():
@@ -481,3 +484,68 @@ def test_scan_error_names_grid_point():
     params = ModelParams(omega=400.0, lam=5.0, kappa=-2.0)
     with pytest.raises(UnboundedPhaseError, match="grid index"):
         derivative_scan(params, "delta", 0.0, 1.0, 0.1)
+
+
+def _numpy_scan(params, parameter_name, start, stop, step, delta):
+    """derivative_scan as it was first written: np.linspace, slice arithmetic, np.argmax."""
+    count = int(round((stop - start) / step)) + 1
+    h = (stop - start) / (count - 1)
+    grid = np.linspace(start, stop, count)
+    e0 = np.array([
+        equilibrium_closed_form(params, float(v)).e0 if parameter_name == "delta"
+        else equilibrium_closed_form(replace(params, lam=float(v)), delta).e0
+        for v in grid
+    ])
+    d1 = (e0[2:] - e0[:-2]) / (2.0 * h)
+    d2 = (e0[2:] - 2.0 * e0[1:-1] + e0[:-2]) / (h * h)
+    steps = np.abs(np.diff(d2))
+    j = int(np.argmax(steps)) if steps.size else 0
+    interior = grid[1:-1]
+    location = 0.5 * (interior[j] + interior[j + 1]) if steps.size else interior[0]
+    size = steps[j] if steps.size else 0.0
+    return grid, e0, d1, d2, h, j, location, size
+
+
+@st.composite
+def _scans(draw):
+    """A delta or lambda scan that crosses the transition, or stays flat on its normal side."""
+    wrt = draw(st.sampled_from(["delta", "lambda"]))
+    crosses = draw(st.booleans())
+    n = draw(st.one_of(st.just(2), st.integers(2, 300)))  # intervals; n = 2: one d2 value, no step
+    omega, kappa = draw(st.floats(1.0, 500.0)), draw(st.floats(-0.5, -0.05))
+    delta_c = draw(st.floats(-0.8, 0.8))
+    # lambda puts the transition of a delta scan at delta_c; f2 >= 0.05 for these kappa and deltas
+    lam = critical_lambda(ModelParams(omega=omega, lam=1.0, kappa=kappa), delta_c)
+    params = ModelParams(omega=omega, lam=lam, kappa=kappa)
+    if wrt == "delta":
+        transition, lo, hi, delta = critical_delta(params), -1.0, 1.0, None
+    else:
+        delta = draw(st.floats(-0.9, 0.9))
+        transition, lo, hi = critical_lambda(params, delta), 0.0, math.inf
+    if crosses:  # lo <= start < transition < stop <= hi
+        step = draw(st.floats(1e-5, 0.05)) * min(transition - lo, hi - transition)
+        start = transition - draw(st.floats(0.01, 0.99)) * n * step
+        assume(start >= lo and start + n * step <= hi)
+    else:  # normal phase on the whole grid: E0 = 0, every d2 step ties at 0
+        start = lo + draw(st.floats(0.0, 0.5)) * (transition - lo)
+        step = (0.99 * transition + 0.01 * lo - start) / n
+    return params, wrt, start, start + n * step, step, delta
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scans())
+def test_scan_matches_numpy_reference_bit_for_bit(scan_args):
+    params, wrt, start, stop, step, delta = scan_args
+    try:
+        scan = derivative_scan(params, wrt, start, stop, step, delta=delta)
+    except InvalidParameterError:  # a span that rounds off the step's multiple
+        reject()
+    grid, e0, d1, d2, h, j, location, size = _numpy_scan(params, wrt, start, stop, step, delta)
+    for got, expected in [(scan.grid, grid), (scan.e0_values, e0), (scan.d1_values, d1),
+                          (scan.d2_values, d2)]:
+        assert type(got) is list and all(type(x) is float for x in got)
+        assert [x.hex() for x in got] == [x.hex() for x in expected.tolist()]
+    assert (scan.jump_index, scan.step.hex(), scan.jump_location.hex(), scan.jump_size.hex()) == \
+        (j, h.hex(), float(location).hex(), float(size).hex())
+    if not e0.any():  # flat: every step ties and the first one wins
+        assert scan.jump_index == 0

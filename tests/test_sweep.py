@@ -10,6 +10,10 @@ Checked here:
   * along a lambda scan the phase flip brackets critical_lambda
   * CSV: exact header, exact formatting of a known row, LF endings, and
     byte-identical output across repeated runs
+  * the CSV writer: a one-pass generator and a list of 0, 1, chunk - 1,
+    chunk, chunk + 1 and 3 chunk rows give the same bytes (the header alone
+    for 0 rows), and on the default grid the header goes out alone and no
+    write holds more than one chunk of rows
   * run_grid equals a per-point reference (one ModelParams and one closed
     form per point) row for row and bit for bit, on grids that hit every
     error tag
@@ -222,6 +226,44 @@ def test_csv_byte_identical_reruns():
     assert a.startswith(CSV_HEADER + "\n")
     assert a.endswith("\n")
     assert len(a.splitlines()) == 1 + 11 * 13
+
+
+_CHUNK = iddm.sweep._CSV_CHUNK
+
+
+@pytest.fixture(scope="module")
+def default_rows():
+    rows = run_grid(GridSpec(FIG2))  # 201 x 121
+    assert len(rows) >= 3 * _CHUNK
+    return rows
+
+
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+def test_csv_from_a_generator_equals_csv_from_a_list(default_rows, count):
+    rows = default_rows[:count]
+    text = _csv_text(rows)
+    assert _csv_text(r for r in rows) == text == _csv_by_field(rows)
+    assert len(text.splitlines()) == 1 + count  # 0 rows: the header alone
+
+
+class _WriteLog:
+    """A text stream that records the length and the row count of each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append((len(text), text.count("\n")))
+        return len(text)
+
+
+def test_csv_writes_at_most_one_chunk_of_rows_at_a_time(default_rows):
+    log = _WriteLog()
+    write_phase_diagram_csv(default_rows, log)
+    assert sum(length for length, _ in log.writes) == len(_csv_by_field(default_rows))
+    assert log.writes[0] == (len(CSV_HEADER) + 1, 1)
+    assert sum(lines for _, lines in log.writes[1:]) == len(default_rows)
+    assert all(0 < lines <= _CHUNK for _, lines in log.writes[1:])
 
 
 def test_grid_validation():
