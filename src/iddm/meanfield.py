@@ -407,8 +407,8 @@ class DerivativeScan:
 
     d1_values and d2_values live on grid[1:-1] (both stencils need both
     neighbours).  jump_index points into d2_values at the left element of the
-    largest consecutive step; jump_location is the midpoint of the two grid
-    points carrying that step.
+    largest consecutive step (the first one, on ties); jump_location is the
+    midpoint of the two grid points carrying that step.
     """
 
     parameter_name: str
@@ -435,7 +435,8 @@ def derivative_scan(
 
     A kink in E0 shows up as a step in the second difference; the scan
     reports where the largest step sits.  Equilibrium failures at a grid
-    point are re-raised with the offending point named.
+    point are re-raised with the offending point named; a step whose square
+    underflows to 0, or differences that are not finite, are refused.
     """
     if parameter_name not in ("delta", "lambda"):
         raise InvalidParameterError(f"parameter_name must be 'delta' or 'lambda', got {parameter_name!r}")
