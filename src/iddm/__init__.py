@@ -60,6 +60,7 @@ from .sweep import (
     run_grid,
     trace_critical_curve,
     write_phase_diagram_csv,
+    write_phase_diagram_jsonl,
 )
 
 __version__ = "0.1.0"

@@ -33,8 +33,9 @@ import argparse
 import contextlib
 import json
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import replace
+from itertools import chain
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConvergenceFailureError, IDDMError
 from .meanfield import (
@@ -46,7 +47,7 @@ from .meanfield import (
     observables,
 )
 from .model import ModelParams
-from .sweep import GridSpec, format_rows_jsonl, run_grid, write_phase_diagram_csv
+from .sweep import GridSpec, _write_chunks, run_grid, write_phase_diagram_csv, write_phase_diagram_jsonl
 
 __all__ = ["main", "run"]
 
@@ -60,14 +61,13 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
-@dataclass(frozen=True)
-class _Opt:
+class _Opt(NamedTuple):
     flag: str
     dest: str
     conv: Callable | None = None
     default: object = None
     help: str = ""
-    action: str = "value"  # value | flag | append_int
+    action: str = "store"  # an argparse action: store, store_const (a flag) or append
     choices: tuple | None = None
     required: bool = False
 
@@ -87,103 +87,46 @@ _MODEL_OPTS = [
     _Opt("--omega-q-prime", "omega_q_prime", float, 0.0, "shifted impurity splitting"),
 ]
 
-_COMMAND_OPTS = {
-    "critical": [
-        _Opt("--delta", "delta", float, None, "solve for lambda_c at this population"),
-    ],
-    "meanfield": [
-        _Opt("--delta", "delta", float, None, "impurity population", required=True),
-        _Opt("--numeric", "numeric", None, False, "use the multistart minimizer", action="flag"),
-        _Opt("--seeds", "seeds", int, 8, "number of minimizer starts"),
-        _Opt("--solver-maxiter", "solver_maxiter", int, 500, "iteration budget per start"),
-    ],
-    "sweep": [
-        _Opt("--delta-min", "delta_min", float, -1.0, "lower edge of the delta axis"),
-        _Opt("--delta-max", "delta_max", float, 1.0, "upper edge of the delta axis"),
-        _Opt("--delta-count", "delta_count", int, 201, "points on the delta axis"),
-        _Opt("--lambda-min", "lambda_min", float, 0.0, "lower edge of the lambda axis"),
-        _Opt("--lambda-max", "lambda_max", float, 12.0, "upper edge of the lambda axis"),
-        _Opt("--lambda-count", "lambda_count", int, 121, "points on the lambda axis"),
-        _Opt("--format", "format", str, "csv", "output format", choices=("csv", "json-lines")),
-        _Opt("--output", "output", str, "-", "output path, - for stdout"),
-    ],
-    "deriv": [
-        _Opt("--wrt", "wrt", str, None, "scan parameter", choices=("delta", "lambda"), required=True),
-        _Opt("--from", "start", float, None, "scan start", required=True),
-        _Opt("--to", "stop", float, None, "scan end", required=True),
-        _Opt("--step", "step", float, None, "grid step", required=True),
-        _Opt("--delta", "delta", float, None, "fixed population for lambda scans"),
-        _Opt("--output", "output", str, "-", "output path, - for stdout"),
-    ],
-    "spectrum": [
-        _Opt("--delta", "delta", float, None, "impurity population", required=True),
-    ],
-    "ed": [
-        _Opt("--n", "n", None, (100,), "atom number, repeatable", action="append_int"),
-        _Opt("--delta", "delta", float, 0.0, "frozen impurity population"),
-        _Opt("--full-qubit", "full_qubit", None, False, "keep the impurity dynamical", action="flag"),
-        _Opt("--cutoff", "cutoff", int, 8, "first displaced-photon cutoff (raised until converged)"),
-        _Opt("--dimension-cap", "dimension_cap", int, 1_000_000, "refuse larger Hilbert spaces"),
-        _Opt("--output", "output", str, "-", "output path, - for stdout"),
-    ],
-    "measure": [
-        _Opt("--z", "z", float, None, "Werner mixing parameter", required=True),
-        _Opt("--theta", "theta", float, None, "measurement angle in radians"),
-        _Opt("--sign", "sign", str, None, "measurement outcome", choices=("plus", "minus")),
-        _Opt("--target", "target", float, None, "solve for the angle reaching this population"),
-    ],
-}
-
-_COMMAND_HELP = {
-    "critical": "locate the phase boundary",
-    "meanfield": "mean-field equilibrium at one point",
-    "sweep": "phase-diagram grid over (delta, lambda)",
-    "deriv": "energy scan with first/second differences",
-    "spectrum": "collective excitation energies",
-    "ed": "finite-size exact diagonalization",
-    "measure": "measurement-based impurity preparation",
-}
-
 
 def _add_opts(parser: argparse.ArgumentParser, opts: list[_Opt]) -> None:
     for o in opts:
-        if o.action == "flag":
-            parser.add_argument(o.flag, dest=o.dest, action="store_const", const=True,
-                                default=None, help=o.help)
-        elif o.action == "append_int":
-            parser.add_argument(o.flag, dest=o.dest, action="append", type=int,
-                                default=None, help=o.help)
-        else:
-            kwargs = {"dest": o.dest, "type": o.conv, "default": None, "help": o.help}
-            if o.choices:
-                kwargs["choices"] = o.choices
-            parser.add_argument(o.flag, **kwargs)
+        kind = {"const": True} if o.action == "store_const" else {"type": o.conv, "choices": o.choices}
+        parser.add_argument(o.flag, dest=o.dest, action=o.action, default=None, help=o.help, **kind)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="iddm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
-    for name, opts in _COMMAND_OPTS.items():
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
+    for name, (help_text, _, opts) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", dest="config", default=None, help="JSON config file")
-        _add_opts(p, _MODEL_OPTS)
-        _add_opts(p, opts)
+        _add_opts(p, _MODEL_OPTS + opts)
     return parser
 
 
+def _convert(conv: Callable, raw):
+    """conv(raw) for a config value: a string option takes only a string, a
+    number no boolean, and an integer only an integral number (8.0 is 8)."""
+    if isinstance(raw, bool) or (conv is str and not isinstance(raw, str)):
+        raise TypeError(raw)
+    if conv is int and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(raw)
+    return conv(raw)
+
+
 def _coerce(o: _Opt, raw):
-    if o.action == "flag":
+    if o.action == "store_const":
         if not isinstance(raw, bool):
             raise CLIError(f"config key {o.key!r} must be a boolean")
         return raw
-    if o.action == "append_int":
-        items = raw if isinstance(raw, list) and raw else [raw]  # [] fails int() below
+    if o.action == "append":
+        items = raw if isinstance(raw, list) and raw else [raw]  # [] fails _convert below
         try:
-            return [int(v) for v in items]
+            return [_convert(o.conv, v) for v in items]
         except (TypeError, ValueError):
             raise CLIError(f"config key {o.key!r} must be an integer or a nonempty list of integers")
     try:
-        value = o.conv(raw)
+        value = _convert(o.conv, raw)
     except (TypeError, ValueError):
         raise CLIError(f"config key {o.key!r}: cannot convert {raw!r}")
     if o.choices and value not in o.choices:
@@ -207,32 +150,24 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge(ns: argparse.Namespace, opts: list[_Opt], config: dict):
-    known = {o.key for o in opts}
-    unknown = sorted(set(config) - known)
+    unknown = sorted(set(config) - {o.key for o in opts})
     if unknown:
         raise CLIError(f"unknown config keys: {', '.join(unknown)}")
     values, provided = {}, set()
     for o in opts:
         v = getattr(ns, o.dest)
+        if v is None and o.key in config:
+            v = _coerce(o, config[o.key])
         if v is not None:
             provided.add(o.key)
-        elif o.key in config:
-            v = _coerce(o, config[o.key])
-            provided.add(o.key)
-        else:
-            v = o.default
-        if v is None and o.required:
+        elif o.required:
             raise CLIError(f"missing required option {o.flag}")
-        values[o.dest] = v
+        values[o.dest] = o.default if v is None else v
     return values, provided
 
 
 def _params(v: dict) -> ModelParams:
-    return ModelParams(
-        omega=v["omega"], lam=v["lam"], kappa=v["kappa"], omega0=v["omega0"],
-        chi=v["chi"], xi1=v["xi1"], xi2=v["xi2"],
-        omega_q_prime=v["omega_q_prime"],
-    )
+    return ModelParams(**{o.dest: v[o.dest] for o in _MODEL_OPTS})
 
 
 def _fmt(x: float) -> str:
@@ -290,11 +225,9 @@ def _cmd_sweep(v: dict, provided: set) -> int:
         lambda_range=(v["lambda_min"], v["lambda_max"], v["lambda_count"]),
     )
     rows = run_grid(spec)
+    write = write_phase_diagram_csv if v["format"] == "csv" else write_phase_diagram_jsonl
     with _out_stream(v["output"]) as out:
-        if v["format"] == "csv":
-            write_phase_diagram_csv(rows, out)
-        else:
-            out.write(format_rows_jsonl(rows))
+        write(rows, out)
     return 0
 
 
@@ -304,15 +237,13 @@ def _cmd_deriv(v: dict, provided: set) -> int:
     if v["wrt"] == "delta" and "delta" in provided:
         raise CLIError("--delta only applies to lambda scans")
     scan = derivative_scan(params, v["wrt"], v["start"], v["stop"], v["step"], delta=delta)
+    edge = ("",)  # central differences have no edge values
+    d1, d2 = (chain(edge, map(_fmt, d), edge) for d in (scan.d1_values, scan.d2_values))
+    name = scan.parameter_name
     with _out_stream(v["output"]) as out:
         out.write("param,value,e0,d1,d2\n")
-        last = len(scan.grid) - 1
-        for i, (value, e0) in enumerate(zip(scan.grid, scan.e0_values)):
-            if 0 < i < last:
-                d1, d2 = _fmt(scan.d1_values[i - 1]), _fmt(scan.d2_values[i - 1])
-            else:
-                d1 = d2 = ""  # central differences have no edge values
-            out.write(f"{scan.parameter_name},{_fmt(value)},{_fmt(e0)},{d1},{d2}\n")
+        _write_chunks(out, (f"{name},{_fmt(x)},{_fmt(e0)},{a},{b}\n"
+                            for x, e0, a, b in zip(scan.grid, scan.e0_values, d1, d2)))
     return 0
 
 
@@ -338,14 +269,11 @@ def _cmd_ed(v: dict, provided: set) -> int:
         n_atoms=n_list[0], photon_cutoff=v["cutoff"], impurity_mode=mode,
         dimension_cap=v["dimension_cap"],
     )
-    records = []
     if v["full_qubit"]:
-        for n in n_list:
-            res = ed_mod.ground_state(params, replace(base, n_atoms=n))
-            records.append((n, res, None))
+        records = [(n, ed_mod.ground_state(params, replace(base, n_atoms=n)), None) for n in n_list]
     else:
-        for entry in ed_mod.finite_size_scan(params, v["delta"], n_list, config=base):
-            records.append((entry.n_atoms, entry.result, entry.mean_field_deviation))
+        records = [(e.n_atoms, e.result, e.mean_field_deviation)
+                   for e in ed_mod.finite_size_scan(params, v["delta"], n_list, config=base)]
     with _out_stream(v["output"]) as out:
         for n, r, dev in records:
             out.write(json.dumps({
@@ -384,14 +312,52 @@ def _cmd_measure(v: dict, provided: set) -> int:
     return 0
 
 
-_DISPATCH = {
-    "critical": _cmd_critical,
-    "meanfield": _cmd_meanfield,
-    "sweep": _cmd_sweep,
-    "deriv": _cmd_deriv,
-    "spectrum": _cmd_spectrum,
-    "ed": _cmd_ed,
-    "measure": _cmd_measure,
+# name -> (help, handler, options beyond the model's), in the order of --help
+_COMMANDS = {
+    "critical": ("locate the phase boundary", _cmd_critical, [
+        _Opt("--delta", "delta", float, None, "solve for lambda_c at this population"),
+    ]),
+    "meanfield": ("mean-field equilibrium at one point", _cmd_meanfield, [
+        _Opt("--delta", "delta", float, None, "impurity population", required=True),
+        _Opt("--numeric", "numeric", None, False, "use the multistart minimizer", action="store_const"),
+        _Opt("--seeds", "seeds", int, 8, "number of minimizer starts"),
+        _Opt("--solver-maxiter", "solver_maxiter", int, 500, "iteration budget per start"),
+    ]),
+    "sweep": ("phase-diagram grid over (delta, lambda)", _cmd_sweep, [
+        _Opt("--delta-min", "delta_min", float, -1.0, "lower edge of the delta axis"),
+        _Opt("--delta-max", "delta_max", float, 1.0, "upper edge of the delta axis"),
+        _Opt("--delta-count", "delta_count", int, 201, "points on the delta axis"),
+        _Opt("--lambda-min", "lambda_min", float, 0.0, "lower edge of the lambda axis"),
+        _Opt("--lambda-max", "lambda_max", float, 12.0, "upper edge of the lambda axis"),
+        _Opt("--lambda-count", "lambda_count", int, 121, "points on the lambda axis"),
+        _Opt("--format", "format", str, "csv", "output format", choices=("csv", "json-lines")),
+        _Opt("--output", "output", str, "-", "output path, - for stdout"),
+    ]),
+    "deriv": ("energy scan with first/second differences", _cmd_deriv, [
+        _Opt("--wrt", "wrt", str, None, "scan parameter", choices=("delta", "lambda"), required=True),
+        _Opt("--from", "start", float, None, "scan start", required=True),
+        _Opt("--to", "stop", float, None, "scan end", required=True),
+        _Opt("--step", "step", float, None, "grid step", required=True),
+        _Opt("--delta", "delta", float, None, "fixed population for lambda scans"),
+        _Opt("--output", "output", str, "-", "output path, - for stdout"),
+    ]),
+    "spectrum": ("collective excitation energies", _cmd_spectrum, [
+        _Opt("--delta", "delta", float, None, "impurity population", required=True),
+    ]),
+    "ed": ("finite-size exact diagonalization", _cmd_ed, [
+        _Opt("--n", "n", int, (100,), "atom number, repeatable", action="append"),
+        _Opt("--delta", "delta", float, 0.0, "frozen impurity population"),
+        _Opt("--full-qubit", "full_qubit", None, False, "keep the impurity dynamical", action="store_const"),
+        _Opt("--cutoff", "cutoff", int, 8, "first displaced-photon cutoff (raised until converged)"),
+        _Opt("--dimension-cap", "dimension_cap", int, 1_000_000, "refuse larger Hilbert spaces"),
+        _Opt("--output", "output", str, "-", "output path, - for stdout"),
+    ]),
+    "measure": ("measurement-based impurity preparation", _cmd_measure, [
+        _Opt("--z", "z", float, None, "Werner mixing parameter", required=True),
+        _Opt("--theta", "theta", float, None, "measurement angle in radians"),
+        _Opt("--sign", "sign", str, None, "measurement outcome", choices=("plus", "minus")),
+        _Opt("--target", "target", float, None, "solve for the angle reaching this population"),
+    ]),
 }
 
 
@@ -400,18 +366,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         config = _load_config(ns.config)
-        opts = _MODEL_OPTS + _COMMAND_OPTS[ns.command]
-        values, provided = _merge(ns, opts, config)
-        return _DISPATCH[ns.command](values, provided)
-    except CLIError as exc:
+        _, handler, opts = _COMMANDS[ns.command]
+        values, provided = _merge(ns, _MODEL_OPTS + opts, config)
+        return handler(values, provided)
+    except (CLIError, IDDMError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IDDMError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConvergenceFailureError) else 1
 
 
 def run() -> None:

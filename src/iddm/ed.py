@@ -161,10 +161,18 @@ def _franck_condon(gamma: float, cutoff: int) -> np.ndarray:
     Gauss-Hermite quadrature on cutoff + 1 nodes is exact; the oscillator
     functions come from their three-term recurrence, which stays accurate
     where a recurrence on the matrix elements themselves loses all digits.
+    Raises InvalidParameterError when a scaled weight w exp(y^2) is not finite
+    and positive: from cutoff 370 on, w underflows where exp(y^2) overflows.
     """
-    y, w = np.polynomial.hermite.hermgauss(cutoff + 1)
+    with np.errstate(all="ignore"):
+        y, w = np.polynomial.hermite.hermgauss(cutoff + 1)
+        weights = w * np.exp(y * y)
+    if not (weights.min() > 0 and weights.max() < math.inf):  # a nan fails both
+        raise InvalidParameterError(
+            f"photon cutoff {cutoff} is beyond the Gauss-Hermite quadrature: its weights overflow"
+        )
     half = gamma / math.sqrt(2.0)
-    left = _hermite_functions(y + half, cutoff) * (w * np.exp(y * y))
+    left = _hermite_functions(y + half, cutoff) * weights
     return left @ _hermite_functions(y - half, cutoff).T
 
 
@@ -253,7 +261,14 @@ def build_hamiltonian(
     params: ModelParams, config: EDConfig, photon_cutoff: int | None = None
 ) -> Hamiltonian:
     """The Hamiltonian in the displaced basis at the config's (or the given)
-    photon cutoff; FullQubit blocks carry +-omega_q_prime / 2."""
+    photon cutoff; FullQubit blocks carry +-omega_q_prime / 2.
+
+    Raises InvalidParameterError when a block's norm bound, max|diag| plus
+    twice the largest spin coefficient of each term (a Franck-Condon matrix
+    has norm <= 1), is so large that the solver's resolution, machine epsilon
+    times that bound, exceeds 1e-8 * max(N, -min diag): a lower bound of the
+    truncation check's target 1e-8 * max(N, |E|), since E <= min diag.
+    """
     cutoff = config.photon_cutoff if photon_cutoff is None else photon_cutoff
     if isinstance(config.impurity_mode, FixedDelta):
         populations = [(config.impurity_mode.delta, 0.0)]
@@ -264,6 +279,15 @@ def build_hamiltonian(
     if dim > config.dimension_cap:
         raise DimensionTooLargeError(f"Hilbert-space dimension {dim} exceeds cap {config.dimension_cap}")
     blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
+    for diag, terms in blocks:
+        lowest = diag.min()
+        norm = max(diag.max(), -lowest) + 2.0 * sum(np.max(np.abs(spin), initial=0.0) for _, spin, _ in terms)
+        resolution, target = np.finfo(float).eps * norm, 1e-8 * max(config.n_atoms, -lowest)
+        if resolution > target:
+            raise InvalidParameterError(
+                f"the Hamiltonian's norm bound {norm:.3g} is beyond the eigensolver: its "
+                f"resolution {resolution:.3g} exceeds the 1e-8-per-atom target {target:.3g}"
+            )
     return Hamiltonian(config.n_atoms, cutoff, blocks)
 
 

@@ -37,11 +37,12 @@ __all__ = [
     "run_grid",
     "trace_critical_curve",
     "write_phase_diagram_csv",
+    "write_phase_diagram_jsonl",
 ]
 
 CSV_HEADER = "delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error"
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
-_CSV_CHUNK = 2048  # rows per write: the document is never held as one string
+_CSV_CHUNK = 2048  # lines per write: the document is never held as one string
 _JSON_ROW = ('{"delta": %s, "lambda": %s, "alpha2": %s, "beta2": %s, "e0": %s, '
              '"jz_over_n": %s, "i_over_n": %s, "phase": %s, "error": %s}\n')
 
@@ -143,21 +144,26 @@ def _json_float(x: float, nan: str) -> str:
     return repr(x) if abs(x) != math.inf else ("Infinity" if x > 0 else "-Infinity")
 
 
-def format_rows_jsonl(rows: Iterable[PhaseDiagramRow]) -> str:
-    """The JSON-lines layout described in the module docstring."""
+def _write_chunks(stream: TextIO, lines: Iterable[str]) -> None:
+    """Write the nonempty strings of lines to stream, _CSV_CHUNK of them per write."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, _CSV_CHUNK)):
+        stream.write(chunk)
+
+
+def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
+    """Write the CSV contract described in the module docstring."""
+    stream.write(CSV_HEADER + "\n")
+    _write_chunks(stream, map(_CSV_ROW.__mod__, rows))
+
+
+def write_phase_diagram_jsonl(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
+    """Write the JSON-lines layout described in the module docstring."""
     from json.encoder import encode_basestring_ascii  # here, so that `import iddm` skips json
 
-    return "".join([
+    _write_chunks(stream, (
         _JSON_ROW % (_json_float(r.delta, "NaN"), _json_float(r.lam, "NaN"),
                      *[_json_float(x, "null") for x in r[2:7]],  # alpha2 .. i_over_n
                      encode_basestring_ascii(r.phase), encode_basestring_ascii(r.error))
         for r in rows
-    ])
-
-
-def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
-    """Write the CSV contract described in the module docstring, _CSV_CHUNK rows per write."""
-    stream.write(CSV_HEADER + "\n")
-    rows = iter(rows)
-    while chunk := [_CSV_ROW % r for r in islice(rows, _CSV_CHUNK)]:
-        stream.write("".join(chunk))
+    ))

@@ -9,8 +9,13 @@ Checked here:
   * non-finite model, ED and measurement input exits 1 with an error on stderr,
     and so does a lambda whose 4 lambda^2 underflows to 0 or overflows; an
     alpha^2 that overflows (tiny f1) exits 1 and tags its sweep row; an ED
-    displacement d_m whose square overflows exits 1 without a numpy warning
-  * config files merge under flags, unknown or ill-typed keys exit 1, and a
+    displacement d_m whose square overflows, a Hamiltonian too large for the
+    eigensolver to resolve 1e-8 per atom (huge omega) and a cutoff beyond the
+    Gauss-Hermite quadrature exit 1 without a numpy warning
+  * config files merge under flags, unknown or ill-typed keys exit 1 (a
+    boolean for a number, a non-integral number for an integer or an --n
+    item, a non-string for a string) and write no file, integral floats and
+    numeric strings are accepted, and a
     config-driven run is byte-identical to the flag-driven one; as a property
     over random splits of the options between config and flags, a flag wins
     over the config and the config over the default
@@ -29,6 +34,8 @@ Checked here:
   * an f1 or f2 that overflows to +-inf exits 1 naming the frequency, from
     meanfield, critical, ed and spectrum, and tags its sweep row
     invalid_parameter
+  * README and the cli docstring list exactly the command table's
+    subcommands, in its order
   * the module entry point works end to end, and importing the package does
     not load scipy.optimize; neither the package import nor any subcommand,
     ed included, loads scipy at all, the ED names resolve on use, and no
@@ -228,16 +235,31 @@ def test_overflowing_frequency_tags_sweep_row(capsys):
     assert record["phase"] == "error" and record["error"] == "invalid_parameter"
 
 
-@pytest.mark.parametrize("argv", [
-    ["ed", "--full-qubit", "--omega", "1e-300", "--lambda", "1", "--n", "2"],
-    ["ed", "--omega", "1e-300", "--lambda", "0", "--xi2", "1", "--delta", "0.5", "--n", "2"],
-], ids=["coupling", "drive"])
-def test_overflowing_ed_displacement_is_refused(capsys, argv):
+_BEYOND_SOLVER = "beyond the eigensolver"
+
+
+@pytest.mark.parametrize("argv, message", [
     # f1 = 1e-300 puts d_m = -g_m/f1 near 1e300; d_m^2 overflows before any numpy work
+    (["ed", "--full-qubit", "--omega", "1e-300", "--lambda", "1", "--n", "2"], "d_m^2 overflows"),
+    (["ed", "--omega", "1e-300", "--lambda", "0", "--xi2", "1", "--delta", "0.5", "--n", "2"],
+     "d_m^2 overflows"),
+    # a huge f1: machine epsilon times ||H|| is above 1e-8 per atom; these used to report
+    # E/N = -0.0398 (exact -0.05), -8e-31 (exact -0.25) and 2e200 as converged, and the
+    # 1e12 run to exit 2 after 5,520 restarts
+    (["ed", "--omega", "1e15", "--lambda", "2", "--kappa", "-0.5", "--delta", "0.8", "--n", "64"],
+     _BEYOND_SOLVER),
+    (["ed", "--omega", "1e30", "--lambda", "1", "--n", "2"], _BEYOND_SOLVER),
+    (["ed", "--omega", "1e200", "--lambda", "1", "--n", "2"], _BEYOND_SOLVER),
+    (["ed", "--omega", "1e12", "--lambda", "2", "--kappa", "-0.5", "--delta", "0.8", "--n", "64"],
+     _BEYOND_SOLVER),
+    # the check at cutoff 400 needs Gauss-Hermite weights w exp(y^2) = 0 * inf
+    (["ed", "--omega", "4", "--lambda", "1", "--n", "2", "--cutoff", "200"], "Gauss-Hermite"),
+], ids=["coupling", "drive", "omega-1e15", "omega-1e30", "omega-1e200", "omega-1e12", "cutoff-400"])
+def test_overflowing_ed_displacement_is_refused(capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)
-    assert code == 1 and out == "" and "d_m^2 overflows" in err
+    assert code == 1 and out == "" and message in err
     assert caught == []
 
 
@@ -305,7 +327,7 @@ def test_config_fills_required_option(tmp_path, capsys):
     assert out == "lambda_c = 5\n"
 
 
-def test_config_rejections(tmp_path, capsys):
+def test_config_rejections(tmp_path, capsys, monkeypatch):
     bad_key = tmp_path / "bad_key.json"
     bad_key.write_text(json.dumps({"lam": 2}))
     assert run_cli(capsys, "meanfield", "--delta", "0.5", "--config", str(bad_key))[0] == 1
@@ -323,6 +345,35 @@ def test_config_rejections(tmp_path, capsys):
     assert run_cli(capsys, "meanfield", "--delta", "0.5", "--config", str(not_json))[0] == 1
 
     assert run_cli(capsys, "meanfield", "--delta", "0.5", "--config", str(tmp_path / "absent.json"))[0] == 1
+
+    # a JSON value of the wrong type is refused, not cast, and no output file appears
+    monkeypatch.chdir(tmp_path)
+    point = ["--delta-count", "1", "--delta-min", "0", "--delta-max", "0",
+             "--lambda-count", "1", "--lambda-min", "1", "--lambda-max", "1"]
+    for argv, data in [
+        (["meanfield", "--delta", "0.5"], {"omega": True}),
+        (["meanfield", "--delta", "0.5", "--numeric"], {"seeds": 2.7}),
+        (["ed"], {"n": True, "output": "ed.jsonl"}),
+        (["ed", "--n", "2"], {"cutoff": 8.9, "output": "ed.jsonl"}),
+        (["ed", "--n", "2"], {"cutoff": math.inf, "output": "ed.jsonl"}),  # was an OverflowError
+        (["sweep", *point], {"output": 5}),
+        (["sweep", *point], {"output": None}),
+    ]:
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(data))
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run_cli(capsys, *argv, "--config", str(typed))
+        assert (code, out) == (1, ""), data
+        assert "error:" in err and sorted(os.listdir(tmp_path)) == before, data
+
+
+def test_config_accepts_integral_floats_and_numeric_strings(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": [2, 3.0, "4"], "cutoff": 8.0, "lambda": "2"}))
+    from_config = run_cli(capsys, "ed", "--config", str(cfg))
+    from_flags = run_cli(capsys, "ed", "--n", "2", "--n", "3", "--n", "4", "--cutoff", "8",
+                         "--lambda", "2")
+    assert from_config == from_flags and from_config[0] == 0
 
 
 # model options and their draws; every value is accepted by ModelParams
@@ -584,6 +635,16 @@ def test_measure_argument_conflicts(capsys):
 def test_unknown_command_exits_1(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys)[0] == 1
+
+
+def test_subcommand_lists_name_the_command_table():
+    # _COMMANDS is the one home of each subcommand; the two prose lists follow it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Subcommands\n", 1)[1].split("\n## ", 1)[0]
+    from_readme = [line.split()[1] for line in section.splitlines() if line.startswith("    iddm ")]
+    listing = iddm.cli.__doc__.split("Subcommands\n-----------\n", 1)[1].split("\n\n", 1)[0]
+    from_docstring = [line.split()[0] for line in listing.splitlines()]
+    assert from_readme == from_docstring == list(iddm.cli._COMMANDS)
 
 
 def test_module_entry_point():

@@ -10,10 +10,12 @@ Checked here:
   * along a lambda scan the phase flip brackets critical_lambda
   * CSV: exact header, exact formatting of a known row, LF endings, and
     byte-identical output across repeated runs
-  * the CSV writer: a one-pass generator and a list of 0, 1, chunk - 1,
-    chunk, chunk + 1 and 3 chunk rows give the same bytes (the header alone
-    for 0 rows), and on the default grid the header goes out alone and no
-    write holds more than one chunk of rows
+  * the CSV and JSON-lines writers: a one-pass generator and a list of 0, 1,
+    chunk - 1, chunk, chunk + 1 and 3 chunk rows give the same bytes (the
+    CSV header alone, or nothing, for 0 rows), and on the default grid the
+    CSV header goes out alone and no write holds more than one chunk of
+    rows; neither does a deriv run on the benchmark's lambda scan, after its
+    header
   * run_grid equals a per-point reference (one ModelParams and one closed
     form per point) row for row and bit for bit, on grids that hit every
     error tag
@@ -35,6 +37,7 @@ Checked here:
 import io
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -55,9 +58,11 @@ from iddm import (
     run_grid,
     trace_critical_curve,
     write_phase_diagram_csv,
+    write_phase_diagram_jsonl,
 )
 import iddm.sweep
-from iddm.sweep import PhaseDiagramRow, _error_tag, _linspace, format_rows_jsonl
+from iddm.cli import main
+from iddm.sweep import PhaseDiagramRow, _error_tag, _linspace
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
@@ -195,10 +200,14 @@ def test_phase_flip_brackets_threshold():
     assert max(normal) + 0.1 + 1e-12 >= min(superradiant)
 
 
-def _csv_text(rows):
+def _written(write, rows):
     out = io.StringIO()
-    write_phase_diagram_csv(rows, out)
+    write(rows, out)
     return out.getvalue()
+
+
+def _csv_text(rows):
+    return _written(write_phase_diagram_csv, rows)
 
 
 def test_csv_exact_row():
@@ -238,12 +247,17 @@ def default_rows():
     return rows
 
 
-@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
-def test_csv_from_a_generator_equals_csv_from_a_list(default_rows, count):
+_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK]
+
+
+@pytest.mark.parametrize("fmt, count", [pytest.param("csv", n, id=str(n)) for n in _COUNTS]
+                         + [pytest.param("json-lines", n, id=f"json-lines-{n}") for n in _COUNTS])
+def test_csv_from_a_generator_equals_csv_from_a_list(default_rows, fmt, count):
+    write, reference, header = _WRITERS[fmt]
     rows = default_rows[:count]
-    text = _csv_text(rows)
-    assert _csv_text(r for r in rows) == text == _csv_by_field(rows)
-    assert len(text.splitlines()) == 1 + count  # 0 rows: the header alone
+    text = _written(write, rows)
+    assert _written(write, (r for r in rows)) == text == reference(rows)
+    assert len(text.splitlines()) == header.count("\n") + count  # 0 rows: the header alone
 
 
 class _WriteLog:
@@ -257,13 +271,32 @@ class _WriteLog:
         return len(text)
 
 
-def test_csv_writes_at_most_one_chunk_of_rows_at_a_time(default_rows):
+def _assert_chunked(writes, header, row_count):
+    """header went out alone, then row_count rows, at most one chunk per write."""
+    if header:
+        assert writes[0] == (len(header), 1)
+        writes = writes[1:]
+    assert sum(lines for _, lines in writes) == row_count
+    assert all(0 < lines <= _CHUNK for _, lines in writes)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_csv_writes_at_most_one_chunk_of_rows_at_a_time(default_rows, fmt):
+    write, reference, header = _WRITERS[fmt]
     log = _WriteLog()
-    write_phase_diagram_csv(default_rows, log)
-    assert sum(length for length, _ in log.writes) == len(_csv_by_field(default_rows))
-    assert log.writes[0] == (len(CSV_HEADER) + 1, 1)
-    assert sum(lines for _, lines in log.writes[1:]) == len(default_rows)
-    assert all(0 < lines <= _CHUNK for _, lines in log.writes[1:])
+    write(default_rows, log)
+    assert sum(length for length, _ in log.writes) == len(reference(default_rows))
+    _assert_chunked(log.writes, header, len(default_rows))
+
+
+def test_deriv_writes_at_most_one_chunk_of_rows_at_a_time(monkeypatch):
+    # the meanfield-grid benchmark's deriv argv at its canonical seed: 6,001 rows
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["deriv", "--omega", "400.0", "--omega0", "1.0", "--kappa", "-0.5",
+                 "--lambda", "5.0", "--wrt", "lambda", "--from", "0.0", "--to", "12.0",
+                 "--step", "0.002", "--delta", "0.0"]) == 0
+    _assert_chunked(log.writes, "param,value,e0,d1,d2\n", 6001)
 
 
 def test_grid_validation():
@@ -332,6 +365,13 @@ def _jsonl_by_dict(rows):
     }) + "\n" for r in rows)
 
 
+# format -> (writer, the writer as first written, header)
+_WRITERS = {
+    "csv": (write_phase_diagram_csv, _csv_by_field, CSV_HEADER + "\n"),
+    "json-lines": (write_phase_diagram_jsonl, _jsonl_by_dict, ""),
+}
+
+
 _EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
 _ROWS = st.lists(st.builds(
@@ -345,7 +385,7 @@ _ROWS = st.lists(st.builds(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_ROWS)
 def test_csv_and_json_lines_round_trip(rows):
-    csv_text, jsonl_text = _csv_text(rows), format_rows_jsonl(rows)
+    csv_text, jsonl_text = _csv_text(rows), _written(write_phase_diagram_jsonl, rows)
     assert csv_text == _csv_by_field(rows)
     assert jsonl_text == _jsonl_by_dict(rows)
 
