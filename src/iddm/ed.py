@@ -34,20 +34,20 @@ the state reshaped to (cutoff + 1, N + 1), and numpy is the only dependency.
 
 Ground states are found sector by sector.  With xi2 = 0 the parity Pi maps
 D(d_m)|n>|m> to (-1)^n D(d_-m)|n>|-m> and commutes with H, so each sigma_z
-block splits into Pi = +1 and Pi = -1; a sector's states are held in reduced
-coordinates, one per pair (|n, k> +- |n, N-k>) / sqrt(2) or middle state,
-and mapped to and from the block by index gather and scatter.  With
-xi2 != 0 each block is one sector.  Every sector is solved from the uniform
-start vector by a thick-restart Lanczos solver (Wu & Simon, SIAM J. Matrix
-Anal. Appl. 22, 602, 2000), which stops when its Ritz residual falls to
-machine epsilon times the largest |Ritz value|, and the lowest sector is
-kept.  Sectors whose energies agree within 1e-12 * max(1, |E|), the
-solver's resolution, count as tied, and a tie goes to the first in the fixed
-order (upper block, then Pi = +1), so the reported sector never flips with
-roundoff.  The truncation check re-solves only that sector at twice the
-cutoff, starting from the base vector padded with zeros; if the energy moves
-too much the doubled cutoff becomes the base and the check repeats (see
-ground_state).
+block splits into Pi = +1 and Pi = -1.  A sector's states live on the half
+chain k <= N/2, one coordinate per pair (|n, k> +- |n, N-k>) / sqrt(2) or
+middle state; two column slices of the block, the second read from k = N
+down, map them to and from it (see _Sector).  With xi2 != 0 each block is
+one sector.  Every sector is solved from the uniform start vector by a
+thick-restart Lanczos solver (Wu & Simon, SIAM J. Matrix Anal. Appl. 22,
+602, 2000), which stops when its Ritz residual falls to machine epsilon
+times the largest |Ritz value|, and the lowest sector is kept.  Sectors
+whose energies agree within 1e-12 * max(1, |E|), the solver's resolution,
+count as tied, and a tie goes to the first in the fixed order (upper block,
+then Pi = +1), so the reported sector never flips with roundoff.  The
+truncation check re-solves only that sector at twice the cutoff, starting
+from the base vector padded with zeros; if the energy moves too much the
+doubled cutoff becomes the base and the check repeats (see ground_state).
 """
 
 from __future__ import annotations
@@ -291,57 +291,41 @@ def build_hamiltonian(
     return Hamiltonian(config.n_atoms, cutoff, blocks)
 
 
-class _SectorMap:
-    """Reduced coordinates of the Pi = sign sector of one block.
+class _Sector:
+    """One sigma_z block of h in its Pi = sign sector, or the whole block when sign is None.
 
-    Coordinate i stands for rcoef[i] |rows[i]> + mcoef[i] |mirror[i]>: for a
-    pair (n, k), k < N - k, that is (|n, k> + sign (-1)^n |n, N-k>) / sqrt(2),
-    and for even N the middle state |n, N/2>, kept where (-1)^n = sign, has
-    mirror = rows, rcoef = 1 and mcoef = 0.  Coordinates are ordered by row,
-    so a smaller cutoff's are a prefix of a larger one's.
+    A sector vector is a flattened (cutoff + 1, width) array on the half chain.
+    With flip_n = sign (-1)^n, column j < pairs = (N + 1) // 2 stands for the
+    pair (|n, j> + flip_n |n, N-j>) / sqrt(2); a column j >= pairs (the middle
+    of even N) stands for |n, j> where flip_n = 1 and is exactly 0 where that
+    level does not exist.  sign None takes pairs = 0 and flip_n = 1: the whole
+    block.  A smaller cutoff's vector is a prefix of a larger one's.
     """
 
-    def __init__(self, n_atoms: int, cutoff: int, sign: float):
-        width = n_atoms + 1
-        level_sign = (-1.0) ** np.arange(cutoff + 1)
-        n_pair, k_pair = np.divmod(np.arange((cutoff + 1) * (width // 2)), width // 2)
-        n_mid = np.flatnonzero(level_sign == sign) if n_atoms % 2 == 0 else np.arange(0)
-        middle = n_mid * width + n_atoms // 2
-        rows = np.concatenate([n_pair * width + k_pair, middle])
-        mirror = np.concatenate([n_pair * width + n_atoms - k_pair, middle])
-        rcoef = np.concatenate([np.full(len(n_pair), math.sqrt(0.5)), np.ones(len(middle))])
-        mcoef = np.concatenate([sign * level_sign[n_pair] * math.sqrt(0.5), np.zeros(len(middle))])
-        order = np.argsort(rows)
-        self.rows, self.mirror = rows[order], mirror[order]
-        self.rcoef, self.mcoef = rcoef[order], mcoef[order]
-        self.size = width * (cutoff + 1)
+    def __init__(self, h: Hamiltonian, block: int, sign: float | None):
+        self.h, self.block, n = h, block, h.n_atoms
+        levels = np.arange(h.cutoff + 1.0)[:, None]
+        flip = np.ones_like(levels) if sign is None else sign * (-1.0) ** levels
+        self.pairs = 0 if sign is None else (n + 1) // 2
+        self.keep = np.full((h.cutoff + 1, n + 1 - self.pairs), math.sqrt(0.5))
+        self.keep[:, self.pairs:] = (1.0 + flip) / 2.0
+        self.mirror = flip * self.keep[:, :self.pairs]
+        self.shape = (self.keep.size,) * 2
 
     def scatter(self, c: np.ndarray) -> np.ndarray:
-        """The block vector P c."""
-        psi = np.zeros(self.size)
-        psi[self.mirror] = self.mcoef * c
-        psi[self.rows] = self.rcoef * c  # second, so a middle state keeps rcoef
-        return psi
+        """The (cutoff + 1, N + 1) block state of the sector vector c."""
+        c = c.reshape(self.keep.shape)
+        return np.concatenate([c * self.keep, (c[:, :self.pairs] * self.mirror)[:, ::-1]], axis=1)
 
     def gather(self, psi: np.ndarray) -> np.ndarray:
-        """The sector coordinates P^T psi of a block vector."""
-        return self.rcoef * psi[self.rows] + self.mcoef * psi[self.mirror]
-
-
-class _Sector:
-    """One sigma_z block of h in the reduced coordinates of its Pi = sign
-    sector, or the whole block when sign is None."""
-
-    def __init__(self, h: Hamiltonian, block: int, sign: float | None):
-        self.h, self.block = h, block
-        self.map = None if sign is None else _SectorMap(h.n_atoms, h.cutoff, sign)
-        dim = h.block_size if sign is None else len(self.map.rows)
-        self.shape = (dim, dim)
+        """The sector vector of the block state psi, scatter's transpose."""
+        psi = psi.reshape(len(self.keep), -1)
+        c = psi[:, :self.keep.shape[1]] * self.keep
+        c[:, :self.pairs] += psi[:, ::-1][:, :self.pairs] * self.mirror
+        return c.ravel()
 
     def matvec(self, c: np.ndarray) -> np.ndarray:
-        if self.map is None:
-            return self.h.apply_block(self.block, c)
-        return self.map.gather(self.h.apply_block(self.block, self.map.scatter(c)))
+        return self.gather(self.h.apply_block(self.block, self.scatter(c)))
 
 
 KRYLOV_SIZE = 20  # ARPACK's default for one eigenpair
@@ -360,15 +344,16 @@ def _rayleigh(op, v: np.ndarray) -> tuple[float, np.ndarray]:
 def _lowest_state(
     op, v0: np.ndarray | None = None, max_restarts: int | None = None
 ) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the symmetric operator op by thick-restart Lanczos.
+    """Lowest eigenpair of the _Sector op by thick-restart Lanczos.
 
-    The Krylov basis holds up to KRYLOV_SIZE vectors; each new one is
-    orthogonalized against all the others, a second time by the DGKS rule.
-    A restart keeps the lowest half of the Ritz vectors and the residual
+    The start is v0, or else gather(scatter(ones)): uniform on the sector's
+    coordinates.  The Krylov basis holds up to KRYLOV_SIZE vectors; each new
+    one is orthogonalized against all the others, a second time by the DGKS
+    rule.  A restart keeps the lowest half of the Ritz vectors and the residual
     vector (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602, 2000).  The solve
     stops when the Ritz residual |beta s_last| is at most machine epsilon
-    times the largest |Ritz value|, the spectrum's scale, or when the Krylov space
-    is invariant.  It raises ConvergenceFailureError when max_restarts
+    times the largest |Ritz value|, the spectrum's scale, or when the Krylov
+    space is invariant.  It raises ConvergenceFailureError when max_restarts
     restarts (default 10 * dim, as ARPACK's iteration budget) do not suffice.
     """
     dim = op.shape[0]
@@ -377,7 +362,7 @@ def _lowest_state(
     budget = 10 * dim if max_restarts is None else max_restarts
     bound = np.finfo(float).eps
     basis = np.empty((size + 1, dim))
-    basis[0] = np.full(dim, 1.0 / math.sqrt(dim)) if v0 is None else _unit(v0)
+    basis[0] = _unit(op.gather(op.scatter(np.ones(dim))) if v0 is None else v0)
     t = np.zeros((size, size))  # op on the basis: an arrowhead, then tridiagonal
     first = 0
     for _ in range(budget + 1):
@@ -463,17 +448,15 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
         larger = 2 * base
         if raises and len(blocks) * (larger + 1) * (n + 1) > config.dimension_cap:
             break
-        h = build_hamiltonian(params, config, larger)
-        enlarged = _Sector(h, *key)
-        warm = np.zeros(enlarged.shape[0])
-        warm[: len(psi)] = psi
-        energy2, psi2 = _lowest_state(enlarged, warm)
+        big = build_hamiltonian(params, config, larger)
+        enlarged = _Sector(big, *key)
+        energy2, psi2 = _lowest_state(enlarged, np.pad(psi, (0, enlarged.shape[0] - len(psi))))
         shift = abs(energy2 / n - e_atom)
         converged = shift <= 1e-8 * max(1.0, abs(e_atom))
         if converged:
             break
         raises += 1
-        base = larger
+        base, h = larger, big
         solves = {
             other: (energy2, psi2) if other == key
             else _lowest_state(_Sector(h, *other))
@@ -481,10 +464,8 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
         }
 
     block, sign = key
-    if sign is not None:
-        psi = _SectorMap(n, base, sign).scatter(psi)
     delta = config.impurity_mode.delta if fixed else (1.0, -1.0)[block]
-    jz, photons = _observables(params, n, delta, base, psi.reshape(base + 1, n + 1))
+    jz, photons = _observables(params, n, delta, base, _Sector(h, *key).scatter(psi))
     parity_known = fixed and params.xi2 == 0
     return EDResult(
         energy_per_atom=e_atom,

@@ -31,7 +31,7 @@ that never saw them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -44,7 +44,7 @@ from .errors import (
     UnboundedPhaseError,
     ZeroKappaError,
 )
-from .model import ModelParams, check_population, effective_frequencies
+from .model import ModelParams, check_lambda, check_population, effective_frequencies
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,9 +97,12 @@ class MeanFieldSolution(NamedTuple):
         return self.beta**2
 
 
+_CHI_REFUSAL = "mean-field routines require chi = 0"
+
+
 def _frequencies(params: ModelParams, delta: float) -> tuple[float, float]:
     if params.chi != 0:
-        raise ChiUnsupportedError("mean-field routines require chi = 0")
+        raise ChiUnsupportedError(_CHI_REFUSAL)
     return effective_frequencies(params, delta)
 
 
@@ -202,7 +205,10 @@ def equilibrium_closed_form(params: ModelParams, delta: float) -> MeanFieldSolut
     consequence and is asserted in the tests.
     """
     f1, f2 = _frequencies(params, delta)
-    lam = params.lam
+    return _closed_form(f1, f2, params.lam)
+
+
+def _closed_form(f1: float, f2: float, lam: float) -> MeanFieldSolution:
     nu = _nu(f1, f2, lam)
     phase = _classify(nu)
     if phase is not _SUPERRADIANT:
@@ -343,6 +349,8 @@ def critical_delta(params: ModelParams) -> float | None:
     otherwise the quadratic f1(d) f2(d) = 4 lam^2 is solved and the smallest
     admissible root (f1 > 0) in [-1, 1] is returned.
     """
+    if params.chi != 0:
+        raise ChiUnsupportedError(_CHI_REFUSAL)
     if params.kappa == 0:
         raise ZeroKappaError("critical_delta needs kappa != 0")
     if params.xi1 == 0:
@@ -376,7 +384,7 @@ def critical_lambda(params: ModelParams, delta: float) -> float | None:
     Returns None when f2 <= 0, where the system is superradiant at every
     lam > 0 and no finite threshold exists.
     """
-    f1, f2 = effective_frequencies(params, delta)
+    f1, f2 = _frequencies(params, delta)
     product = f1 * f2
     if product <= 0:
         return None
@@ -471,8 +479,11 @@ def derivative_scan(
         try:
             if parameter_name == "delta":
                 sol = equilibrium_closed_form(params, v)
-            else:
-                sol = equilibrium_closed_form(replace(params, lam=v), delta)
+            else:  # (f1, f2) once, at index 0, after the first lambda's own checks
+                lam = check_lambda(v)
+                if i == 0:
+                    f1, f2 = _frequencies(params, delta)
+                sol = _closed_form(f1, f2, lam)
         except IDDMError as exc:
             raise type(exc)(f"{parameter_name} = {v} (grid index {i}): {exc}") from exc
         e0.append(sol.e0)

@@ -65,13 +65,19 @@ class ModelParams:
             raise InvalidParameterError(f"omega must be > 0, got {self.omega}")
         if not self.omega0 > 0:
             raise InvalidParameterError(f"omega0 must be > 0, got {self.omega0}")
-        if self.lam < 0:
-            raise InvalidParameterError(f"lambda must be >= 0, got {self.lam}")
-        if self.lam > 0 and 4.0 * self.lam * self.lam == 0:
-            # nu = f1 f2 / (4 lam^2) would divide by zero
-            raise InvalidParameterError(f"lambda = {self.lam} is too small: 4 lambda^2 underflows to 0")
-        if 4.0 * self.lam * self.lam == math.inf:
-            raise InvalidParameterError(f"lambda = {self.lam} is too large: 4 lambda^2 overflows")
+        check_lambda(self.lam)
+
+
+def check_lambda(lam: float) -> float:
+    """Validate a finite coupling lam >= 0 whose 4 lam^2 neither underflows to 0 nor overflows."""
+    if lam < 0:
+        raise InvalidParameterError(f"lambda must be >= 0, got {lam}")
+    if lam > 0 and 4.0 * lam * lam == 0:
+        # nu = f1 f2 / (4 lam^2) would divide by zero
+        raise InvalidParameterError(f"lambda = {lam} is too small: 4 lambda^2 underflows to 0")
+    if 4.0 * lam * lam == math.inf:
+        raise InvalidParameterError(f"lambda = {lam} is too large: 4 lambda^2 overflows")
+    return lam
 
 
 def check_population(delta: float) -> float:

@@ -212,7 +212,7 @@ def test_criterion_06_soft_mode(report):
                     failures.append(f"gap {off.eps_minus:.3e} <= 0.05 at {factor} lambda_c")
 
             rng = np.random.default_rng(20240821)
-            checked, worst = 0, 0.0
+            checked, worst, worst_minus = 0, 0.0, 0.0
             while checked < 100:
                 params = ModelParams(
                     omega=rng.uniform(1.0, 500.0),
@@ -226,9 +226,12 @@ def test_criterion_06_soft_mode(report):
                 checked += 1
                 res = excitation_spectrum(params, delta)
                 lo, hi = normal_phase_spectrum(params, delta)
-                worst = max(worst, abs(res.eps_minus - lo), abs(res.eps_plus - hi))
+                worst = max(worst, abs(res.eps_plus - hi))
+                worst_minus = max(worst_minus, abs(res.eps_minus - lo) / lo)
             if worst > 1e-9:
-                failures.append(f"normal-phase spectrum mismatch {worst:.3e} > 1e-9")
+                failures.append(f"normal-phase eps_plus mismatch {worst:.3e} > 1e-9")
+            if worst_minus > 1e-12:
+                failures.append(f"normal-phase eps_minus relative mismatch {worst_minus:.3e} > 1e-12")
     except Exception as exc:
         failures.append(f"unexpected {type(exc).__name__}: {exc}")
     report(6, "soft mode at the boundary", failures)

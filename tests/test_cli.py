@@ -3,6 +3,8 @@
 Checked here:
   * critical prints the exact threshold lines and no-transition sentinel
   * exactly-one-of --lambda/--delta is enforced (exit 1 either way)
+  * critical with --chi != 0 exits 1 for --delta and --lambda, with the
+    refusal on stderr and nothing on stdout
   * meanfield output parses back to the closed-form equilibrium; --numeric
     agrees with the closed form; a zero iteration budget and a lone start on
     the origin saddle exit 2, a negative budget exits 1
@@ -103,6 +105,15 @@ def test_critical_no_transition(capsys):
     assert code == 0 and out == "no-transition\n"
     code, out, _ = run_cli(capsys, "critical", "--delta", "1")
     assert code == 0 and out == "no-transition\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--delta", "0.2"), ("--lambda", "5")])
+def test_critical_refuses_chi(capsys, flag, value):
+    # with chi = 0.3 the threshold moves to sqrt(f1 (f2 - chi))/2; the chi = 0 line would be wrong
+    code, out, err = run_cli(capsys, "critical", "--chi", "0.3", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == "error: mean-field routines require chi = 0\n"
 
 
 def test_critical_requires_exactly_one(capsys):

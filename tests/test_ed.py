@@ -5,10 +5,13 @@ Checked here:
     and the photon ladder of the drive term
   * the Franck-Condon matrix against its exact finite sum
   * the matrix-free Hamiltonian against its own dense matrix (each block's
-    product and the nonzero count), and the gather/scatter sector map: an
-    isometry onto each parity eigenspace whose smaller cutoffs are prefixes
+    product and the nonzero count), and the half-chain sector: scatter is an
+    isometry onto each parity eigenspace on the existing coordinates, gather
+    is its transpose and reads 0 on missing middle levels, and smaller
+    cutoffs are prefixes
   * the thick-restart Lanczos solve against numpy.linalg.eigvalsh of every
-    dense sector on random small cases (energy and residual); its energy is
+    dense sector on random small cases (energy, and the residual on the
+    existing coordinates; missing middle levels stay exactly 0); its energy is
     good to 1e-13 * |E| where ||H|| is thousands of times |E|; and an
     exhausted restart budget raises ConvergenceFailureError
   * the displaced (extended coherent-state) basis against the Fock oracle:
@@ -123,10 +126,22 @@ def _parity(n_atoms, cutoff):
     return np.kron(np.diag((-1.0) ** np.arange(cutoff + 1)), np.eye(n_atoms + 1)[::-1])
 
 
+def _sector(n_atoms, cutoff, sign):
+    """The Pi = sign sector (the whole block for None) of a FixedDelta block."""
+    return ed._Sector(ed.Hamiltonian(n_atoms, cutoff, []), 0, sign)
+
+
+def _sector_columns(n_atoms, cutoff, sign):
+    """The block vectors that scatter makes of the sector's unit vectors, one
+    column per coordinate; a missing middle level's column is 0."""
+    sector = _sector(n_atoms, cutoff, sign)
+    return np.column_stack([sector.scatter(e).ravel() for e in np.eye(sector.shape[0])])
+
+
 def _isometry(n_atoms, cutoff, sign):
-    """The sector map's isometry P as a dense matrix, one column per coordinate."""
-    sector = ed._SectorMap(n_atoms, cutoff, sign)
-    return np.column_stack([sector.scatter(e) for e in np.eye(len(sector.rows))])
+    """The sector's isometry P as a dense matrix, one column per existing coordinate."""
+    columns = _sector_columns(n_atoms, cutoff, sign)
+    return columns[:, columns.any(axis=0)]
 
 
 def _lowest_by_sector(h, signs):
@@ -232,16 +247,18 @@ def test_hermitian_and_parity_commutes():
 @pytest.mark.parametrize("n_atoms", [5, 6])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_sector_isometry_spans_parity_eigenspace(n_atoms, sign):
-    # the gather/scatter sector map: scatter is an isometry P onto the
-    # Pi = sign eigenspace, and gather is its transpose
+    # the half-chain sector: scatter is an isometry P onto the Pi = sign
+    # eigenspace on the existing coordinates, and gather is its transpose
     iso = _isometry(n_atoms, 4, sign)
     pi = _parity(n_atoms, 4)
     assert np.max(np.abs(iso.T @ iso - np.eye(iso.shape[1]))) <= 1e-15
     assert np.max(np.abs(pi @ iso - sign * iso)) <= 1e-15
     assert iso.shape[1] == np.sum(np.linalg.eigvalsh(pi) * sign > 0)
-    sector = ed._SectorMap(n_atoms, 4, sign)
+    exists = _sector_columns(n_atoms, 4, sign).any(axis=0)
     block = np.random.default_rng(3).standard_normal(len(iso))
-    assert np.max(np.abs(sector.gather(block) - iso.T @ block)) <= 1e-15
+    gathered = _sector(n_atoms, 4, sign).gather(block)
+    assert np.max(np.abs(gathered[exists] - iso.T @ block)) <= 1e-15
+    assert not gathered[~exists].any()  # missing middle levels read exactly 0
     # a smaller cutoff's columns are a prefix of a larger one's
     small = _isometry(n_atoms, 2, sign)
     assert np.array_equal(iso[: len(small), : small.shape[1]], small)
@@ -291,11 +308,15 @@ def test_lowest_state_matches_dense_sector(n_atoms, cutoff, variant, omega, lam,
     for block in range(len(h.blocks)):
         sub = dense[block * size:(block + 1) * size, block * size:(block + 1) * size]
         for sign in (1.0, -1.0) if params.xi2 == 0 else (None,):
-            iso = np.eye(size) if sign is None else _isometry(n_atoms, cutoff, sign)
+            columns = _sector_columns(n_atoms, cutoff, sign)
+            exists = columns.any(axis=0)
+            iso = columns[:, exists]
             sector = iso.T @ sub @ iso
             eig = np.linalg.eigvalsh(sector)
             energy, psi = ed._lowest_state(ed._Sector(h, block, sign))
             assert abs(energy - eig[0]) <= 1e-12 * max(1.0, abs(eig[0])), (block, sign)
+            assert not psi[~exists].any()
+            psi = psi[exists]
             assert np.linalg.norm(sector @ psi - energy * psi) <= 1e-10 * np.max(np.abs(eig))
 
 

@@ -23,7 +23,10 @@ Checked here:
     as a property over delta and lambda scans that cross the transition or
     stay flat in the normal phase, bit for bit the scan written with numpy
     (np.linspace, slice differences, np.argmax: the first of tied steps)
-  * refusal behavior: nu <= -1, chi != 0, |beta| out of range, zero budget,
+  * a lambda scan refuses a negative lambda, and chi != 0, at grid index 0
+    with the point named in the message
+  * refusal behavior: nu <= -1, chi != 0 (critical_lambda, critical_delta
+    and trace_critical_curve included), |beta| out of range, zero budget,
     a lone origin start in the superradiant phase (a saddle), a negative
     budget, and a superradiant alpha whose square overflows
 """
@@ -53,6 +56,7 @@ from iddm import (
     equilibrium_closed_form,
     equilibrium_numeric,
     observables,
+    trace_critical_curve,
 )
 from iddm.meanfield import _newton_step
 from dataclasses import replace
@@ -101,6 +105,13 @@ def test_chi_rejected():
         energy_derivatives(params, 0.5, (0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ChiUnsupportedError):
         equilibrium_closed_form(params, 0.5)
+    # the threshold moves to sqrt(f1 (f2 - chi))/2, so the chi = 0 value would be wrong
+    with pytest.raises(ChiUnsupportedError):
+        critical_lambda(params, 0.2)
+    with pytest.raises(ChiUnsupportedError):
+        critical_delta(params)
+    with pytest.raises(ChiUnsupportedError):
+        trace_critical_curve(params, count=3)
 
 
 def test_gradient_zero_at_origin():
@@ -484,6 +495,15 @@ def test_scan_error_names_grid_point():
     params = ModelParams(omega=400.0, lam=5.0, kappa=-2.0)
     with pytest.raises(UnboundedPhaseError, match="grid index"):
         derivative_scan(params, "delta", 0.0, 1.0, 0.1)
+
+
+def test_lambda_scan_refusals_name_the_first_point():
+    with pytest.raises(InvalidParameterError) as info:
+        derivative_scan(FIG2, "lambda", -0.5, 0.5, 0.25, delta=0.0)
+    assert str(info.value) == "lambda = -0.5 (grid index 0): lambda must be >= 0, got -0.5"
+    with pytest.raises(ChiUnsupportedError) as info:
+        derivative_scan(replace(FIG2, chi=0.3), "lambda", 1.0, 2.0, 0.5, delta=0.0)
+    assert str(info.value) == "lambda = 1.0 (grid index 0): mean-field routines require chi = 0"
 
 
 def _numpy_scan(params, parameter_name, start, stop, step, delta):
