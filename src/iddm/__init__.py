@@ -74,8 +74,8 @@ _LAZY_NAMES = {
     **dict.fromkeys(("CollapsedImpurity", "ProjectiveMeasurement", "Sign", "WernerState",
                      "angle_for_target_delta", "measure", "unmeasured_population"),
                     "measurement"),
-    **dict.fromkeys(("EDConfig", "EDResult", "FiniteSizeEntry", "FixedDelta", "FullQubit",
-                     "build_hamiltonian", "finite_size_scan", "ground_state"), "ed"),
+    **dict.fromkeys(("EDConfig", "EDResult", "FixedDelta", "FullQubit", "build_hamiltonian",
+                     "finite_size_scan", "ground_state"), "ed"),
 }
 
 

@@ -14,7 +14,8 @@ Model parameters come from flags whose defaults pin the reference parameter
 set (omega = 400, omega0 = 1, kappa = -0.5, lambda = 5).  A JSON config file
 (--config) may supply any option under its flag name (dashes as underscores,
 `lambda` spelled out); explicit flags win over the config file, and unknown
-config keys are rejected.  Exit codes: 0 success, 1 invalid input, 2 solver
+config keys are rejected.  Exit codes: 0 success, 1 invalid input or an
+output that cannot be written (a closed stdout pipe among them), 2 solver
 convergence failure.  Set IDDM_THREADS before launching to pin the linear
 algebra thread count (it is applied when the package is first imported).
 The critical, sweep, deriv and closed-form meanfield subcommands never import
@@ -32,8 +33,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
-from dataclasses import replace
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -261,29 +262,17 @@ def _cmd_ed(v: dict, provided: set) -> int:
     from . import ed as ed_mod
 
     params = _params(v)
-    n_list = v["n"]
     if v["full_qubit"] and "delta" in provided:
         raise CLIError("--delta does not apply to --full-qubit runs")
     mode = ed_mod.FullQubit() if v["full_qubit"] else ed_mod.FixedDelta(v["delta"])
-    base = ed_mod.EDConfig(
-        n_atoms=n_list[0], photon_cutoff=v["cutoff"], impurity_mode=mode,
-        dimension_cap=v["dimension_cap"],
-    )
+    configs = [ed_mod.EDConfig(n_atoms=n, photon_cutoff=v["cutoff"], impurity_mode=mode,
+                               dimension_cap=v["dimension_cap"]) for n in v["n"]]
     if v["full_qubit"]:
-        records = [(n, ed_mod.ground_state(params, replace(base, n_atoms=n)), None) for n in n_list]
+        results = [ed_mod.ground_state(params, c) for c in configs]
     else:
-        records = [(e.n_atoms, e.result, e.mean_field_deviation)
-                   for e in ed_mod.finite_size_scan(params, v["delta"], n_list, config=base)]
+        results = ed_mod.finite_size_scan(params, v["delta"], v["n"], config=configs[0])
     with _out_stream(v["output"]) as out:
-        for n, r, dev in records:
-            out.write(json.dumps({
-                "n_atoms": n, "photon_cutoff": r.photon_cutoff,
-                "energy_per_atom": r.energy_per_atom,
-                "jz_over_n": r.jz_over_n, "photons_over_n": r.photons_over_n,
-                "parity": r.parity, "converged": r.converged,
-                "cutoff_shift": r.cutoff_shift, "mean_field_deviation": dev,
-                "sector_gap": r.sector_gap, "cutoff_raises": r.cutoff_raises,
-            }) + "\n")
+        _write_chunks(out, (json.dumps(vars(r)) + "\n" for r in results))
     return 0
 
 
@@ -368,8 +357,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(ns.config)
         _, handler, opts = _COMMANDS[ns.command]
         values, provided = _merge(ns, _MODEL_OPTS + opts, config)
-        return handler(values, provided)
-    except (CLIError, IDDMError, ValueError) as exc:
+        code = handler(values, provided)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except (CLIError, IDDMError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader has gone: what stdout still buffers goes nowhere at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConvergenceFailureError) else 1
 

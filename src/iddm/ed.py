@@ -66,7 +66,6 @@ __all__ = [
     "FullQubit",
     "EDConfig",
     "EDResult",
-    "FiniteSizeEntry",
     "build_hamiltonian",
     "ground_state",
     "finite_size_scan",
@@ -103,6 +102,10 @@ class EDConfig:
     dimension_cap: int = 1_000_000
 
     def __post_init__(self):
+        for name in ("n_atoms", "photon_cutoff", "dimension_cap"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.n_atoms < 1:
             raise InvalidParameterError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.photon_cutoff < 1:
@@ -113,8 +116,11 @@ class EDConfig:
 
 @dataclass(frozen=True)
 class EDResult:
-    """Ground-state data at the final base cutoff plus the last enlargement's shift.
+    """One finite-N ground state, the record `iddm ed` prints field by field.
 
+    Data of the final base cutoff photon_cutoff, plus cutoff_shift, the last
+    enlargement's move of E/N.  mean_field_deviation is |E/N - (e0 - f2/2)|
+    from finite_size_scan, None from ground_state (so in FullQubit runs).
     sector_gap is E(Pi = -1) - E(Pi = +1), the total-energy gap between the
     two parity sectors at the final base cutoff (None where parity is not
     reported); deep in the superradiant phase the two sectors are degenerate
@@ -123,22 +129,17 @@ class EDResult:
     which promoted the enlarged cutoff to be the base.
     """
 
+    n_atoms: int
+    photon_cutoff: int
     energy_per_atom: float
     jz_over_n: float
     photons_over_n: float
     parity: float | None
     converged: bool
-    photon_cutoff: int
     cutoff_shift: float
+    mean_field_deviation: float | None
     sector_gap: float | None
     cutoff_raises: int
-
-
-@dataclass(frozen=True)
-class FiniteSizeEntry:
-    n_atoms: int
-    result: EDResult
-    mean_field_deviation: float
 
 
 def _hermite_functions(x: np.ndarray, cutoff: int) -> np.ndarray:
@@ -468,13 +469,15 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
     jz, photons = _observables(params, n, delta, base, _Sector(h, *key).scatter(psi))
     parity_known = fixed and params.xi2 == 0
     return EDResult(
+        n_atoms=n,
+        photon_cutoff=base,
         energy_per_atom=e_atom,
         jz_over_n=jz / n,
         photons_over_n=photons / n,
         parity=sign if fixed else None,
         converged=converged,
-        photon_cutoff=base,
         cutoff_shift=shift,
+        mean_field_deviation=None,
         sector_gap=solves[0, -1.0][0] - solves[0, 1.0][0] if parity_known else None,
         cutoff_raises=raises,
     )
@@ -485,35 +488,25 @@ def finite_size_scan(
     delta: float,
     n_list,
     config: EDConfig | None = None,
-) -> list[FiniteSizeEntry]:
+) -> list[EDResult]:
     """Ground states at a sequence of atom numbers against the mean-field limit.
 
-    The reference value is E0(delta) - f2/2 per atom (the -f2/2 comes from the
-    spin operators being measured from the equator at finite N).  config acts
-    as a template; n_atoms and the impurity mode are overridden per entry.
+    Each result is ground_state's, with mean_field_deviation set to
+    |E/N - (e0(delta) - f2/2)| (the -f2/2 comes from the spin operators being
+    measured from the equator at finite N).  config acts as a template;
+    n_atoms and the impurity mode are overridden per entry, and every entry's
+    EDConfig is built, refusing a bad atom number, before the first solve.
 
     Degenerate point: when f2 = omega0 + kappa*(1 + delta) = 0 the atomic term
     drops out, Jx commutes with H and E/N equals the mean-field value at every
     N.  There the deviation measures only truncation and roundoff, not
     finite-size drift.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list:
+    template = config if config is not None else EDConfig(n_atoms=1)
+    configs = [replace(template, n_atoms=n, impurity_mode=FixedDelta(delta)) for n in n_list]
+    if not configs:
         raise InvalidParameterError("n_list must not be empty")
-    template = config if config is not None else EDConfig(n_atoms=n_list[0])
-    sol = equilibrium_closed_form(params, delta)
     _, f2 = effective_frequencies(params, delta)
-    target = sol.e0 - f2 / 2.0
-
-    entries = []
-    for n in n_list:
-        cfg = replace(template, n_atoms=n, impurity_mode=FixedDelta(delta))
-        result = ground_state(params, cfg)
-        entries.append(
-            FiniteSizeEntry(
-                n_atoms=n,
-                result=result,
-                mean_field_deviation=abs(result.energy_per_atom - target),
-            )
-        )
-    return entries
+    target = equilibrium_closed_form(params, delta).e0 - f2 / 2.0
+    results = [ground_state(params, cfg) for cfg in configs]
+    return [replace(r, mean_field_deviation=abs(r.energy_per_atom - target)) for r in results]

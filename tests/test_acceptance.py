@@ -251,10 +251,10 @@ def test_criterion_07_ed_oracle_convergence(report):
                     f"N = 8, 16, 32: {devs}"
                 )
             for e in entries:
-                if e.mean_field_deviation <= 100.0 * e.result.cutoff_shift:
+                if e.mean_field_deviation <= 100.0 * e.cutoff_shift:
                     failures.append(
                         f"deviation {e.mean_field_deviation:.3e} not above 100x the "
-                        f"cutoff shift {e.result.cutoff_shift:.3e} at N = {e.n_atoms}"
+                        f"cutoff shift {e.cutoff_shift:.3e} at N = {e.n_atoms}"
                     )
             # at delta = 1, f2 = 0: Jx is conserved and E/N = e0 exactly at
             # every N, so only exactness (not convergence) can be checked
@@ -266,9 +266,9 @@ def test_criterion_07_ed_oracle_convergence(report):
                         f"> 1e-10 at N = {e.n_atoms}"
                     )
             for e in entries + exact:
-                if e.result.cutoff_shift > 1e-8:
+                if e.cutoff_shift > 1e-8:
                     failures.append(
-                        f"cutoff doubling moves E/N by {e.result.cutoff_shift:.3e} "
+                        f"cutoff doubling moves E/N by {e.cutoff_shift:.3e} "
                         f"> 1e-8 at N = {e.n_atoms}"
                     )
             normal = ground_state(

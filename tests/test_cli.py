@@ -30,7 +30,13 @@ Checked here:
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
     byte-identical
   * ed emits one JSON record per atom number with parity exactly +-1, runs
-    at N = 100 without --n and refuses N = 0; --full-qubit rejects --delta
+    at N = 100 without --n and refuses N = 0 anywhere in the list before the
+    first solve, in both impurity modes; --full-qubit rejects --delta; each
+    record's keys are EDResult's fields in order and its values those of the
+    API's result (FixedDelta and FullQubit)
+  * an --output that cannot be opened (a directory, a missing parent) on
+    sweep, deriv and ed, and a stdout pipe that the reader closes, mid-run
+    or before the first write, exit 1 with an error line and no traceback
   * measure solves --target and reports the collapsed state
   * non-finite sweep axis edges, and edges whose span overflows, exit 1
   * an f1 or f2 that overflows to +-inf exits 1 naming the frequency, from
@@ -53,6 +59,7 @@ Checked here:
 """
 
 import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -573,6 +580,75 @@ def test_ed_records(capsys):
         assert r["cutoff_shift"] >= 0
         assert isinstance(r["sector_gap"], float)
         assert r["cutoff_raises"] == 0
+
+
+@pytest.mark.parametrize("argv, api", [
+    (["--delta", "0.8", "--n", "8"],
+     lambda p: iddm.finite_size_scan(p, 0.8, [8])[0]),
+    (["--full-qubit", "--n", "4"],
+     lambda p: iddm.ground_state(p, iddm.EDConfig(n_atoms=4, impurity_mode=iddm.FullQubit()))),
+], ids=["fixed-delta", "full-qubit"])
+def test_ed_record_is_ed_result(capsys, argv, api):
+    # the record is EDResult's fields in order, valued as the API's result
+    code, out, _ = run_cli(capsys, "ed", "--omega", "4", "--lambda", "2", *argv)
+    assert code == 0
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert list(record) == [f.name for f in dataclasses.fields(iddm.EDResult)]
+    assert record == dataclasses.asdict(api(ModelParams(omega=4.0, lam=2.0, kappa=-0.5)))
+
+
+@pytest.mark.parametrize("mode", [[], ["--full-qubit"]], ids=["fixed-delta", "full-qubit"])
+def test_ed_refuses_bad_atom_number_before_solving(capsys, monkeypatch, mode):
+    import iddm.ed
+
+    calls = []
+    monkeypatch.setattr(iddm.ed, "ground_state", lambda *args: calls.append(args))
+    code, out, err = run_cli(capsys, "ed", *mode, "--n", "8", "--n", "0")
+    assert code == 1 and out == "" and "n_atoms must be >= 1" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--delta-count", "3", "--lambda-count", "3"],
+    ["deriv", "--wrt", "lambda", "--from", "0", "--to", "1", "--step", "0.5", "--delta", "0"],
+    ["ed", "--omega", "4", "--lambda", "2", "--n", "4"],
+], ids=["sweep", "deriv", "ed"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_exits_1(tmp_path, capsys, argv, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+# a child whose stdout is block buffered, as it is under a shell pipe
+_BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # `iddm sweep | head -1`: the default grid is far larger than a pipe buffer
+    proc = subprocess.Popen([sys.executable, "-m", "iddm", "sweep"], env=_BUFFERED,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("delta,lambda,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err.startswith("error: ") and "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_stdout_pipe_closed_before_start_exits_1_quietly():
+    # one short line fails only when stdout is flushed, which main does itself
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "iddm", "critical", "--delta", "0"],
+                              env=_BUFFERED, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_ed_atom_number(tmp_path, capsys):

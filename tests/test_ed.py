@@ -35,7 +35,9 @@ Checked here:
   * results are deterministic across repeated runs
   * the full-qubit mode picks the lower of the two impurity branches
   * the basis-size cap raises DimensionTooLargeError, and EDConfig refuses
-    a zero atom number, cutoff or cap
+    a zero atom number, cutoff or cap, and a non-integral or boolean one
+    (numpy integers pass); finite_size_scan refuses a bad atom number
+    anywhere in its list before the first solve
   * `iddm ed --full-qubit --chi 0.3` includes the chi Jz^2 / N term: its
     energy is the Fock oracle's lowest eigenvalue with chi
   * the sector solve against the dense Fock oracle: the energy is the lowest
@@ -537,7 +539,7 @@ def test_finite_size_drift_shrinks():
     # roughly 1/N: doubling N should at least halve-ish the drift
     assert devs[1] <= 0.75 * devs[0]
     assert devs[2] <= 0.75 * devs[1]
-    assert all(e.result.converged for e in entries)
+    assert all(e.converged for e in entries)
 
 
 def test_photon_fraction_near_mean_field():
@@ -626,6 +628,25 @@ def test_config_refuses_bad_sizes():
     for kwargs in ({"n_atoms": 0}, {"n_atoms": 4, "photon_cutoff": 0}, {"n_atoms": 4, "dimension_cap": 0}):
         with pytest.raises(InvalidParameterError):
             EDConfig(**kwargs)
+    for field, value in [("n_atoms", 8.5), ("n_atoms", 8.0), ("n_atoms", True),
+                         ("n_atoms", np.float64(6)), ("photon_cutoff", 2.5), ("photon_cutoff", True),
+                         ("dimension_cap", 1e6), ("dimension_cap", True)]:
+        with pytest.raises(InvalidParameterError, match=f"{field} must be an integer"):
+            EDConfig(**{"n_atoms": 4, field: value})
+
+
+def test_config_accepts_numpy_integers():
+    config = EDConfig(n_atoms=np.int64(4), photon_cutoff=np.int32(2), dimension_cap=np.uint32(500))
+    assert ground_state(SMALL, config).n_atoms == 4
+
+
+def test_finite_size_scan_refuses_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ed, "ground_state", lambda *args: calls.append(args))
+    for n_list in ([8, 0], [8.7], [8, True]):
+        with pytest.raises(InvalidParameterError):
+            finite_size_scan(SMALL, 0.8, n_list)
+    assert calls == []
 
 
 def test_cli_full_qubit_includes_chi(capsys):

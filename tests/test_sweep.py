@@ -270,6 +270,9 @@ class _WriteLog:
         self.writes.append((len(text), text.count("\n")))
         return len(text)
 
+    def flush(self):
+        pass
+
 
 def _assert_chunked(writes, header, row_count):
     """header went out alone, then row_count rows, at most one chunk per write."""
