@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -173,6 +174,18 @@ def _params(v: dict) -> ModelParams:
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
+
+
+def _check_output(path: str | None) -> None:
+    """Raise open()'s error for an --output that is a directory or lacks its parent, creating nothing."""
+    if path in (None, "-"):
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 @contextlib.contextmanager
@@ -357,6 +370,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = _load_config(ns.config)
         _, handler, opts = _COMMANDS[ns.command]
         values, provided = _merge(ns, _MODEL_OPTS + opts, config)
+        _check_output(values.get("output"))  # before the run, not after it
         code = handler(values, provided)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
         return code

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConvergenceFailureError, DimensionTooLargeError, InvalidParameterError
 from .meanfield import equilibrium_closed_form
-from .model import ModelParams, check_population, effective_frequencies
+from .model import ModelParams, check_count, check_population, effective_frequencies
 
 __all__ = [
     "FixedDelta",
@@ -103,15 +103,7 @@ class EDConfig:
 
     def __post_init__(self):
         for name in ("n_atoms", "photon_cutoff", "dimension_cap"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if self.n_atoms < 1:
-            raise InvalidParameterError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.photon_cutoff < 1:
-            raise InvalidParameterError(f"photon_cutoff must be >= 1, got {self.photon_cutoff}")
-        if self.dimension_cap < 1:
-            raise InvalidParameterError("dimension_cap must be >= 1")
+            check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -268,7 +260,8 @@ def build_hamiltonian(
     twice the largest spin coefficient of each term (a Franck-Condon matrix
     has norm <= 1), is so large that the solver's resolution, machine epsilon
     times that bound, exceeds 1e-8 * max(N, -min diag): a lower bound of the
-    truncation check's target 1e-8 * max(N, |E|), since E <= min diag.
+    truncation check's target 1e-8 * max(N, |E|), since E <= min diag; or
+    when the bound's square overflows, as the solver's vector norms would.
     """
     cutoff = config.photon_cutoff if photon_cutoff is None else photon_cutoff
     if isinstance(config.impurity_mode, FixedDelta):
@@ -282,13 +275,16 @@ def build_hamiltonian(
     blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
     for diag, terms in blocks:
         lowest = diag.min()
-        norm = max(diag.max(), -lowest) + 2.0 * sum(np.max(np.abs(spin), initial=0.0) for _, spin, _ in terms)
+        spins = sum(np.max(np.abs(spin), initial=0.0) for _, spin, _ in terms)
+        norm = float(max(diag.max(), -lowest) + 2.0 * spins)
         resolution, target = np.finfo(float).eps * norm, 1e-8 * max(config.n_atoms, -lowest)
         if resolution > target:
             raise InvalidParameterError(
                 f"the Hamiltonian's norm bound {norm:.3g} is beyond the eigensolver: its "
                 f"resolution {resolution:.3g} exceeds the 1e-8-per-atom target {target:.3g}"
             )
+        if norm * norm == math.inf:  # a Python float product: numpy's would warn
+            raise InvalidParameterError(f"the Hamiltonian's norm bound {norm:.3g} overflows when squared")
     return Hamiltonian(config.n_atoms, cutoff, blocks)
 
 

@@ -44,7 +44,8 @@ from .errors import (
     UnboundedPhaseError,
     ZeroKappaError,
 )
-from .model import ModelParams, check_lambda, check_population, effective_frequencies
+from .model import (ModelParams, check_count, check_finite, check_lambda, check_population,
+                    effective_frequencies)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -311,10 +312,8 @@ def equilibrium_numeric(
     f1, f2 = _frequencies(params, delta)
     lam = params.lam
     nu = _nu(f1, f2, lam)
-    if seed_count < 1:
-        raise InvalidParameterError("seed_count must be >= 1")
-    if max_iterations < 0:
-        raise InvalidParameterError(f"max_iterations must be >= 0, got {max_iterations}")
+    check_count("seed_count", seed_count)
+    check_count("max_iterations", max_iterations, minimum=0)
 
     import numpy as np
 
@@ -364,11 +363,8 @@ def critical_delta(params: ModelParams) -> float | None:
     if disc < 0:
         return None
     q = -(b + math.copysign(math.sqrt(disc), b if b != 0 else 1.0)) / 2.0
-    roots = []
-    if q != 0:
-        roots = [q / a, c / q]
-    else:
-        roots = [0.0]
+    # a kappa xi1 that underflows to 0 leaves the linear equation and its one root c/q
+    roots = [0.0] if q == 0 else [c / q] if a == 0 else [q / a, c / q]
     slack = 1e-12
     admissible = sorted(
         min(1.0, max(-1.0, r))
@@ -382,13 +378,14 @@ def critical_lambda(params: ModelParams, delta: float) -> float | None:
     """Coupling at which nu = 1 for fixed delta: lam_c = sqrt(f1 f2)/2.
 
     Returns None when f2 <= 0, where the system is superradiant at every
-    lam > 0 and no finite threshold exists.
+    lam > 0 and no finite threshold exists.  Where f1 f2 overflows or
+    underflows to 0, the root is taken of each factor.
     """
     f1, f2 = _frequencies(params, delta)
-    product = f1 * f2
-    if product <= 0:
+    if f2 <= 0:
         return None
-    return 0.5 * math.sqrt(product)
+    product = f1 * f2
+    return 0.5 * math.sqrt(product) if 0 < product < math.inf else 0.5 * math.sqrt(f1) * math.sqrt(f2)
 
 
 def observables(solution: MeanFieldSolution) -> tuple[float, float]:
@@ -402,7 +399,7 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     span = hi - lo
     if count == 1:
         return [0.0 * span + lo]
-    div = count - 1
+    div = int(count) - 1  # a numpy integer count would make every point a numpy float
     step = span / div
     if step == 0:  # a subnormal span: scale i/div, as numpy does
         return [i / div * span + lo for i in range(div)] + [hi]
@@ -455,8 +452,7 @@ def derivative_scan(
     elif delta is not None:
         raise InvalidParameterError("delta scans take no separate delta argument")
     for name, value in (("start", start), ("stop", stop), ("step", step)):
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value}")
+        check_finite(name, value)
     if not step > 0:
         raise InvalidParameterError(f"step must be > 0, got {step}")
     if not stop > start:

@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, UnreachableTargetError, ZeroProbabilityOutcomeError
+from .model import check_finite
 
 __all__ = [
     "Sign",
@@ -52,11 +53,6 @@ KET_UPPER = np.array([1.0, 0.0])  # |0>
 KET_LOWER = np.array([0.0, 1.0])  # |1>
 SIGMA_Z = np.diag([1.0, -1.0])
 BELL_STATE = (np.kron(KET_UPPER, KET_UPPER) + np.kron(KET_LOWER, KET_LOWER)) / math.sqrt(2.0)
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise InvalidParameterError(f"{name} must be finite, got {value}")
 
 
 class Sign(Enum):
@@ -90,7 +86,7 @@ class ProjectiveMeasurement:
     sign: Sign
 
     def __post_init__(self):
-        _check_finite("theta", self.theta)
+        check_finite("theta", self.theta)
 
     def state_vector(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -143,9 +139,8 @@ def angle_for_target_delta(z: float, target: float) -> tuple[float, Sign]:
     Inverts delta = +- z cos(2 theta); a finite |target| <= z is required.
     target = 0 with z = 0 returns the balanced angle pi/4.
     """
-    if not 0.0 <= z <= 1.0:
-        raise InvalidParameterError(f"Werner parameter z must lie in [0, 1], got {z}")
-    _check_finite("target", target)
+    WernerState(z)  # refuses z outside [0, 1]
+    check_finite("target", target)
     if abs(target) > z:
         raise UnreachableTargetError(f"|target| = {abs(target)} exceeds z = {z}")
     if z == 0.0:

@@ -10,15 +10,16 @@ effective frequencies,
 
 and the dimensionless combination nu = f1 * f2 / (4 lambda^2), which equals 1
 on the phase boundary (nu itself is computed and checked in `meanfield`).
-This module holds the parameter containers, the (f1, f2) helper, and the
-reductions from microscopic cavity-BEC and impurity-drive parameters to the
-model coefficients.
+This module holds the parameter containers, the input checks shared by the
+package, the (f1, f2) helper, and the reductions from microscopic cavity-BEC
+and impurity-drive parameters to the model coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 from .errors import InvalidParameterError, NonPositiveF1Error, ZeroDetuningError
 
@@ -30,9 +31,6 @@ __all__ = [
     "derive_cavity_params",
     "derive_impurity_couplings",
 ]
-
-
-_FLOAT_FIELDS = ("omega", "lam", "kappa", "omega0", "chi", "xi1", "xi2", "omega_q_prime")
 
 
 @dataclass(frozen=True)
@@ -56,16 +54,28 @@ class ModelParams:
     omega_q_prime: float = 0.0  # shifted impurity splitting (constant offset)
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                label = "lambda" if name == "lam" else name
-                raise InvalidParameterError(f"{label} must be finite, got {value}")
+        for field in fields(self):
+            check_finite("lambda" if field.name == "lam" else field.name, getattr(self, field.name))
         if not self.omega > 0:
             raise InvalidParameterError(f"omega must be > 0, got {self.omega}")
         if not self.omega0 > 0:
             raise InvalidParameterError(f"omega0 must be > 0, got {self.omega0}")
         check_lambda(self.lam)
+
+
+def check_finite(name: str, value: float) -> None:
+    """Validate a finite float."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
+
+
+def check_count(name: str, value: int, minimum: int = 1) -> None:
+    """Validate a count: an int or numpy integer, never a bool or a float, of at least minimum."""
+    numpy = sys.modules.get("numpy")  # a numpy integer exists only once numpy is loaded
+    if isinstance(value, bool) or not (isinstance(value, int) or numpy and isinstance(value, numpy.integer)):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 def check_lambda(lam: float) -> float:
@@ -139,8 +149,7 @@ def derive_cavity_params(micro: CavityMicroParams, n_atoms: int) -> tuple[float,
     lam    = sqrt(N) g0 omega_p / (2 delta_a)
     chi    = N [ (s0 + s1)/2 - s01 ]
     """
-    if n_atoms < 1:
-        raise InvalidParameterError(f"n_atoms must be >= 1, got {n_atoms}")
+    check_count("n_atoms", n_atoms)
     omega = -micro.delta_c + n_atoms * micro.u0 / 2.0
     omega0 = 2.0 * micro.omega_r + (n_atoms - 1) * (micro.s1 - micro.s0) / 2.0
     lam = math.sqrt(n_atoms) * micro.g0 * micro.omega_p / (2.0 * micro.delta_a)

@@ -28,7 +28,7 @@ from .errors import (
     UnboundedPhaseError,
 )
 from .meanfield import _SUPERRADIANT, _linspace, _new_tuple, critical_lambda, equilibrium_closed_form
-from .model import ModelParams
+from .model import ModelParams, check_count
 
 __all__ = [
     "GridSpec",
@@ -66,8 +66,7 @@ class GridSpec:
 
     def __post_init__(self):
         for name, (lo, hi, count) in (("delta", self.delta_range), ("lambda", self.lambda_range)):
-            if count < 1:
-                raise InvalidParameterError(f"{name} count must be >= 1, got {count}")
+            check_count(f"{name} count", count)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise InvalidParameterError(f"{name} range edges must be finite, got ({lo}, {hi})")
             if lo > hi:
@@ -131,8 +130,7 @@ def trace_critical_curve(
     params: ModelParams, delta_range: tuple[float, float] = (-1.0, 1.0), count: int = 201
 ) -> list[tuple[float, float | None]]:
     """lambda_c(delta) along a delta grid; None where no finite threshold exists."""
-    if count < 1:
-        raise InvalidParameterError(f"count must be >= 1, got {count}")
+    check_count("count", count)
     lo, hi = delta_range
     return [(d, critical_lambda(params, d)) for d in _linspace(lo, hi, count)]
 

@@ -35,8 +35,10 @@ Checked here:
     record's keys are EDResult's fields in order and its values those of the
     API's result (FixedDelta and FullQubit)
   * an --output that cannot be opened (a directory, a missing parent) on
-    sweep, deriv and ed, and a stdout pipe that the reader closes, mid-run
-    or before the first write, exit 1 with an error line and no traceback
+    sweep, deriv and ed exits 1 with open()'s error line before the run (a
+    spy on the computation sees no call) and creates no file; a stdout pipe
+    that the reader closes, mid-run or before the first write, exits 1 with
+    an error line and no traceback
   * measure solves --target and reports the collapsed state
   * non-finite sweep axis edges, and edges whose span overflows, exit 1
   * an f1 or f2 that overflows to +-inf exits 1 naming the frequency, from
@@ -608,17 +610,26 @@ def test_ed_refuses_bad_atom_number_before_solving(capsys, monkeypatch, mode):
     assert calls == []
 
 
+# the computation each command runs before it writes
+_RUN = {"sweep": "iddm.cli.run_grid", "deriv": "iddm.cli.derivative_scan", "ed": "iddm.ed.ground_state"}
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--delta-count", "3", "--lambda-count", "3"],
     ["deriv", "--wrt", "lambda", "--from", "0", "--to", "1", "--step", "0.5", "--delta", "0"],
     ["ed", "--omega", "4", "--lambda", "2", "--n", "4"],
 ], ids=["sweep", "deriv", "ed"])
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])
-def test_unwritable_output_exits_1(tmp_path, capsys, argv, where):
+def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, argv, where):
     target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    with pytest.raises(OSError) as opened:
+        open(target, "w")
+    calls = []
+    monkeypatch.setattr(_RUN[argv[0]], lambda *args, **kwargs: calls.append(args))
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err == f"error: {opened.value}\n"
+    assert calls == []  # refused before the run
     assert sorted(tmp_path.iterdir()) == []
 
 

@@ -14,6 +14,9 @@ Checked here:
     existing coordinates; missing middle levels stay exactly 0); its energy is
     good to 1e-13 * |E| where ||H|| is thousands of times |E|; and an
     exhausted restart budget raises ConvergenceFailureError
+  * a Hamiltonian whose norm bound squares past the float range is refused
+    (lambda = 1e77), and one just inside it (1e76) solves to the mean-field
+    E/N = -lambda^2/f1 without a numpy warning
   * the displaced (extended coherent-state) basis against the Fock oracle:
     the lowest eigenvalue of every sigma_z block and parity sector, and the
     ground-state <Jz> and <a^dagger a> of each sector
@@ -334,6 +337,17 @@ def test_energy_resolution_is_relative_to_the_energy(omega, n_atoms, cutoff):
     for sign, want in ((1.0, -f2 * n_atoms / 2.0), (-1.0, -f2 * n_atoms / 2.0 + f2)):
         energy, _ = ed._lowest_state(ed._Sector(h, 0, sign))
         assert abs(energy - want) <= 1e-13 * abs(want), sign
+
+
+def test_norm_bound_whose_square_overflows_is_refused():
+    # the solver's vector norms square ||H v||: at lambda = 1e77 that overflowed, and the
+    # run reported E/N = -0.0861 lambda^2 as converged where mean field gives -lambda^2/4
+    config = EDConfig(n_atoms=64, impurity_mode=FixedDelta(0.8))
+    with pytest.raises(InvalidParameterError, match="^the Hamiltonian's norm bound .* overflows when squared$"):
+        ground_state(ModelParams(omega=4.0, lam=1e77, kappa=-0.5), config)
+    result = ground_state(ModelParams(omega=4.0, lam=1e76, kappa=-0.5), config)
+    assert result.converged
+    assert math.isclose(result.energy_per_atom, -0.25 * 1e76**2, rel_tol=1e-12)
 
 
 def test_exhausted_restart_budget_raises():

@@ -16,7 +16,9 @@ Checked here:
     indefinite, diagonal, equal-diagonal and floored cases included
   * the superradiant energy identity E0 = -(lam^2/f1)(1 - nu)^2
   * critical_delta / critical_lambda closed forms, boundary cases, the
-    general xi1 != 0 root, and the standard-Dicke reduction
+    general xi1 != 0 root, and the standard-Dicke reduction; the linear root
+    when kappa xi1 underflows to 0, and lambda_c where f1 f2 overflows or
+    underflows (trace_critical_curve included)
   * branch continuity across the phase boundary
   * for kappa < 0 (xi1 = 0) raising delta never restores the normal phase
   * second-difference scans: flat for kappa = 0, kink at the transition;
@@ -427,6 +429,23 @@ def test_critical_delta_general_branch():
     # and it collapses to the closed form as xi1 -> 0
     small = replace(params, xi1=1e-9)
     assert abs(critical_delta(small) - 0.5) < 1e-6
+
+
+def test_critical_delta_when_kappa_xi1_underflows():
+    # kappa xi1 = 5e-324 * 0.4 is 0: the equation f1 (omega0 + kappa (1 + d)) = 4 lam^2 is
+    # linear, its root is (4 lam^2 - omega omega0)/(omega0 xi1) = -0.475, and q/a divided by 0
+    tiny = critical_delta(ModelParams(omega=1.0, lam=0.45, kappa=5e-324, xi1=0.4))
+    assert tiny == critical_delta(ModelParams(omega=1.0, lam=0.45, kappa=1e-300, xi1=0.4))
+    assert math.isclose(tiny, -0.475, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_critical_lambda_where_f1_f2_overflows_or_underflows(scale):
+    # f1 f2 = scale^2 is inf or 0; lam_c = sqrt(f1 f2)/2 = scale/2 all the same
+    params = ModelParams(omega=scale, lam=1.0, omega0=scale)
+    assert math.isclose(critical_lambda(params, 0.0), scale / 2.0, rel_tol=1e-15)
+    for _, lc in trace_critical_curve(params, count=3):
+        assert math.isclose(lc, scale / 2.0, rel_tol=1e-15)
 
 
 def test_critical_lambda_reference():

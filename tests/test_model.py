@@ -7,16 +7,26 @@ Checked here:
   * affinity of f1, f2 in delta; constancy when kappa = xi1 = 0
   * the microscopic reductions to (omega, omega0, lam, chi) and (xi1, xi2)
   * input validation (delta range, positivity, zero detunings, a lambda whose
-    4 lam^2 underflows to 0 or overflows, an f1 or f2 that overflows)
+    4 lam^2 underflows to 0 or overflows, an f1 or f2 that overflows, a
+    non-finite value of any ModelParams field)
+  * every count of the API (GridSpec's, trace_critical_curve's, the
+    minimizer's seed_count and max_iterations, derive_cavity_params's
+    n_atoms and EDConfig's three sizes) follows model.check_count: a float
+    (even 8.0, or a numpy float), a bool or a string is refused as not an
+    integer, a value below the minimum as too small, and a numpy integer
+    passes
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from iddm import (
     CavityMicroParams,
+    EDConfig,
+    GridSpec,
     ImpurityMicroParams,
     InvalidParameterError,
     ModelParams,
@@ -26,6 +36,8 @@ from iddm import (
     derive_impurity_couplings,
     effective_frequencies,
     equilibrium_closed_form,
+    equilibrium_numeric,
+    trace_critical_curve,
 )
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
@@ -94,10 +106,11 @@ def test_params_validation():
     with pytest.raises(InvalidParameterError):
         ModelParams(omega=1.0, lam=1e154)  # 4 lam^2 overflows
     assert equilibrium_closed_form(ModelParams(omega=1.0, lam=1e-160), 0.0).nu == math.inf
-    for field in ("omega", "lam", "kappa", "omega0", "chi", "xi1", "xi2", "omega_q_prime"):
+    for field in fields(ModelParams):  # a field added later is covered too
+        label = "lambda" if field.name == "lam" else field.name
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(InvalidParameterError):
-                ModelParams(**{"omega": 1.0, "lam": 1.0, field: bad})
+            with pytest.raises(InvalidParameterError, match=f"^{label} must be finite, got {bad}$"):
+                ModelParams(**{"omega": 1.0, "lam": 1.0, field.name: bad})
 
 
 def test_frequencies_affine_in_delta():
@@ -170,3 +183,28 @@ def test_zero_detunings_rejected():
     with pytest.raises(ZeroDetuningError):
         CavityMicroParams(delta_c=-300.0, u0=2.0, omega_r=0.5, s0=0.0, s1=0.0,
                           s01=0.0, g0=1.0, omega_p=2.0, delta_a=0.0)
+
+
+# name -> (call with the count, its minimum, an accepted numpy integer)
+COUNT_SITES = {
+    "GridSpec delta count": (lambda n: GridSpec(FIG2, delta_range=(-1.0, 1.0, n)), 1, np.int64(3)),
+    "GridSpec lambda count": (lambda n: GridSpec(FIG2, lambda_range=(0.0, 12.0, n)), 1, np.int64(3)),
+    "trace_critical_curve count": (lambda n: trace_critical_curve(FIG2, count=n), 1, np.int64(3)),
+    "seed_count": (lambda n: equilibrium_numeric(FIG2, 0.0, seed_count=n), 1, np.int64(3)),
+    "max_iterations": (lambda n: equilibrium_numeric(FIG2, 0.0, max_iterations=n), 0, np.int64(50)),
+    "derive_cavity_params n_atoms": (lambda n: derive_cavity_params(MICRO_REFERENCE, n), 1, np.int64(3)),
+    "EDConfig n_atoms": (lambda n: EDConfig(n_atoms=n), 1, np.int64(3)),
+    "EDConfig photon_cutoff": (lambda n: EDConfig(n_atoms=4, photon_cutoff=n), 1, np.int32(3)),
+    "EDConfig dimension_cap": (lambda n: EDConfig(n_atoms=4, dimension_cap=n), 1, np.uint32(500)),
+}
+
+
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_every_count_is_refused_the_same_way(site):
+    call, minimum, accepted = COUNT_SITES[site]
+    for bad in (2.5, 8.0, True, np.float64(6), "8"):
+        with pytest.raises(InvalidParameterError, match=r" must be an integer, got "):
+            call(bad)
+    with pytest.raises(InvalidParameterError, match=f" must be >= {minimum}, got {minimum - 1}$"):
+        call(minimum - 1)
+    call(accepted)

@@ -20,6 +20,8 @@ Checked here:
     form per point) row for row and bit for bit, on grids that hit every
     error tag
   * grid validation errors, non-finite axis edges included
+  * numpy integer counts give the same JSON lines as int counts, and plain
+    float axis points (trace_critical_curve included)
   * hypothesis: the axes' _linspace equals np.linspace(...).tolist() bit
     for bit (any two nans equal) at 1, 2 and more points, on equal edges,
     +-0, subnormal spans whose step rounds to 0, spans near the float
@@ -316,6 +318,18 @@ def test_grid_validation():
             GridSpec(FIG2, delta_range=(bad, 1.0, 3))
         with pytest.raises(InvalidParameterError, match="must be finite"):
             GridSpec(FIG2, lambda_range=(0.0, bad, 3))
+
+
+def test_numpy_integer_counts_give_the_same_output():
+    # a numpy count made every axis point a numpy float, written as np.float64(-1.0) in JSON lines
+    documents = []
+    for counts in ((3, 2), (np.int64(3), np.int32(2))):
+        out = io.StringIO()
+        spec = GridSpec(FIG2, delta_range=(-1.0, 1.0, counts[0]), lambda_range=(0.0, 12.0, counts[1]))
+        write_phase_diagram_jsonl(run_grid(spec), out)
+        documents.append(out.getvalue())
+    assert documents[0] == documents[1]
+    assert {type(d) for d, _ in trace_critical_curve(FIG2, count=np.int64(3))} == {float}
 
 
 _HALF_MAX = 8.988465674311579e307  # a span from -_HALF_MAX to _HALF_MAX is the largest finite one
