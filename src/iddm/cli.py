@@ -19,7 +19,8 @@ output that cannot be written (a closed stdout pipe among them), 2 solver
 convergence failure.  Set IDDM_THREADS before launching to pin the linear
 algebra thread count (it is applied when the package is first imported).
 The critical, sweep, deriv and closed-form meanfield subcommands never import
-numpy; spectrum, measure, meanfield --numeric and ed load it when they run.
+numpy or dataclasses (their records are NamedTuples: copy one by _replace);
+spectrum, measure, meanfield --numeric and ed load numpy when they run.
 
 ed runs N = 100 without --n, doubles its photon cutoff until converged, solves
 to machine precision, and includes chi Jz^2/N whenever --chi is nonzero.
@@ -33,7 +34,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import json
 import os
 import sys
 from itertools import chain
@@ -96,13 +96,15 @@ def _add_opts(parser: argparse.ArgumentParser, opts: list[_Opt]) -> None:
         parser.add_argument(o.flag, dest=o.dest, action=o.action, default=None, help=o.help, **kind)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None) -> _Parser:
+    """Every subcommand, with options only on the one named command: no other is parsed."""
     parser = _Parser(prog="iddm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
     for name, (help_text, _, opts) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", dest="config", default=None, help="JSON config file")
-        _add_opts(p, _MODEL_OPTS + opts)
+        if name == command:
+            p.add_argument("--config", dest="config", default=None, help="JSON config file")
+            _add_opts(p, _MODEL_OPTS + opts)
     return parser
 
 
@@ -139,6 +141,7 @@ def _coerce(o: _Opt, raw):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import json  # here, so that only a run with --config loads it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -177,24 +180,21 @@ def _fmt(x: float) -> str:
 
 
 def _check_output(path: str | None) -> None:
-    """Raise open()'s error for an --output that is a directory or lacks its parent, creating nothing."""
+    """Raise open()'s error, creating nothing, for an --output that is a directory or has no directory parent."""
     if path in (None, "-"):
         return
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    try:
-        os.stat(os.path.dirname(path) or ".")
+    try:  # the trailing separator makes stat refuse a parent that is a regular file
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
-@contextlib.contextmanager
 def _out_stream(path: str):
     if path in (None, "-"):
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _cmd_critical(v: dict, provided: set) -> int:
@@ -272,6 +272,7 @@ def _cmd_spectrum(v: dict, provided: set) -> int:
 
 
 def _cmd_ed(v: dict, provided: set) -> int:
+    import json
     from . import ed as ed_mod
 
     params = _params(v)
@@ -364,7 +365,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         ns = parser.parse_args(argv)
         config = _load_config(ns.config)

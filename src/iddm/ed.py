@@ -424,13 +424,13 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
     raises DimensionTooLargeError).
     Reported observables come from the final base state.
     """
-    n = config.n_atoms
+    n = int(config.n_atoms)  # a numpy integer count would reach the record and fail json.dumps
     fixed = isinstance(config.impurity_mode, FixedDelta)
     blocks = (0,) if fixed else (0, 1)
     signs = (1.0, -1.0) if params.xi2 == 0 else (None,)
     sectors = [(block, sign) for block in blocks for sign in signs]
 
-    base = config.photon_cutoff
+    base = int(config.photon_cutoff)
     h = build_hamiltonian(params, config, base)
     solves = {key: _lowest_state(_Sector(h, *key)) for key in sectors}
     raises = 0

@@ -31,7 +31,6 @@ that never saw them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -406,8 +405,7 @@ def _linspace(lo: float, hi: float, count: int) -> list[float]:
     return [i * step + lo for i in range(div)] + [hi]
 
 
-@dataclass(frozen=True)
-class DerivativeScan:
+class DerivativeScan(NamedTuple):
     """Ground-state energy on a uniform grid with central first and second differences.
 
     d1_values and d2_values live on grid[1:-1] (both stencils need both

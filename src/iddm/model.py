@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, NonPositiveF1Error, ZeroDetuningError
 
@@ -33,8 +33,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModelParams:
+def _checked(record: type) -> type:
+    """Make construction, _make and _replace of the NamedTuple record run its _check."""
+    new = record.__new__
+
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    record.__new__ = __new__
+    record._make = classmethod(lambda cls, iterable: cls(*iterable))  # what _replace calls
+    return record
+
+
+@_checked
+class ModelParams(NamedTuple):
     """Coefficients of the single-mode Hamiltonian.
 
     All energies are quoted in units of the atomic transition frequency, so
@@ -53,9 +67,10 @@ class ModelParams:
     xi2: float = 0.0        # impurity-induced cavity displacement
     omega_q_prime: float = 0.0  # shifted impurity splitting (constant offset)
 
-    def __post_init__(self):
-        for field in fields(self):
-            check_finite("lambda" if field.name == "lam" else field.name, getattr(self, field.name))
+    def _check(self):
+        if not all(map(math.isfinite, self)):  # name the first field that is not
+            for name, value in zip(self._fields, self):
+                check_finite("lambda" if name == "lam" else name, value)
         if not self.omega > 0:
             raise InvalidParameterError(f"omega must be > 0, got {self.omega}")
         if not self.omega0 > 0:
@@ -116,8 +131,8 @@ def effective_frequencies(params: ModelParams, delta: float) -> tuple[float, flo
     return f1, f2
 
 
-@dataclass(frozen=True)
-class CavityMicroParams:
+@_checked
+class CavityMicroParams(NamedTuple):
     """Microscopic cavity-BEC parameters behind (omega, omega0, lam, chi).
 
     delta_c is the pump-cavity detuning, u0 the per-atom dispersive shift,
@@ -136,7 +151,7 @@ class CavityMicroParams:
     omega_p: float
     delta_a: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.delta_a == 0:
             raise ZeroDetuningError("pump-atom detuning delta_a must be nonzero")
 
@@ -157,8 +172,8 @@ def derive_cavity_params(micro: CavityMicroParams, n_atoms: int) -> tuple[float,
     return omega, omega0, lam, chi
 
 
-@dataclass(frozen=True)
-class ImpurityMicroParams:
+@_checked
+class ImpurityMicroParams(NamedTuple):
     """Microscopic impurity-drive parameters behind (xi1, xi2).
 
     g_q is the impurity-cavity coupling, omega_q the classical drive Rabi
@@ -169,7 +184,7 @@ class ImpurityMicroParams:
     omega_q: float
     delta_q: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.delta_q == 0:
             raise ZeroDetuningError("impurity drive detuning delta_q must be nonzero")
 

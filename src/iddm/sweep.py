@@ -16,7 +16,6 @@ byte-identical to json.dumps of that dict with the nan numerics as null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, NamedTuple, TextIO
 
@@ -28,7 +27,7 @@ from .errors import (
     UnboundedPhaseError,
 )
 from .meanfield import _SUPERRADIANT, _linspace, _new_tuple, critical_lambda, equilibrium_closed_form
-from .model import ModelParams, check_count
+from .model import ModelParams, _checked, check_count
 
 __all__ = [
     "GridSpec",
@@ -56,15 +55,15 @@ _ERROR_TAGS = {
 }
 
 
-@dataclass(frozen=True)
-class GridSpec:
+@_checked
+class GridSpec(NamedTuple):
     """Rectangular sweep grid; each range is (min, max, count), its span finite."""
 
     params: ModelParams
     delta_range: tuple[float, float, int] = (-1.0, 1.0, 201)
     lambda_range: tuple[float, float, int] = (0.0, 12.0, 121)
 
-    def __post_init__(self):
+    def _check(self):
         for name, (lo, hi, count) in (("delta", self.delta_range), ("lambda", self.lambda_range)):
             check_count(f"{name} count", count)
             if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -103,7 +102,7 @@ def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
     columns = []  # one ModelParams per lambda; a refused lambda tags its whole column
     for lam in _linspace(*spec.lambda_range):
         try:
-            columns.append((lam, replace(spec.params, lam=lam), ""))
+            columns.append((lam, spec.params._replace(lam=lam), ""))
         except IDDMError as exc:
             columns.append((lam, None, _error_tag(exc)))
     rows = []

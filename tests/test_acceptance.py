@@ -13,7 +13,6 @@ of the contract and are enforced alongside the numeric tolerances.
 import contextlib
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,11 +202,11 @@ def test_criterion_06_soft_mode(report):
     try:
         with runtime_budget(failures, 10.0):
             lam_c = critical_lambda(FIG2, 0.0)
-            at = excitation_spectrum(replace(FIG2, lam=lam_c), 0.0)
+            at = excitation_spectrum(FIG2._replace(lam=lam_c), 0.0)
             if at.eps_minus > 1e-3:
                 failures.append(f"soft mode {at.eps_minus:.3e} > 1e-3 at the boundary")
             for factor in (0.9, 1.1):
-                off = excitation_spectrum(replace(FIG2, lam=factor * lam_c), 0.0)
+                off = excitation_spectrum(FIG2._replace(lam=factor * lam_c), 0.0)
                 if off.eps_minus <= 0.05:
                     failures.append(f"gap {off.eps_minus:.3e} <= 0.05 at {factor} lambda_c")
 

@@ -619,9 +619,12 @@ _RUN = {"sweep": "iddm.cli.run_grid", "deriv": "iddm.cli.derivative_scan", "ed":
     ["deriv", "--wrt", "lambda", "--from", "0", "--to", "1", "--step", "0.5", "--delta", "0"],
     ["ed", "--omega", "4", "--lambda", "2", "--n", "4"],
 ], ids=["sweep", "deriv", "ed"])
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "file-parent"])
 def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, argv, where):
-    target = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    target = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "out.txt",
+              "file-parent": afile / "out.txt"}[where]
     with pytest.raises(OSError) as opened:
         open(target, "w")
     calls = []
@@ -630,7 +633,7 @@ def test_unwritable_output_exits_1(tmp_path, capsys, monkeypatch, argv, where):
     assert code == 1 and out == ""
     assert err == f"error: {opened.value}\n"
     assert calls == []  # refused before the run
-    assert sorted(tmp_path.iterdir()) == []
+    assert sorted(tmp_path.iterdir()) == [afile] and afile.read_text() == "kept\n"
 
 
 # a child whose stdout is block buffered, as it is under a shell pipe
@@ -787,21 +790,30 @@ def test_non_ed_runs_leave_scipy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+# numpy never loads; dataclasses, inspect and json are checked against what the
+# interpreter held before iddm, since a site hook may load them first.
 _NO_NUMPY = """
 import contextlib, io, sys
+before = set(sys.modules)
+unloaded = {"dataclasses", "inspect", "json"}
+def check(what):
+    added = unloaded & (set(sys.modules) - before)
+    assert "numpy" not in sys.modules and not added, (what, added)
 import iddm, iddm.cli
-assert "numpy" not in sys.modules, "import iddm, iddm.cli"
+check("import iddm, iddm.cli")
 for argv in [
     ["sweep", "--delta-count", "3", "--lambda-count", "2"],
-    ["sweep", "--delta-count", "3", "--lambda-count", "2", "--format", "json-lines"],
     ["meanfield", "--delta", "0.1"],
     ["critical", "--delta", "0.1"],
     ["deriv", "--wrt", "lambda", "--from", "6", "--to", "8", "--step", "0.01", "--delta", "0"],
     ["deriv", "--wrt", "delta", "--from", "0", "--to", "1", "--step", "0.01"],
+    ["sweep", "--delta-count", "3", "--lambda-count", "2", "--format", "json-lines"],
 ]:
+    if argv[-1] == "json-lines":
+        unloaded.discard("json")  # the JSON-lines writer imports json.encoder
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
+    check(argv)
 """
 
 

@@ -367,7 +367,7 @@ def _observable_cases():
     return [
         pytest.param(SMALL, FixedDelta(0.8), id="superradiant"),
         pytest.param(ModelParams(omega=3.0, lam=0.6, kappa=-0.5), FixedDelta(0.2), id="normal"),
-        pytest.param(replace(SMALL, xi2=0.4), FixedDelta(-0.6), id="xi2"),
+        pytest.param(SMALL._replace(xi2=0.4), FixedDelta(-0.6), id="xi2"),
     ]
 
 
@@ -506,7 +506,7 @@ def test_warm_started_check_matches_cold_solve(monkeypatch, n_atoms, mode):
         return energy, psi
 
     monkeypatch.setattr(ed, "_lowest_state", spy)
-    params = replace(SMALL, omega_q_prime=0.05)
+    params = SMALL._replace(omega_q_prime=0.05)
     ground_state(params, EDConfig(n_atoms=n_atoms, impurity_mode=mode))
     assert all(v0 is None for _, v0, _, _ in calls[:-1])
     h2, start, warm, _ = calls[-1]
@@ -520,7 +520,7 @@ def test_warm_started_check_matches_cold_solve(monkeypatch, n_atoms, mode):
 
 
 def test_parity_not_reported_with_drive():
-    params = replace(FIG2, xi2=0.5)
+    params = FIG2._replace(xi2=0.5)
     config = EDConfig(n_atoms=4, photon_cutoff=6, impurity_mode=FixedDelta(0.5))
     res = ground_state(params, config)
     assert res.parity is None
@@ -654,6 +654,14 @@ def test_config_accepts_numpy_integers():
     assert ground_state(SMALL, config).n_atoms == 4
 
 
+def test_numpy_integer_config_gives_a_json_record():
+    """The record holds Python ints, so the line `iddm ed` prints for it is valid."""
+    record = ground_state(SMALL, EDConfig(n_atoms=np.int64(4), photon_cutoff=np.int32(2)))
+    reference = ground_state(SMALL, EDConfig(n_atoms=4, photon_cutoff=2))
+    assert record == reference
+    assert json.dumps(vars(record)) == json.dumps(vars(reference))
+
+
 def test_finite_size_scan_refuses_before_solving(monkeypatch):
     calls = []
     monkeypatch.setattr(ed, "ground_state", lambda *args: calls.append(args))
@@ -672,6 +680,6 @@ def test_cli_full_qubit_includes_chi(capsys):
     params = ModelParams(omega=4.0, lam=1.0, kappa=-0.5, chi=0.3, omega_q_prime=2.0)
     config = EDConfig(n_atoms=4, impurity_mode=FullQubit())
     want, without_chi = (np.linalg.eigvalsh(_fock(p, config, FOCK_CUTOFF))[0]
-                         for p in (params, replace(params, chi=0.0)))
+                         for p in (params, params._replace(chi=0.0)))
     assert abs(record["energy_per_atom"] * 4 - want) <= 1e-10 * max(1.0, abs(want))
     assert abs(want - without_chi) > 1e-3  # the term shifts the energy visibly at this size

@@ -18,7 +18,6 @@ Checked here:
 """
 
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -110,7 +109,7 @@ def test_normal_phase_matches_closed_formula():
 def test_normal_phase_soft_mode_matches_high_precision_reference(omega, lam, delta):
     # eps_-^2 = (a - r)/2 loses up to 8.5e-7 relative here; the program's f1, f2
     # are the reference's exact inputs
-    params = replace(FIG2, omega=omega, lam=lam)
+    params = FIG2._replace(omega=omega, lam=lam)
     f1, f2 = (mpmath.mpf(f) for f in effective_frequencies(params, delta))
     with mpmath.workdps(60):
         a = f1**2 + f2**2
@@ -152,14 +151,14 @@ def test_superradiant_spectrum_matches_closed_formula():
 
 def test_soft_mode_closes_and_reopens():
     lam_c = critical_lambda(FIG2, 0.0)
-    at = excitation_spectrum(replace(FIG2, lam=lam_c), 0.0)
-    below = excitation_spectrum(replace(FIG2, lam=0.9 * lam_c), 0.0)
-    above = excitation_spectrum(replace(FIG2, lam=1.1 * lam_c), 0.0)
+    at = excitation_spectrum(FIG2._replace(lam=lam_c), 0.0)
+    below = excitation_spectrum(FIG2._replace(lam=0.9 * lam_c), 0.0)
+    above = excitation_spectrum(FIG2._replace(lam=1.1 * lam_c), 0.0)
     assert at.eps_minus <= 1e-4
     assert below.eps_minus > 0.05
     assert above.eps_minus > 0.05
-    near = excitation_spectrum(replace(FIG2, lam=lam_c * (1.0 + 1e-4)), 0.0)
-    far = excitation_spectrum(replace(FIG2, lam=lam_c * (1.0 + 1e-2)), 0.0)
+    near = excitation_spectrum(FIG2._replace(lam=lam_c * (1.0 + 1e-4)), 0.0)
+    far = excitation_spectrum(FIG2._replace(lam=lam_c * (1.0 + 1e-2)), 0.0)
     assert near.eps_minus < far.eps_minus
 
 

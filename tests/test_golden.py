@@ -12,6 +12,10 @@ reference parameters, at delta = 0.2 (normal phase) and delta = 0.8
 (superradiant), and of critical --lambda 5.  These go through the closed
 form and the effective-frequency helper; their digests were taken before
 those were reworked for speed.
+
+Also checked: the stdout of `iddm --help` and of each `iddm CMD --help` at
+COLUMNS=80, whose digests were taken before the parser was changed to give
+options only to the subcommand that runs.
 """
 
 import hashlib
@@ -76,3 +80,24 @@ def test_reference_stdout_digest(capsys, name):
     argv, digest = STDOUT_GOLDEN[name]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+HELP_GOLDEN = {
+    "iddm": "e82f3418a2f0b53a5d7c231f3ecb10b3b25a43cf46f214b38d7c14866134426b",
+    "critical": "d8af44ed54231733e70dc085c23a439abd19aaa4e01270782d0717809d795d77",
+    "meanfield": "865257d64e1868cc8e3d05bf5101b8028984aa684c90280d05f0235b337bdff9",
+    "sweep": "1a8b4d415bdd1bf1055bee2647187b336b83437f06569876f7201c75a9470bff",
+    "deriv": "3d75db860e999b75ea7020706c1953443363d101d64bd9fbfeac8d4af7246bd3",
+    "spectrum": "020c22010c7ccd21f7ce00e779ae42418dce1a5b42372b8b6a76cda18a49f885",
+    "ed": "ef9d8a59deccd914459cb86c828674548836123d6a9bf47aaa3d47d901b9472d",
+    "measure": "edc4795917918c933acdf5ef20e2517a3994ba2a9e0cba38b45f219431666f35",
+}
+
+
+@pytest.mark.parametrize("command", HELP_GOLDEN)
+def test_help_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exited:
+        main(["--help"] if command == "iddm" else [command, "--help"])
+    assert exited.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == HELP_GOLDEN[command]

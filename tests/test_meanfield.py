@@ -61,7 +61,6 @@ from iddm import (
     trace_critical_curve,
 )
 from iddm.meanfield import _newton_step
-from dataclasses import replace
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
@@ -427,7 +426,7 @@ def test_critical_delta_general_branch():
     f2 = params.omega0 + params.kappa * (1.0 + dc)
     assert math.isclose(f1 * f2, 4.0 * params.lam**2, rel_tol=1e-12)
     # and it collapses to the closed form as xi1 -> 0
-    small = replace(params, xi1=1e-9)
+    small = params._replace(xi1=1e-9)
     assert abs(critical_delta(small) - 0.5) < 1e-6
 
 
@@ -460,7 +459,7 @@ def test_standard_dicke_reduction():
     params = ModelParams(omega=400.0, lam=1.0, kappa=0.0)
     assert abs(critical_lambda(params, 0.7) - 10.0) <= 1e-12
     # below threshold the phase is normal at every population
-    sub = replace(params, lam=9.9)
+    sub = params._replace(lam=9.9)
     for delta in np.linspace(-1.0, 1.0, 21):
         assert equilibrium_closed_form(sub, float(delta)).phase is Phase.NORMAL
 
@@ -521,7 +520,7 @@ def test_lambda_scan_refusals_name_the_first_point():
         derivative_scan(FIG2, "lambda", -0.5, 0.5, 0.25, delta=0.0)
     assert str(info.value) == "lambda = -0.5 (grid index 0): lambda must be >= 0, got -0.5"
     with pytest.raises(ChiUnsupportedError) as info:
-        derivative_scan(replace(FIG2, chi=0.3), "lambda", 1.0, 2.0, 0.5, delta=0.0)
+        derivative_scan(FIG2._replace(chi=0.3), "lambda", 1.0, 2.0, 0.5, delta=0.0)
     assert str(info.value) == "lambda = 1.0 (grid index 0): mean-field routines require chi = 0"
 
 
@@ -532,7 +531,7 @@ def _numpy_scan(params, parameter_name, start, stop, step, delta):
     grid = np.linspace(start, stop, count)
     e0 = np.array([
         equilibrium_closed_form(params, float(v)).e0 if parameter_name == "delta"
-        else equilibrium_closed_form(replace(params, lam=float(v)), delta).e0
+        else equilibrium_closed_form(params._replace(lam=float(v)), delta).e0
         for v in grid
     ])
     d1 = (e0[2:] - e0[:-2]) / (2.0 * h)

@@ -8,7 +8,8 @@ Checked here:
   * the microscopic reductions to (omega, omega0, lam, chi) and (xi1, xi2)
   * input validation (delta range, positivity, zero detunings, a lambda whose
     4 lam^2 underflows to 0 or overflows, an f1 or f2 that overflows, a
-    non-finite value of any ModelParams field)
+    non-finite value of any ModelParams field); _replace and _make of the
+    records run the same checks as construction
   * every count of the API (GridSpec's, trace_critical_curve's, the
     minimizer's seed_count and max_iterations, derive_cavity_params's
     n_atoms and EDConfig's three sizes) follows model.check_count: a float
@@ -18,7 +19,6 @@ Checked here:
 """
 
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -106,11 +106,11 @@ def test_params_validation():
     with pytest.raises(InvalidParameterError):
         ModelParams(omega=1.0, lam=1e154)  # 4 lam^2 overflows
     assert equilibrium_closed_form(ModelParams(omega=1.0, lam=1e-160), 0.0).nu == math.inf
-    for field in fields(ModelParams):  # a field added later is covered too
-        label = "lambda" if field.name == "lam" else field.name
+    for name in ModelParams._fields:  # a field added later is covered too
+        label = "lambda" if name == "lam" else name
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(InvalidParameterError, match=f"^{label} must be finite, got {bad}$"):
-                ModelParams(**{"omega": 1.0, "lam": 1.0, field.name: bad})
+                ModelParams(**{"omega": 1.0, "lam": 1.0, name: bad})
 
 
 def test_frequencies_affine_in_delta():
@@ -183,6 +183,20 @@ def test_zero_detunings_rejected():
     with pytest.raises(ZeroDetuningError):
         CavityMicroParams(delta_c=-300.0, u0=2.0, omega_r=0.5, s0=0.0, s1=0.0,
                           s01=0.0, g0=1.0, omega_p=2.0, delta_a=0.0)
+
+
+def test_replace_refuses_what_construction_refuses():
+    with pytest.raises(InvalidParameterError, match="^lambda must be >= 0, got -1.0$"):
+        FIG2._replace(lam=-1.0)
+    with pytest.raises(InvalidParameterError, match="^delta range must have min <= max$"):
+        GridSpec(FIG2)._replace(delta_range=(1.0, -1.0, 5))
+    with pytest.raises(ZeroDetuningError):
+        MICRO_REFERENCE._replace(delta_a=0.0)
+    with pytest.raises(ZeroDetuningError):
+        ImpurityMicroParams(g_q=1.0, omega_q=1.0, delta_q=1.0)._replace(delta_q=0.0)
+    with pytest.raises(InvalidParameterError, match="^omega must be > 0, got 0.0$"):
+        ModelParams._make([0.0, 1.0])
+    assert FIG2._replace(lam=2.0) == ModelParams(omega=400.0, lam=2.0, kappa=-0.5)
 
 
 # name -> (call with the count, its minimum, an accepted numpy integer)

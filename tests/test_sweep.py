@@ -40,7 +40,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,7 +117,7 @@ def _reference_rows(spec):
     for delta in np.linspace(*spec.delta_range):
         for lam in np.linspace(*spec.lambda_range):
             try:
-                sol = equilibrium_closed_form(replace(spec.params, lam=float(lam)), float(delta))
+                sol = equilibrium_closed_form(spec.params._replace(lam=float(lam)), float(delta))
             except IDDMError as exc:
                 rows.append((float(delta), float(lam)) + (math.nan,) * 5 + ("error", _error_tag(exc)))
                 continue
@@ -138,9 +137,9 @@ def _bits(row):
 # and out-of-range delta rows, where the lambda refusal must win.
 REFERENCE_GRIDS = {
     "negative-lambda": (FIG2, (-1.5, 1.5, 13), (-2.0, 12.0, 15), {"", "invalid_parameter"}),
-    "chi": (replace(FIG2, chi=0.3), (-1.0, 1.0, 5), (-1.0, 3.0, 5),
+    "chi": (FIG2._replace(chi=0.3), (-1.0, 1.0, 5), (-1.0, 3.0, 5),
             {"invalid_parameter", "chi_unsupported"}),
-    "f1-non-positive": (replace(FIG2, xi1=-500.0), (-1.0, 1.0, 11), (0.0, 9.0, 10),
+    "f1-non-positive": (FIG2._replace(xi1=-500.0), (-1.0, 1.0, 11), (0.0, 9.0, 10),
                         {"", "non_positive_f1"}),
     # nu <= -1 at small lambda, and f2 < 0 in the lambda = 0 column
     "unbounded": (ModelParams(omega=4.0, lam=5.0, kappa=-2.0), (-1.0, 1.0, 21), (0.0, 6.0, 13),
