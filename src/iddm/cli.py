@@ -18,9 +18,9 @@ config keys are rejected.  Exit codes: 0 success, 1 invalid input or an
 output that cannot be written (a closed stdout pipe among them), 2 solver
 convergence failure.  Set IDDM_THREADS before launching to pin the linear
 algebra thread count (it is applied when the package is first imported).
-The critical, sweep, deriv and closed-form meanfield subcommands never import
-numpy or dataclasses (their records are NamedTuples: copy one by _replace);
-spectrum, measure, meanfield --numeric and ed load numpy when they run.
+critical, sweep, deriv and closed-form meanfield never import numpy; spectrum,
+measure, meanfield --numeric and ed do.  No subcommand loads dataclasses (the
+records are NamedTuples: copy one by _replace), and only --config loads json.
 
 ed runs N = 100 without --n, doubles its photon cutoff until converged, solves
 to machine precision, and includes chi Jz^2/N whenever --chi is nonzero.
@@ -49,7 +49,8 @@ from .meanfield import (
     observables,
 )
 from .model import ModelParams
-from .sweep import GridSpec, _write_chunks, run_grid, write_phase_diagram_csv, write_phase_diagram_jsonl
+from .sweep import (GridSpec, _json_line, _write_chunks, run_grid, write_phase_diagram_csv,
+                    write_phase_diagram_jsonl)
 
 __all__ = ["main", "run"]
 
@@ -272,7 +273,6 @@ def _cmd_spectrum(v: dict, provided: set) -> int:
 
 
 def _cmd_ed(v: dict, provided: set) -> int:
-    import json
     from . import ed as ed_mod
 
     params = _params(v)
@@ -286,7 +286,7 @@ def _cmd_ed(v: dict, provided: set) -> int:
     else:
         results = ed_mod.finite_size_scan(params, v["delta"], v["n"], config=configs[0])
     with _out_stream(v["output"]) as out:
-        _write_chunks(out, (json.dumps(vars(r)) + "\n" for r in results))
+        _write_chunks(out, (_json_line(r._asdict()) for r in results))
     return 0
 
 

@@ -53,13 +53,13 @@ doubled cutoff becomes the base and the check repeats (see ground_state).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceFailureError, DimensionTooLargeError, InvalidParameterError
 from .meanfield import equilibrium_closed_form
-from .model import ModelParams, check_count, check_population, effective_frequencies
+from .model import ModelParams, _checked, check_count, check_population, effective_frequencies
 
 __all__ = [
     "FixedDelta",
@@ -72,23 +72,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FixedDelta:
+@_checked
+class FixedDelta(NamedTuple):
     """Impurity frozen to a classical population delta in [-1, 1]."""
 
     delta: float
 
-    def __post_init__(self):
+    def _check(self):
         check_population(self.delta)
 
 
-@dataclass(frozen=True)
-class FullQubit:
+class FullQubit(NamedTuple):
     """Impurity kept as a dynamical two-level system."""
 
 
-@dataclass(frozen=True)
-class EDConfig:
+@_checked
+class EDConfig(NamedTuple):
     """Settings for one diagonalization run.
 
     photon_cutoff is the highest displaced photon level of the first
@@ -101,13 +100,12 @@ class EDConfig:
     impurity_mode: FixedDelta | FullQubit = FixedDelta(0.0)
     dimension_cap: int = 1_000_000
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("n_atoms", "photon_cutoff", "dimension_cap"):
             check_count(name, getattr(self, name))
 
 
-@dataclass(frozen=True)
-class EDResult:
+class EDResult(NamedTuple):
     """One finite-N ground state, the record `iddm ed` prints field by field.
 
     Data of the final base cutoff photon_cutoff, plus cutoff_shift, the last
@@ -145,20 +143,43 @@ def _hermite_functions(x: np.ndarray, cutoff: int) -> np.ndarray:
     return psi
 
 
+def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
+    """numpy's _normed_hermite_n: the normalized Hermite polynomial of degree n at x."""
+    c0, c1 = 0.0, 1.0 / math.sqrt(math.sqrt(math.pi))
+    for nd in range(n, 1, -1):
+        c0, c1 = -c1 * math.sqrt((nd - 1.0) / nd), c0 + c1 * x * math.sqrt(2.0 / nd)
+    return c0 + c1 * x * math.sqrt(2.0) if n else np.full(x.shape, c1)
+
+
+def _gauss_hermite(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's hermgauss(deg) in its own operations, so the same bits: Jacobi-matrix nodes
+    (eigvalsh reads the lower triangle), one Newton step, weights 1 / fm^2 summing to sqrt(pi)."""
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, deg)), -1))
+    x -= _normed_hermite(x, deg) / (_normed_hermite(x, deg - 1) * math.sqrt(2 * deg))
+    fm = _normed_hermite(x, deg - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= math.sqrt(math.pi) / w.sum()
+    return x, w
+
+
 def _franck_condon(gamma: float, cutoff: int) -> np.ndarray:
     """<n'|D(gamma)|n> for real gamma and n, n' <= cutoff.
 
     D(gamma) shifts position by s = sqrt(2) gamma, so the element is the
     overlap of psi_n' (x) and psi_n (x - s).  With x = y + s/2 the integrand
     is exp(-y^2 - s^2/4) times a polynomial of degree n + n' <= 2 cutoff, so
-    Gauss-Hermite quadrature on cutoff + 1 nodes is exact; the oscillator
+    Gauss-Hermite quadrature on cutoff + 1 nodes (numpy's hermgauss rule, after
+    Golub & Welsch, Math. Comp. 23, 221, 1969) is exact; the oscillator
     functions come from their three-term recurrence, which stays accurate
     where a recurrence on the matrix elements themselves loses all digits.
     Raises InvalidParameterError when a scaled weight w exp(y^2) is not finite
     and positive: from cutoff 370 on, w underflows where exp(y^2) overflows.
     """
     with np.errstate(all="ignore"):
-        y, w = np.polynomial.hermite.hermgauss(cutoff + 1)
+        y, w = _gauss_hermite(cutoff + 1)
         weights = w * np.exp(y * y)
     if not (weights.min() > 0 and weights.max() < math.inf):  # a nan fails both
         raise InvalidParameterError(
@@ -424,7 +445,7 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
     raises DimensionTooLargeError).
     Reported observables come from the final base state.
     """
-    n = int(config.n_atoms)  # a numpy integer count would reach the record and fail json.dumps
+    n = int(config.n_atoms)  # a numpy integer count would reach the record, which JSON cannot write
     fixed = isinstance(config.impurity_mode, FixedDelta)
     blocks = (0,) if fixed else (0, 1)
     signs = (1.0, -1.0) if params.xi2 == 0 else (None,)
@@ -499,10 +520,10 @@ def finite_size_scan(
     finite-size drift.
     """
     template = config if config is not None else EDConfig(n_atoms=1)
-    configs = [replace(template, n_atoms=n, impurity_mode=FixedDelta(delta)) for n in n_list]
+    configs = [template._replace(n_atoms=n, impurity_mode=FixedDelta(delta)) for n in n_list]
     if not configs:
         raise InvalidParameterError("n_list must not be empty")
     _, f2 = effective_frequencies(params, delta)
     target = equilibrium_closed_form(params, delta).e0 - f2 / 2.0
     results = [ground_state(params, cfg) for cfg in configs]
-    return [replace(r, mean_field_deviation=abs(r.energy_per_atom - target)) for r in results]
+    return [r._replace(mean_field_deviation=abs(r.energy_per_atom - target)) for r in results]

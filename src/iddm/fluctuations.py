@@ -27,7 +27,8 @@ when f1 >> f2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ SYMPLECTIC_FORM = np.array(
 )
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     eps_minus: float
     eps_plus: float
     stable: bool
@@ -91,8 +91,7 @@ def normal_phase_spectrum(params: ModelParams, delta: float) -> tuple[float, flo
     if f1 * f2 < 4.0 * lam * lam:
         raise InvalidParameterError("closed normal-phase spectrum needs nu >= 1")
     a = f1 * f1 + f2 * f2
-    r = np.sqrt((f1 * f1 - f2 * f2) ** 2 + 16.0 * lam * lam * f1 * f2)
+    r = math.sqrt((f1 * f1 - f2 * f2) ** 2 + 16.0 * lam * lam * f1 * f2)
     # (a - r)/2 cancels when f1 >> f2; (a - r)(a + r) = 4 f1 f2 (f1 f2 - 4 lam^2)
-    eps_minus = np.sqrt(2.0 * f1 * f2 * (f1 * f2 - 4.0 * lam * lam) / (a + r))
-    eps_plus = np.sqrt((a + r) / 2.0)
-    return float(eps_minus), float(eps_plus)
+    eps_minus = math.sqrt(2.0 * f1 * f2 * (f1 * f2 - 4.0 * lam * lam) / (a + r))
+    return eps_minus, math.sqrt((a + r) / 2.0)

@@ -29,13 +29,13 @@ continuously tunable over [-z, z] through (theta, outcome sign).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, UnreachableTargetError, ZeroProbabilityOutcomeError
-from .model import check_finite
+from .model import _checked, check_finite
 
 __all__ = [
     "Sign",
@@ -60,13 +60,13 @@ class Sign(Enum):
     MINUS = "minus"
 
 
-@dataclass(frozen=True)
-class WernerState:
+@_checked
+class WernerState(NamedTuple):
     """Two-qubit Werner state with mixing parameter z in [0, 1]."""
 
     z: float
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.z <= 1.0:
             raise InvalidParameterError(f"Werner parameter z must lie in [0, 1], got {self.z}")
 
@@ -75,8 +75,8 @@ class WernerState:
         return rho.astype(complex)
 
 
-@dataclass(frozen=True)
-class ProjectiveMeasurement:
+@_checked
+class ProjectiveMeasurement(NamedTuple):
     """One outcome of the rotated-basis measurement on the auxiliary qubit.
 
     theta must be finite.
@@ -85,7 +85,7 @@ class ProjectiveMeasurement:
     theta: float
     sign: Sign
 
-    def __post_init__(self):
+    def _check(self):
         check_finite("theta", self.theta)
 
     def state_vector(self) -> np.ndarray:
@@ -99,8 +99,7 @@ class ProjectiveMeasurement:
         return np.outer(v, v).astype(complex)
 
 
-@dataclass(frozen=True)
-class CollapsedImpurity:
+class CollapsedImpurity(NamedTuple):
     """Post-measurement impurity state, its population and outcome probability."""
 
     density_matrix: np.ndarray

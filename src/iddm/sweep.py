@@ -42,8 +42,9 @@ __all__ = [
 CSV_HEADER = "delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error"
 _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
 _CSV_CHUNK = 2048  # lines per write: the document is never held as one string
+# phase and error are Phase values or error tags: ASCII words that JSON quotes as they are
 _JSON_ROW = ('{"delta": %s, "lambda": %s, "alpha2": %s, "beta2": %s, "e0": %s, '
-             '"jz_over_n": %s, "i_over_n": %s, "phase": %s, "error": %s}\n')
+             '"jz_over_n": %s, "i_over_n": %s, "phase": "%s", "error": "%s"}\n')
 
 # alpha2, beta2, e0, jz_over_n, i_over_n at alpha = beta = 0: every normal and critical row
 _ORIGIN_COLUMNS = (0.0, 0.0, 0.0, -0.5, 0.0)
@@ -138,7 +139,19 @@ def _json_float(x: float, nan: str) -> str:
     """x as json.dumps writes it, with `nan` written for nan."""
     if x != x:
         return nan
-    return repr(x) if abs(x) != math.inf else ("Infinity" if x > 0 else "-Infinity")
+    return float.__repr__(x) if abs(x) != math.inf else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_value(x) -> str:
+    """x, None or a bool, int or float, as json.dumps writes it."""
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else ("true" if x else "false")
+    return int.__repr__(x) if isinstance(x, int) else _json_float(x, "NaN")
+
+
+def _json_line(record: dict) -> str:
+    """One line of json.dumps(record) for a record keyed by identifiers."""
+    return "{%s}\n" % ", ".join(f'"{key}": {_json_value(value)}' for key, value in record.items())
 
 
 def _write_chunks(stream: TextIO, lines: Iterable[str]) -> None:
@@ -156,11 +169,9 @@ def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> 
 
 def write_phase_diagram_jsonl(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
     """Write the JSON-lines layout described in the module docstring."""
-    from json.encoder import encode_basestring_ascii  # here, so that `import iddm` skips json
-
     _write_chunks(stream, (
         _JSON_ROW % (_json_float(r.delta, "NaN"), _json_float(r.lam, "NaN"),
                      *[_json_float(x, "null") for x in r[2:7]],  # alpha2 .. i_over_n
-                     encode_basestring_ascii(r.phase), encode_basestring_ascii(r.error))
+                     r.phase, r.error)
         for r in rows
     ))

@@ -55,13 +55,15 @@ Checked here:
     delta scans); the modules they
     load have no module-level numpy import; IDDM_THREADS=1 has set
     OPENBLAS_NUM_THREADS when numpy is first imported
+  * no subcommand loads dataclasses, and none loads json without --config
+    (the JSON-lines sweep and ed included); ed, FixedDelta and --full-qubit,
+    loads no numpy.polynomial
   * every name in each module's __all__ resolves, the package's lazy ED
     names are exactly ed's exports, and each lazy name (ED, fluctuations,
     measurement) is its module's object
 """
 
 import ast
-import dataclasses
 import importlib
 import json
 import math
@@ -595,8 +597,8 @@ def test_ed_record_is_ed_result(capsys, argv, api):
     code, out, _ = run_cli(capsys, "ed", "--omega", "4", "--lambda", "2", *argv)
     assert code == 0
     (record,) = [json.loads(line) for line in out.splitlines()]
-    assert list(record) == [f.name for f in dataclasses.fields(iddm.EDResult)]
-    assert record == dataclasses.asdict(api(ModelParams(omega=4.0, lam=2.0, kappa=-0.5)))
+    assert list(record) == list(iddm.EDResult._fields)
+    assert record == api(ModelParams(omega=4.0, lam=2.0, kappa=-0.5))._asdict()
 
 
 @pytest.mark.parametrize("mode", [[], ["--full-qubit"]], ids=["fixed-delta", "full-qubit"])
@@ -809,12 +811,33 @@ for argv in [
     ["deriv", "--wrt", "delta", "--from", "0", "--to", "1", "--step", "0.01"],
     ["sweep", "--delta-count", "3", "--lambda-count", "2", "--format", "json-lines"],
 ]:
-    if argv[-1] == "json-lines":
-        unloaded.discard("json")  # the JSON-lines writer imports json.encoder
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv
     check(argv)
 """
+
+
+# The numpy commands add neither dataclasses nor json, and ed no numpy.polynomial.
+_NUMPY_COMMANDS = """
+import contextlib, io, sys
+before = set(sys.modules)
+import iddm.cli
+for argv in [
+    ["ed", "--n", "4"],
+    ["ed", "--n", "4", "--full-qubit"],
+    ["spectrum", "--delta", "0.1"],
+    ["measure", "--z", "0.5", "--theta", "0.3"],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert iddm.cli.main(argv) == 0, argv
+    added = {"numpy.polynomial", "dataclasses", "json"} & (set(sys.modules) - before)
+    assert "numpy" in sys.modules and not added, (argv, added)
+"""
+
+
+def test_numpy_commands_leave_dataclasses_and_json_unloaded():
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_COMMANDS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mean_field_commands_leave_numpy_unloaded():

@@ -3,7 +3,9 @@
 Checked here:
   * the Fock-basis oracle: a hand-built 4x4 Hamiltonian for N = 1, cutoff 1,
     and the photon ladder of the drive term
-  * the Franck-Condon matrix against its exact finite sum
+  * the Franck-Condon matrix against its exact finite sum, and its
+    Gauss-Hermite rule against numpy's hermgauss, byte for byte at 1 ... 400
+    nodes
   * the matrix-free Hamiltonian against its own dense matrix (each block's
     product and the nonzero count), and the half-chain sector: scatter is an
     isometry onto each parity eigenspace on the existing coordinates, gather
@@ -54,7 +56,6 @@ Checked here:
 
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +207,16 @@ def test_franck_condon_matches_exact_sum(gamma):
             ))
             want = math.sqrt(fact(row) * fact(col)) * math.exp(-gamma * gamma / 2.0) * total
             assert abs(f[row, col] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_gauss_hermite_is_numpy_hermgauss():
+    # the same nodes and weights to the last bit, overflowing weights included
+    from numpy.polynomial.hermite import hermgauss
+
+    with np.errstate(all="ignore"):
+        for deg in range(1, 401):
+            got, want = ed._gauss_hermite(deg), hermgauss(deg)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], deg
 
 
 def test_decoupled_ground_energy_exact():
@@ -477,7 +488,7 @@ def test_displaced_sectors_match_fock_oracle(params, config):
 
 @pytest.mark.parametrize("params, config", _dense_oracle_cases())
 def test_sector_solve_matches_dense_oracle(params, config):
-    res = ground_state(params, replace(config, photon_cutoff=ECS_CUTOFF))
+    res = ground_state(params, config._replace(photon_cutoff=ECS_CUTOFF))
     fock = _fock(params, config, FOCK_CUTOFF)
     energy = res.energy_per_atom * config.n_atoms
     want = np.linalg.eigvalsh(fock)[0]
@@ -580,7 +591,7 @@ def test_raising_stops_at_dimension_cap():
     # enlargement to 8 does not, so the run stops unconverged at cutoff 4
     config = EDConfig(n_atoms=32, photon_cutoff=1, impurity_mode=FixedDelta(0.0))
     assert ground_state(CRITICAL, config).cutoff_raises == 3
-    res = ground_state(CRITICAL, replace(config, dimension_cap=200))
+    res = ground_state(CRITICAL, config._replace(dimension_cap=200))
     assert res.photon_cutoff == 4
     assert res.cutoff_raises == 2
     assert not res.converged
@@ -659,7 +670,7 @@ def test_numpy_integer_config_gives_a_json_record():
     record = ground_state(SMALL, EDConfig(n_atoms=np.int64(4), photon_cutoff=np.int32(2)))
     reference = ground_state(SMALL, EDConfig(n_atoms=4, photon_cutoff=2))
     assert record == reference
-    assert json.dumps(vars(record)) == json.dumps(vars(reference))
+    assert json.dumps(record._asdict()) == json.dumps(reference._asdict())
 
 
 def test_finite_size_scan_refuses_before_solving(monkeypatch):

@@ -33,7 +33,11 @@ Checked here:
     with and without an error tag, the CSV equals the per-field
     "%.17g"-and-join output, the JSON lines equal json.dumps of each row's
     dict, both parse back to the same float bits, and a nan numeric reads
-    back as nan from the CSV and as null from the JSON lines
+    back as nan from the CSV and as null from the JSON lines; the tags come
+    from the sweep's own error map, and one example holds every phase and
+    error string
+  * the JSON scalar formatter that `iddm ed` writes with equals json.dumps
+    on ED records holding None, bools, ints, nan, +-inf and a numpy float
 """
 
 import io
@@ -63,7 +67,7 @@ from iddm import (
 )
 import iddm.sweep
 from iddm.cli import main
-from iddm.sweep import PhaseDiagramRow, _error_tag, _linspace
+from iddm.sweep import PhaseDiagramRow, _error_tag, _json_line, _json_value, _linspace
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 
@@ -390,16 +394,18 @@ _WRITERS = {
 
 _EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+# every string a row can carry: the phase values and "error", and the error tags
+_PHASES = [p.value for p in Phase] + ["error"]
+_ERRORS = ["", *iddm.sweep._ERROR_TAGS.values(), "invalid_parameter"]
 _ROWS = st.lists(st.builds(
-    PhaseDiagramRow, *[_FLOATS] * 7,
-    phase=st.sampled_from([p.value for p in Phase] + ["error"]),
-    error=st.sampled_from(["", "unbounded_phase", "non_positive_f1", "chi_unsupported",
-                           "invalid_parameter"]),
+    PhaseDiagramRow, *[_FLOATS] * 7, phase=st.sampled_from(_PHASES), error=st.sampled_from(_ERRORS),
 ), max_size=6)
+_EVERY_TAG = [PhaseDiagramRow(0.5, 1.0, *[math.nan] * 5, phase, error) for phase in _PHASES for error in _ERRORS]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_ROWS)
+@example(_EVERY_TAG)
 def test_csv_and_json_lines_round_trip(rows):
     csv_text, jsonl_text = _csv_text(rows), _written(write_phase_diagram_jsonl, rows)
     assert csv_text == _csv_by_field(rows)
@@ -418,3 +424,19 @@ def test_csv_and_json_lines_round_trip(rows):
             if math.isnan(x):
                 assert fields[i] == "nan"
                 assert (values[i] is None) == (i >= 2)  # delta and lambda are written NaN
+
+
+def test_json_line_matches_json_dumps_on_ed_records():
+    # None, bools, ints, nan, +-inf, -0.0, extreme floats and a numpy float in every value slot
+    from iddm.ed import EDResult
+
+    records = [
+        EDResult(4, 8, -1.25, -0.5, 1e-17, 1.0, True, 0.0, None, 2.5e-13, 0),
+        EDResult(256, 16, math.nan, math.inf, -math.inf, -1.0, False, 5e-324, math.nan, None, 3),
+        EDResult(2, 1, np.float64(-0.3), -0.0, 1e308, None, True, math.inf, 0.1, -math.inf, 2**70),
+    ]
+    for record in records:
+        assert _json_line(record._asdict()) == json.dumps(record._asdict()) + "\n"
+    for value in (None, True, False, 0, -7, 2**70, 0.1, -0.0, math.nan, math.inf, -math.inf,
+                  np.float64(1e-300)):
+        assert _json_value(value) == json.dumps(value)
