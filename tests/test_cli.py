@@ -55,9 +55,10 @@ Checked here:
     delta scans); the modules they
     load have no module-level numpy import; IDDM_THREADS=1 has set
     OPENBLAS_NUM_THREADS when numpy is first imported
-  * no subcommand loads dataclasses, and none loads json without --config
-    (the JSON-lines sweep and ed included); ed, FixedDelta and --full-qubit,
-    loads no numpy.polynomial
+  * the numpy-free runs above, the JSON-lines sweep included, add none of
+    dataclasses, inspect and json to sys.modules, and the numpy commands (ed
+    with FixedDelta and --full-qubit, spectrum, measure, meanfield --numeric)
+    none of dataclasses, json and numpy.polynomial
   * every name in each module's __all__ resolves, the package's lazy ED
     names are exactly ed's exports, and each lazy name (ED, fluctuations,
     measurement) is its module's object
@@ -827,6 +828,7 @@ for argv in [
     ["ed", "--n", "4", "--full-qubit"],
     ["spectrum", "--delta", "0.1"],
     ["measure", "--z", "0.5", "--theta", "0.3"],
+    ["meanfield", "--delta", "0.1", "--numeric"],
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv
