@@ -16,52 +16,11 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .errors import (
-    ChiUnsupportedError,
-    ConvergenceFailureError,
-    DimensionTooLargeError,
-    DomainError,
-    IDDMError,
-    InvalidParameterError,
-    NonPositiveF1Error,
-    UnboundedPhaseError,
-    UnreachableTargetError,
-    UnstableEquilibriumError,
-    ZeroDetuningError,
-    ZeroKappaError,
-    ZeroProbabilityOutcomeError,
-)
-from .model import (
-    CavityMicroParams,
-    ImpurityMicroParams,
-    ModelParams,
-    derive_cavity_params,
-    derive_impurity_couplings,
-    effective_frequencies,
-)
-from .meanfield import (
-    CRITICAL_NU_TOL,
-    DerivativeScan,
-    MeanFieldSolution,
-    Phase,
-    critical_delta,
-    critical_lambda,
-    derivative_scan,
-    energy,
-    energy_derivatives,
-    equilibrium_closed_form,
-    equilibrium_numeric,
-    observables,
-)
-from .sweep import (
-    CSV_HEADER,
-    GridSpec,
-    PhaseDiagramRow,
-    run_grid,
-    trace_critical_curve,
-    write_phase_diagram_csv,
-    write_phase_diagram_jsonl,
-)
+# The eager names: each numpy-free module's __all__ and every class of errors.py.
+from .errors import *
+from .model import *
+from .meanfield import *
+from .sweep import *
 
 __version__ = "0.1.0"
 

@@ -14,10 +14,11 @@ Model parameters come from flags whose defaults pin the reference parameter
 set (omega = 400, omega0 = 1, kappa = -0.5, lambda = 5).  A JSON config file
 (--config) may supply any option under its flag name (dashes as underscores,
 `lambda` spelled out); explicit flags win over the config file, and unknown
-config keys are rejected.  Exit codes: 0 success, 1 invalid input or an
-output that cannot be written (a closed stdout pipe among them), 2 solver
-convergence failure.  Set IDDM_THREADS before launching to pin the linear
-algebra thread count (it is applied when the package is first imported).
+config keys are rejected.  The handlers return nothing and raise; main alone
+maps a run to its exit code: 0 success, 1 invalid input or an output that
+cannot be written (a closed stdout pipe among them), 2 solver convergence
+failure.  Set IDDM_THREADS before launching to pin the linear algebra thread
+count (it is applied when the package is first imported).
 critical, sweep, deriv and closed-form meanfield never import numpy; spectrum,
 measure, meanfield --numeric and ed do.  No subcommand loads dataclasses (the
 records are NamedTuples: copy one by _replace), and only --config loads json.
@@ -198,7 +199,7 @@ def _out_stream(path: str):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _cmd_critical(v: dict, provided: set) -> int:
+def _cmd_critical(v: dict, provided: set) -> None:
     has_lam = "lambda" in provided
     has_delta = "delta" in provided
     if has_lam == has_delta:
@@ -210,10 +211,9 @@ def _cmd_critical(v: dict, provided: set) -> int:
     else:
         dc = critical_delta(params)
         print("no-transition" if dc is None else f"delta_c = {_fmt(dc)}")
-    return 0
 
 
-def _cmd_meanfield(v: dict, provided: set) -> int:
+def _cmd_meanfield(v: dict, provided: set) -> None:
     params = _params(v)
     if v["numeric"]:
         sol = equilibrium_numeric(params, v["delta"], seed_count=v["seeds"],
@@ -230,10 +230,9 @@ def _cmd_meanfield(v: dict, provided: set) -> int:
     print(f"nu = {'undefined' if sol.nu is None else _fmt(sol.nu)}")
     print(f"jz_over_n = {_fmt(jz)}")
     print(f"i_over_n = {_fmt(photons)}")
-    return 0
 
 
-def _cmd_sweep(v: dict, provided: set) -> int:
+def _cmd_sweep(v: dict, provided: set) -> None:
     spec = GridSpec(
         params=_params(v),
         delta_range=(v["delta_min"], v["delta_max"], v["delta_count"]),
@@ -243,15 +242,10 @@ def _cmd_sweep(v: dict, provided: set) -> int:
     write = write_phase_diagram_csv if v["format"] == "csv" else write_phase_diagram_jsonl
     with _out_stream(v["output"]) as out:
         write(rows, out)
-    return 0
 
 
-def _cmd_deriv(v: dict, provided: set) -> int:
-    params = _params(v)
-    delta = v["delta"] if v["wrt"] == "lambda" else None
-    if v["wrt"] == "delta" and "delta" in provided:
-        raise CLIError("--delta only applies to lambda scans")
-    scan = derivative_scan(params, v["wrt"], v["start"], v["stop"], v["step"], delta=delta)
+def _cmd_deriv(v: dict, provided: set) -> None:
+    scan = derivative_scan(_params(v), v["wrt"], v["start"], v["stop"], v["step"], delta=v["delta"])
     edge = ("",)  # central differences have no edge values
     d1, d2 = (chain(edge, map(_fmt, d), edge) for d in (scan.d1_values, scan.d2_values))
     name = scan.parameter_name
@@ -259,20 +253,18 @@ def _cmd_deriv(v: dict, provided: set) -> int:
         out.write("param,value,e0,d1,d2\n")
         _write_chunks(out, (f"{name},{_fmt(x)},{_fmt(e0)},{a},{b}\n"
                             for x, e0, a, b in zip(scan.grid, scan.e0_values, d1, d2)))
-    return 0
 
 
-def _cmd_spectrum(v: dict, provided: set) -> int:
+def _cmd_spectrum(v: dict, provided: set) -> None:
     from .fluctuations import excitation_spectrum
 
     res = excitation_spectrum(_params(v), v["delta"])
     print(f"eps_minus = {_fmt(res.eps_minus)}")
     print(f"eps_plus = {_fmt(res.eps_plus)}")
     print(f"stable = {str(res.stable).lower()}")
-    return 0
 
 
-def _cmd_ed(v: dict, provided: set) -> int:
+def _cmd_ed(v: dict, provided: set) -> None:
     from . import ed as ed_mod
 
     params = _params(v)
@@ -287,10 +279,9 @@ def _cmd_ed(v: dict, provided: set) -> int:
         results = ed_mod.finite_size_scan(params, v["delta"], v["n"], config=configs[0])
     with _out_stream(v["output"]) as out:
         _write_chunks(out, (_json_line(r._asdict()) for r in results))
-    return 0
 
 
-def _cmd_measure(v: dict, provided: set) -> int:
+def _cmd_measure(v: dict, provided: set) -> None:
     from .measurement import ProjectiveMeasurement, Sign, WernerState, angle_for_target_delta, measure
 
     z = v["z"]
@@ -312,7 +303,6 @@ def _cmd_measure(v: dict, provided: set) -> int:
     for i in range(2):
         for j in range(2):
             print(f"rho_{i}{j} = {_fmt(rho[i, j].real)}")
-    return 0
 
 
 # name -> (help, handler, options beyond the model's), in the order of --help
@@ -373,9 +363,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         _, handler, opts = _COMMANDS[ns.command]
         values, provided = _merge(ns, _MODEL_OPTS + opts, config)
         _check_output(values.get("output"))  # before the run, not after it
-        code = handler(values, provided)
+        handler(values, provided)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
-        return code
+        return 0
     except (CLIError, IDDMError, ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader has gone: what stdout still buffers goes nowhere at exit

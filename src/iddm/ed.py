@@ -93,6 +93,7 @@ class EDConfig(NamedTuple):
     photon_cutoff is the highest displaced photon level of the first
     truncation, not the final one: ground_state doubles the cutoff until the
     energy stops moving or the next doubling would exceed dimension_cap.
+    impurity_mode must be a FixedDelta or a FullQubit.
     """
 
     n_atoms: int
@@ -103,6 +104,8 @@ class EDConfig(NamedTuple):
     def _check(self):
         for name in ("n_atoms", "photon_cutoff", "dimension_cap"):
             check_count(name, getattr(self, name))
+        if not isinstance(self.impurity_mode, (FixedDelta, FullQubit)):
+            raise InvalidParameterError(f"impurity_mode must be FixedDelta or FullQubit, got {self.impurity_mode!r}")
 
 
 class EDResult(NamedTuple):

@@ -51,9 +51,5 @@ class UnstableEquilibriumError(IDDMError):
     """Fluctuation Hessian is not positive semidefinite at the equilibrium."""
 
 
-class ZeroProbabilityOutcomeError(IDDMError):
-    """Projective outcome has vanishing probability; the collapsed state is undefined."""
-
-
 class ConvergenceFailureError(IDDMError):
     """An iterative solver failed to reach its tolerance within budget."""

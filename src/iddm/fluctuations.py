@@ -28,6 +28,7 @@ when f1 >> f2.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -84,14 +85,21 @@ def normal_phase_spectrum(params: ModelParams, delta: float) -> tuple[float, flo
     """Closed-form normal-phase mode energies, valid while f1 f2 >= 4 lam^2.
 
     Serves as an independent check on the Hessian route; the two must agree
-    everywhere in the normal phase.
+    everywhere in the normal phase.  Both energies are homogeneous of degree
+    one in (f1, f2, lam), so they are computed on the three divided by a power
+    of two near max(f1, f2), where no square overflows or underflows to 0, and
+    scaled back.  A ratio f2/f1 or f1/f2 beyond the float range is refused.
     """
     f1, f2 = _frequencies(params, delta)
-    lam = params.lam
+    e = math.frexp(max(f1, f2))[1]
+    if min(f1, f2) > 0.0 and math.ldexp(min(f1, f2), -e) < sys.float_info.min:
+        raise InvalidParameterError("closed normal-phase spectrum: f1/f2 exceeds the float range")
+    f1, f2, lam = (math.ldexp(x, -e) for x in (f1, f2, params.lam))
     if f1 * f2 < 4.0 * lam * lam:
         raise InvalidParameterError("closed normal-phase spectrum needs nu >= 1")
     a = f1 * f1 + f2 * f2
     r = math.sqrt((f1 * f1 - f2 * f2) ** 2 + 16.0 * lam * lam * f1 * f2)
-    # (a - r)/2 cancels when f1 >> f2; (a - r)(a + r) = 4 f1 f2 (f1 f2 - 4 lam^2)
-    eps_minus = math.sqrt(2.0 * f1 * f2 * (f1 * f2 - 4.0 * lam * lam) / (a + r))
-    return eps_minus, math.sqrt((a + r) / 2.0)
+    # (a - r)/2 cancels when f1 >> f2; (a - r)(a + r) = 4 f1 f2 (f1 f2 - 4 lam^2),
+    # taken as two roots so that eps_-^2 ~ f2^2 cannot underflow when f2 << f1
+    eps_minus = math.sqrt(2.0 * f1 * f2 / (a + r)) * math.sqrt(f1 * f2 - 4.0 * lam * lam)
+    return math.ldexp(eps_minus, e), math.ldexp(math.sqrt((a + r) / 2.0), e)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnreachableTargetError, ZeroProbabilityOutcomeError
+from .errors import InvalidParameterError, UnreachableTargetError
 from .model import _checked, check_finite
 
 __all__ = [
@@ -79,7 +79,7 @@ class WernerState(NamedTuple):
 class ProjectiveMeasurement(NamedTuple):
     """One outcome of the rotated-basis measurement on the auxiliary qubit.
 
-    theta must be finite.
+    theta must be finite and sign a Sign.
     """
 
     theta: float
@@ -87,6 +87,8 @@ class ProjectiveMeasurement(NamedTuple):
 
     def _check(self):
         check_finite("theta", self.theta)
+        if not isinstance(self.sign, Sign):
+            raise InvalidParameterError(f"sign must be a Sign, got {self.sign!r}")
 
     def state_vector(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -117,16 +119,13 @@ def measure(state: WernerState, measurement: ProjectiveMeasurement) -> Collapsed
     """Collapse the impurity by measuring the auxiliary qubit.
 
     Applies (I x P) rho (I x P), normalizes, and traces out the auxiliary
-    qubit.  The outcome probability is 1/2 for every Werner state and
-    measurement angle; the zero-probability guard protects only degenerate
-    non-Werner uses.
+    qubit.  The outcome probability is exactly 1/2 for every Werner state
+    and measurement angle, so the division never meets a vanishing outcome.
     """
     rho = state.density_matrix()
     proj = np.kron(np.eye(2), measurement.projector())
     unnormalized = proj @ rho @ proj
     probability = float(np.real(np.trace(unnormalized)))
-    if probability < 1e-15:
-        raise ZeroProbabilityOutcomeError("outcome has vanishing probability")
     reduced = np.einsum("ibjb->ij", unnormalized.reshape(2, 2, 2, 2)) / probability
     delta = float(np.real(np.trace(reduced @ SIGMA_Z)))
     return CollapsedImpurity(density_matrix=reduced, delta=delta, probability=probability)

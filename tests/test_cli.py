@@ -66,6 +66,7 @@ Checked here:
 
 import ast
 import importlib
+import inspect
 import json
 import math
 import os
@@ -381,6 +382,8 @@ def test_config_rejections(tmp_path, capsys, monkeypatch):
         (["ed", "--n", "2"], {"cutoff": math.inf, "output": "ed.jsonl"}),  # was an OverflowError
         (["sweep", *point], {"output": 5}),
         (["sweep", *point], {"output": None}),
+        (["meanfield", "--delta", "0.5"], {"numeric": 1}),  # a switch takes only a boolean
+        (["sweep", *point], {"format": "xml"}),  # outside the option's choices
     ]:
         typed = tmp_path / "typed.json"
         typed.write_text(json.dumps(data))
@@ -485,12 +488,14 @@ def test_deriv_lambda_scan_requires_delta(capsys):
     assert code == 1 and "error:" in err
 
 
-def test_deriv_delta_scan_rejects_fixed_delta(capsys):
-    code, _, err = run_cli(
-        capsys, "deriv", "--wrt", "delta", "--from", "0.4", "--to", "0.6",
-        "--step", "0.01", "--delta", "0.3",
-    )
-    assert code == 1 and "error:" in err
+def test_deriv_delta_scan_rejects_fixed_delta(tmp_path, capsys):
+    # derivative_scan's own refusal, from a flag or from the config file
+    scan = ["deriv", "--wrt", "delta", "--from", "0.4", "--to", "0.6", "--step", "0.01"]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"delta": 0.5}))
+    for extra in (["--delta", "0.5"], ["--config", str(cfg)]):
+        assert run_cli(capsys, *scan, *extra) == (
+            1, "", "error: delta scans take no separate delta argument\n")
 
 
 @pytest.mark.parametrize("grid, message", [
@@ -956,6 +961,14 @@ def test_exported_names_resolve():
         module = importlib.import_module(f"iddm.{info.name}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], module.__name__
+    # the eager names are the numpy-free modules' exports and the error classes, nothing else
+    errors = {name for name, obj in vars(iddm.errors).items()
+              if isinstance(obj, type) and issubclass(obj, Exception)}
+    eager = errors.union(*(m.__all__ for m in (iddm.model, iddm.meanfield, iddm.sweep)))
+    public = {name for name, obj in vars(iddm).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == eager and len(errors) == 12
+    assert "ZeroProbabilityOutcomeError" not in dir(iddm) and not hasattr(iddm.errors, "ZeroProbabilityOutcomeError")
     ed_names = {name for name, module in iddm._LAZY_NAMES.items() if module == "ed"}
     assert ed_names == set(iddm.ed.__all__)
     for name, module in iddm._LAZY_NAMES.items():

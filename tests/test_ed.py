@@ -40,9 +40,10 @@ Checked here:
   * results are deterministic across repeated runs
   * the full-qubit mode picks the lower of the two impurity branches
   * the basis-size cap raises DimensionTooLargeError, and EDConfig refuses
-    a zero atom number, cutoff or cap, and a non-integral or boolean one
-    (numpy integers pass); finite_size_scan refuses a bad atom number
-    anywhere in its list before the first solve
+    a zero atom number, cutoff or cap, a non-integral or boolean one
+    (numpy integers pass) and an impurity mode that is neither FixedDelta nor
+    FullQubit; finite_size_scan refuses a bad atom number anywhere in its
+    list, and an empty list, before the first solve
   * `iddm ed --full-qubit --chi 0.3` includes the chi Jz^2 / N term: its
     energy is the Fock oracle's lowest eigenvalue with chi
   * the sector solve against the dense Fock oracle: the energy is the lowest
@@ -660,6 +661,13 @@ def test_config_refuses_bad_sizes():
             EDConfig(**{"n_atoms": 4, field: value})
 
 
+@pytest.mark.parametrize("mode", [0.5, None, "full", (0.5,)])
+def test_config_refuses_unknown_impurity_mode(mode):
+    # 0.5 used to run a FullQubit ground state; (0.5,) is a tuple, not a FixedDelta
+    with pytest.raises(InvalidParameterError, match="impurity_mode must be FixedDelta or FullQubit"):
+        EDConfig(n_atoms=4, impurity_mode=mode)
+
+
 def test_config_accepts_numpy_integers():
     config = EDConfig(n_atoms=np.int64(4), photon_cutoff=np.int32(2), dimension_cap=np.uint32(500))
     assert ground_state(SMALL, config).n_atoms == 4
@@ -679,6 +687,8 @@ def test_finite_size_scan_refuses_before_solving(monkeypatch):
     for n_list in ([8, 0], [8.7], [8, True]):
         with pytest.raises(InvalidParameterError):
             finite_size_scan(SMALL, 0.8, n_list)
+    with pytest.raises(InvalidParameterError, match="n_list must not be empty"):
+        finite_size_scan(SMALL, 0.5, [])
     assert calls == []
 
 

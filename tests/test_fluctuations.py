@@ -9,6 +9,9 @@ Checked here:
     both modes are positive above and below the transition
   * the closed formula's eps_- is within 1e-14 relative of a 60-digit
     reference where f1 >> f2, where (a - r)/2 would cancel
+  * the closed formula matches the Hessian route within 1e-9 relative at
+    omega = 1e100, 1e160 and 1e300, and where f1^2 underflows with f2 = 0;
+    it refuses nu < 1, and an f2/f1 below the float range
   * superradiant spectra from the Hessian route match the cancellation-free
     closed form (Emary & Brandes with f2 -> f2/nu) on random draws with
     |1 - nu| >= 1e-3: eps_- within 1e-12 of itself, eps_+ within 1e-13
@@ -26,6 +29,7 @@ import pytest
 from iddm import (
     DomainError,
     IDDMError,
+    InvalidParameterError,
     ModelParams,
     Phase,
     critical_lambda,
@@ -117,6 +121,27 @@ def test_normal_phase_soft_mode_matches_high_precision_reference(omega, lam, del
         reference = mpmath.sqrt((a - r) / 2)
         eps_minus, _ = normal_phase_spectrum(params, delta)
         assert abs(eps_minus - reference) <= 1e-14 * reference
+
+
+@pytest.mark.parametrize("params, delta", [
+    (ModelParams(omega=1e100, lam=1.0), 0.0),  # was an OverflowError
+    (ModelParams(omega=1e160, lam=1.0), 0.0),  # was (nan, inf)
+    (ModelParams(omega=1e300, lam=1.0), 0.0),  # was (nan, inf)
+    (ModelParams(omega=1e-200, lam=0.0, kappa=-0.5), 1.0),  # f1^2 underflows, f2 = 0; was a ZeroDivisionError
+])
+def test_normal_phase_spectrum_at_extreme_frequencies(params, delta):
+    res = excitation_spectrum(params, delta)
+    lo, hi = normal_phase_spectrum(params, delta)
+    assert math.isclose(lo, res.eps_minus, rel_tol=1e-9)
+    assert math.isclose(hi, res.eps_plus, rel_tol=1e-9)
+
+
+def test_normal_phase_spectrum_refusals():
+    with pytest.raises(InvalidParameterError, match="needs nu >= 1"):
+        normal_phase_spectrum(FIG2, 0.8)
+    # f2/f1 = 1e-616 is below the smallest float, so eps_- = f2 cannot be scaled back
+    with pytest.raises(InvalidParameterError, match="exceeds the float range"):
+        normal_phase_spectrum(ModelParams(omega=1e308, omega0=1e-308, lam=0.0), 0.0)
 
 
 def test_superradiant_spectrum_matches_closed_formula():

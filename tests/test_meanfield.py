@@ -16,7 +16,8 @@ Checked here:
     indefinite, diagonal, equal-diagonal and floored cases included
   * the superradiant energy identity E0 = -(lam^2/f1)(1 - nu)^2
   * critical_delta / critical_lambda closed forms, boundary cases, the
-    general xi1 != 0 root, and the standard-Dicke reduction; the linear root
+    general xi1 != 0 root (None for a negative discriminant), and the
+    standard-Dicke reduction; the linear root
     when kappa xi1 underflows to 0, and lambda_c where f1 f2 overflows or
     underflows (trace_critical_curve included)
   * branch continuity across the phase boundary
@@ -26,7 +27,8 @@ Checked here:
     stay flat in the normal phase, bit for bit the scan written with numpy
     (np.linspace, slice differences, np.argmax: the first of tied steps)
   * a lambda scan refuses a negative lambda, and chi != 0, at grid index 0
-    with the point named in the message
+    with the point named in the message; a scan refuses a parameter other
+    than delta or lambda, a step <= 0, stop <= start and fewer than 3 points
   * refusal behavior: nu <= -1, chi != 0 (critical_lambda, critical_delta
     and trace_critical_curve included), |beta| out of range, zero budget,
     a lone origin start in the superradiant phase (a saddle), a negative
@@ -430,6 +432,11 @@ def test_critical_delta_general_branch():
     assert abs(critical_delta(small) - 0.5) < 1e-6
 
 
+def test_critical_delta_negative_discriminant():
+    # (1 + d)(1 - (1 + d)) = 4 has no real root: b^2 - 4ac = 1 - 16 < 0
+    assert critical_delta(ModelParams(omega=1.0, lam=1.0, kappa=-1.0, xi1=1.0)) is None
+
+
 def test_critical_delta_when_kappa_xi1_underflows():
     # kappa xi1 = 5e-324 * 0.4 is 0: the equation f1 (omega0 + kappa (1 + d)) = 4 lam^2 is
     # linear, its root is (4 lam^2 - omega omega0)/(omega0 xi1) = -0.475, and q/a divided by 0
@@ -507,6 +514,20 @@ def test_scan_grid_validation():
         derivative_scan(FIG2, "lambda", 0.0, 1.0, 0.1)  # missing fixed delta
     with pytest.raises(Exception):
         derivative_scan(FIG2, "delta", 0.0, 1.0, 0.1, delta=0.3)
+
+
+@pytest.mark.parametrize("name, start, stop, step, message", [
+    ("omega", 0.0, 1.0, 0.1, "parameter_name must be 'delta' or 'lambda', got 'omega'"),
+    ("delta", 0.0, 1.0, 0.0, "step must be > 0, got 0.0"),
+    ("delta", 0.0, 1.0, -0.1, "step must be > 0, got -0.1"),
+    ("delta", 0.5, 0.5, 0.1, "stop must exceed start"),
+    ("delta", 0.6, 0.4, 0.1, "stop must exceed start"),
+    ("delta", 0.0, 0.1, 0.1, "grid must contain at least 3 points"),
+])
+def test_scan_api_refusals(name, start, stop, step, message):
+    with pytest.raises(InvalidParameterError) as info:
+        derivative_scan(FIG2, name, start, stop, step)
+    assert str(info.value) == message
 
 
 def test_scan_error_names_grid_point():

@@ -10,7 +10,8 @@ Checked here:
   * the collapsed state equals (1 - z)/2 * I + z |psi><psi| entrywise
   * angle_for_target_delta inverts the map and round-trips through measure
   * edge cases: z = 0 (no steering), z = 1 (pure-state limit), targets
-    beyond +-z are rejected, unmeasured population is zero
+    beyond +-z are rejected, unmeasured population is zero, and an outcome
+    sign that is not a Sign is refused
   * property over z, theta and sign: probability 1/2, delta = +-z cos 2theta,
     a Hermitian positive-semidefinite collapsed state of trace 1; and any
     target in [-z, z] is reached through angle_for_target_delta
@@ -24,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iddm import (
+    InvalidParameterError,
     ProjectiveMeasurement,
     Sign,
     UnreachableTargetError,
@@ -148,6 +150,13 @@ def test_invalid_fidelity_rejected():
         WernerState(-0.1)
     with pytest.raises(ValueError):
         WernerState(1.1)
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus", 1, None])
+def test_sign_must_be_a_sign(sign):
+    # the string "plus" used to measure the minus outcome
+    with pytest.raises(InvalidParameterError, match="sign must be a Sign"):
+        ProjectiveMeasurement(0.3, sign)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
