@@ -16,7 +16,8 @@ Checked here:
     Gauss-Hermite quadrature exit 1 without a numpy warning
   * config files merge under flags, unknown or ill-typed keys exit 1 (a
     boolean for a number, a non-integral number for an integer or an --n
-    item, a non-string for a string) and write no file, integral floats and
+    item, a non-string for a string, a non-boolean for a switch, a value
+    outside the choices) and write no file, integral floats and
     numeric strings are accepted, and a
     config-driven run is byte-identical to the flag-driven one; as a property
     over random splits of the options between config and flags, a flag wins
@@ -26,7 +27,9 @@ Checked here:
   * deriv emits the documented CSV with empty edge cells and shows the
     curvature jump at the transition; a non-finite scan edge or step, a
     (stop - start)/step that overflows, a step whose square underflows to 0
-    and a grid whose differences of E0 overflow exit 1 with an error on stderr
+    and a grid whose differences of E0 overflow exit 1 with an error on stderr;
+    a delta scan given --delta (flag or config) exits 1 with no output and
+    derivative_scan's own message
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
     byte-identical
   * ed emits one JSON record per atom number with parity exactly +-1, runs
@@ -59,9 +62,11 @@ Checked here:
     dataclasses, inspect and json to sys.modules, and the numpy commands (ed
     with FixedDelta and --full-qubit, spectrum, measure, meanfield --numeric)
     none of dataclasses, json and numpy.polynomial
-  * every name in each module's __all__ resolves, the package's lazy ED
-    names are exactly ed's exports, and each lazy name (ED, fluctuations,
-    measurement) is its module's object
+  * every name in each module's __all__ resolves, the package's eager names
+    are exactly the error classes and the __all__ of model, meanfield and
+    sweep (ZeroProbabilityOutcomeError is gone), the lazy ED names are
+    exactly ed's exports, and each lazy name (ED, fluctuations, measurement)
+    is its module's object
 """
 
 import ast

@@ -433,7 +433,7 @@ def test_critical_delta_general_branch():
 
 
 def test_critical_delta_negative_discriminant():
-    # (1 + d)(1 - (1 + d)) = 4 has no real root: b^2 - 4ac = 1 - 16 < 0
+    # f1 f2 = (1 + d)(-d) = 4 has no real root: b^2 - 4ac = 1 - 16 < 0
     assert critical_delta(ModelParams(omega=1.0, lam=1.0, kappa=-1.0, xi1=1.0)) is None
 
 
