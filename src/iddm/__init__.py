@@ -24,9 +24,9 @@ from .sweep import *
 
 __version__ = "0.1.0"
 
-# The names of the modules that load numpy resolve on first use (PEP 562), so
-# that a process that runs only the closed form, the sweep or the CLI's
-# mean-field commands never imports numpy.
+# The names of the spectrum, measurement and ED modules resolve on first use
+# (PEP 562): measurement and ed load numpy, and fluctuations is loaded only by
+# the processes that ask for a spectrum.
 _LAZY_NAMES = {
     **dict.fromkeys(("SpectrumResult", "excitation_spectrum", "normal_phase_spectrum"),
                     "fluctuations"),

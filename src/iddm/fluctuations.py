@@ -13,6 +13,10 @@ at the mean-field equilibrium, i.e. the positive imaginary parts of the
 spectrum of J M with J the symplectic form (Emary & Brandes, PRE 67, 066203,
 2003).  Working from the Hessian keeps one quadratic expansion for both
 phases, and its entries are checked against finite differences of the energy.
+At the equilibrium (alpha, 0, beta, 0) M splits into X = [[m00, m02],
+[m02, m22]] on (x1, x2) and diag(m00, m33) on (p1, p2), m00 = f1; eps^2 are
+the eigenvalues of diag(m00, m33) X, taken in plain floats as those of its
+symmetric twin [[m00^2, m02 r], [m02 r, m33 m22]], r = sqrt(m00 m33).
 
 The lower branch closes at the phase boundary (the soft mode of the
 transition) and reopens on both sides; in the normal phase the spectrum also
@@ -31,28 +35,15 @@ import math
 import sys
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidParameterError, UnstableEquilibriumError
-from .meanfield import _frequencies, energy_derivatives, equilibrium_closed_form
+from .meanfield import _closed_form, _derivatives, _frequencies, _jacobi
 from .model import ModelParams
 
 __all__ = [
     "SpectrumResult",
-    "SYMPLECTIC_FORM",
     "excitation_spectrum",
     "normal_phase_spectrum",
 ]
-
-# Block-diagonal symplectic form for the ordering (x1, p1, x2, p2).
-SYMPLECTIC_FORM = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
 
 
 class SpectrumResult(NamedTuple):
@@ -64,21 +55,33 @@ class SpectrumResult(NamedTuple):
 def excitation_spectrum(params: ModelParams, delta: float) -> SpectrumResult:
     """Normal-mode energies (eps_minus, eps_plus) at the mean-field equilibrium.
 
-    The equilibrium comes from equilibrium_closed_form; the Hessian there must
-    be positive semidefinite (up to 1e-9 times its scale) or
-    UnstableEquilibriumError is raised.  Near nu -> 1 the rounding of M alone
-    puts an error of about eps_plus^2 u / (2 eps_minus) on eps_minus (u the
-    unit roundoff), which no choice of eigensolver removes.
+    The equilibrium comes from the closed form; the Hessian there must be
+    positive semidefinite (up to 1e-9 times its scale) or
+    UnstableEquilibriumError is raised, and a spectrum beyond the float range
+    raises InvalidParameterError.  Near nu -> 1 the rounding of M alone puts
+    an error of about eps_plus^2 u / (2 eps_minus) on eps_minus (u the unit
+    roundoff), which no choice of eigensolver removes.
     """
-    sol = equilibrium_closed_form(params, delta)
-    m = energy_derivatives(params, delta, (sol.alpha, 0.0, sol.beta, 0.0))[1] / 2.0
-    scale = max(1.0, float(np.max(np.abs(m))))
-    stable = bool(np.min(np.linalg.eigvalsh(m)) >= -1e-9 * scale)
-    if not stable:
+    f1, f2 = _frequencies(params, delta)
+    sol = _closed_form(f1, f2, params.lam)
+    # E is linear in (f1, f2, lam) at fixed amplitudes: M = H/2 is H at half of
+    # each (bit for bit above the subnormals), and m00 = f1 cannot overflow.
+    _, (m00, m02, _, m22, _, m33) = _derivatives(0.5 * f1, 0.5 * f2, 0.5 * params.lam,
+                                                 (sol.alpha, 0.0, sol.beta, 0.0))
+    top = max(m00, abs(m02), abs(m22), abs(m33))
+    _, _, w0, w1 = _jacobi(m00, m02, m22)
+    if min(m33, w0, w1) < -1e-9 * max(1.0, top):
         raise UnstableEquilibriumError("fluctuation Hessian is not positive semidefinite")
-    freqs = np.sort(np.abs(np.linalg.eigvals(SYMPLECTIC_FORM @ m).imag))
-    # eigenvalues come in +-i eps pairs: [e-, e-, e+, e+] after sorting
-    return SpectrumResult(eps_minus=float(freqs[1]), eps_plus=float(freqs[3]), stable=stable)
+    e = math.frexp(top)[1]  # M over 2^e, so that no product overflows
+    m00, m02, m22, m33 = (math.ldexp(x, -e) for x in (m00, m02, m22, max(m33, 0.0)))
+    p, q = m00 * m00, m33 * m22
+    plus = math.sqrt((p + q) / 2.0 + math.hypot((p - q) / 2.0, m02 * math.sqrt(m00 * m33)))
+    # eps_-^2 = det / eps_+^2, the determinant taken as a product of roots
+    minus = math.sqrt(m00) * math.sqrt(m33) * math.sqrt(max(m00 * m22 - m02 * m02, 0.0)) / plus
+    eps_minus, eps_plus = math.ldexp(minus, e), math.ldexp(plus, e)
+    if not (math.isfinite(eps_minus) and math.isfinite(eps_plus)):
+        raise InvalidParameterError("fluctuation spectrum exceeds the float range")
+    return SpectrumResult(eps_minus=eps_minus, eps_plus=eps_plus, stable=True)
 
 
 def normal_phase_spectrum(params: ModelParams, delta: float) -> tuple[float, float]:

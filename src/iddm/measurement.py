@@ -49,10 +49,9 @@ __all__ = [
     "angle_for_target_delta",
 ]
 
-KET_UPPER = np.array([1.0, 0.0])  # |0>
-KET_LOWER = np.array([0.0, 1.0])  # |1>
 SIGMA_Z = np.diag([1.0, -1.0])
-BELL_STATE = (np.kron(KET_UPPER, KET_UPPER) + np.kron(KET_LOWER, KET_LOWER)) / math.sqrt(2.0)
+BELL_STATE = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)  # (|00> + |11>)/sqrt(2)
+_BELL_OUTER = np.outer(BELL_STATE, BELL_STATE).ravel().tolist()
 
 
 class Sign(Enum):
@@ -71,8 +70,12 @@ class WernerState(NamedTuple):
             raise InvalidParameterError(f"Werner parameter z must lie in [0, 1], got {self.z}")
 
     def density_matrix(self) -> np.ndarray:
-        rho = (1.0 - self.z) / 4.0 * np.eye(4) + self.z * np.outer(BELL_STATE, BELL_STATE)
-        return rho.astype(complex)
+        return np.array(self._entries(), dtype=complex).reshape(4, 4)
+
+    def _entries(self) -> list[float]:
+        """The 4x4 density matrix as 16 floats, row 2a + b for A in a, B in b; i % 5 == 0 on the diagonal."""
+        mixed = (1.0 - self.z) / 4.0
+        return [self.z * x + (mixed if i % 5 == 0 else 0.0) for i, x in enumerate(_BELL_OUTER)]
 
 
 @_checked
@@ -91,10 +94,11 @@ class ProjectiveMeasurement(NamedTuple):
             raise InvalidParameterError(f"sign must be a Sign, got {self.sign!r}")
 
     def state_vector(self) -> np.ndarray:
+        return np.array(self._components())
+
+    def _components(self) -> tuple[float, float]:
         c, s = math.cos(self.theta), math.sin(self.theta)
-        if self.sign is Sign.PLUS:
-            return c * KET_UPPER + s * KET_LOWER
-        return c * KET_LOWER - s * KET_UPPER
+        return (c, s) if self.sign is Sign.PLUS else (-s, c)
 
     def projector(self) -> np.ndarray:
         v = self.state_vector()
@@ -118,16 +122,18 @@ def unmeasured_population(state: WernerState) -> float:
 def measure(state: WernerState, measurement: ProjectiveMeasurement) -> CollapsedImpurity:
     """Collapse the impurity by measuring the auxiliary qubit.
 
-    Applies (I x P) rho (I x P), normalizes, and traces out the auxiliary
-    qubit.  The outcome probability is exactly 1/2 for every Werner state
-    and measurement angle, so the division never meets a vanishing outcome.
+    Applies (I x P) rho (I x P), P = |v><v|, and traces out the auxiliary
+    qubit, as the float contraction sum_kl rho[(i, k), (j, l)] v_k v_l; its
+    trace is the outcome probability, exactly 1/2 for every Werner state and
+    measurement angle, so the division never meets a vanishing outcome.
     """
-    rho = state.density_matrix()
-    proj = np.kron(np.eye(2), measurement.projector())
-    unnormalized = proj @ rho @ proj
-    probability = float(np.real(np.trace(unnormalized)))
-    reduced = np.einsum("ibjb->ij", unnormalized.reshape(2, 2, 2, 2)) / probability
-    delta = float(np.real(np.trace(reduced @ SIGMA_Z)))
+    v0, v1 = measurement._components()
+    w = state._entries()
+    half = [(w[r] * v0 + w[r + 1] * v1, w[r + 2] * v0 + w[r + 3] * v1) for r in (0, 4, 8, 12)]
+    rho = [[v0 * half[2 * i][j] + v1 * half[2 * i + 1][j] for j in (0, 1)] for i in (0, 1)]
+    probability = rho[0][0] + rho[1][1]
+    reduced = np.array(rho, dtype=complex) / probability
+    delta = (rho[0][0] - rho[1][1]) / probability
     return CollapsedImpurity(density_matrix=reduced, delta=delta, probability=probability)
 
 

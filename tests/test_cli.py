@@ -54,10 +54,10 @@ Checked here:
     ed included, loads scipy at all, the ED names resolve on use, and no
     module of the package imports scipy
   * numpy stays unloaded by `import iddm`, `import iddm.cli`, sweep (CSV and
-    JSON lines), the closed-form meanfield, critical and deriv (lambda and
-    delta scans); the modules they
+    JSON lines), the closed-form meanfield, critical, deriv (lambda and
+    delta scans) and spectrum; the modules they
     load have no module-level numpy import; IDDM_THREADS=1 has set
-    OPENBLAS_NUM_THREADS when numpy is first imported
+    OPENBLAS_NUM_THREADS when numpy is first imported (by measure)
   * the numpy-free runs above, the JSON-lines sweep included, add none of
     dataclasses, inspect and json to sys.modules, and the numpy commands (ed
     with FixedDelta and --full-qubit, spectrum, measure, meanfield --numeric)
@@ -821,6 +821,7 @@ for argv in [
     ["deriv", "--wrt", "lambda", "--from", "6", "--to", "8", "--step", "0.01", "--delta", "0"],
     ["deriv", "--wrt", "delta", "--from", "0", "--to", "1", "--step", "0.01"],
     ["sweep", "--delta-count", "3", "--lambda-count", "2", "--format", "json-lines"],
+    ["spectrum", "--delta", "0.1"],
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv
@@ -869,7 +870,7 @@ class Probe:
 sys.meta_path.insert(0, Probe())
 from iddm.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["spectrum", "--delta", "0.1"]) == 0
+    assert main(["measure", "--z", "0.5", "--theta", "0.3"]) == 0
 assert "numpy" in sys.modules and Probe.seen == ["1"], Probe.seen
 """
 
@@ -931,7 +932,8 @@ def test_package_source_imports_no_scipy():
 
 
 # The modules that `import iddm` and the mean-field subcommands load.
-_NUMPY_FREE_MODULES = ("__init__.py", "errors.py", "model.py", "meanfield.py", "sweep.py", "cli.py")
+_NUMPY_FREE_MODULES = ("__init__.py", "errors.py", "model.py", "meanfield.py", "sweep.py", "cli.py",
+                       "fluctuations.py")
 
 
 def _runs_on_import(body):

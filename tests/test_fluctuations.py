@@ -15,6 +15,16 @@ Checked here:
   * superradiant spectra from the Hessian route match the cancellation-free
     closed form (Emary & Brandes with f2 -> f2/nu) on random draws with
     |1 - nu| >= 1e-3: eps_- within 1e-12 of itself, eps_+ within 1e-13
+  * the block route matches the generic symplectic route, the dense
+    eigenvalues of J M, on random draws in both phases (each energy within
+    1e-14 eps_+), and a 60-digit reference on the same Hessian entries
+    (each energy within 1e-15 eps_+)
+  * where 2 f1 overflows the spectrum is finite: `spectrum` at
+    omega = omega0 = 1.7e308, lambda = 6e153 matches the closed formula, and
+    at omega = 1e308, kappa = 0 prints (1, 1e308); and where f2/f1 = 5e199
+    it matches the closed formula
+  * the oracle kernels (spectrum, measure, minimizer) run with numpy's
+    eigvals, eigvalsh, kron and einsum patched to raise
   * the soft mode closes at the phase boundary and reopens on both sides
   * the Hessian is positive semidefinite at every admissible equilibrium
   * spectra are continuous across the boundary
@@ -26,22 +36,125 @@ import mpmath
 import numpy as np
 import pytest
 
+import iddm.meanfield
 from iddm import (
     DomainError,
     IDDMError,
     InvalidParameterError,
     ModelParams,
     Phase,
+    ProjectiveMeasurement,
+    Sign,
+    WernerState,
     critical_lambda,
     effective_frequencies,
     energy,
     energy_derivatives,
     equilibrium_closed_form,
+    equilibrium_numeric,
     excitation_spectrum,
+    measure,
     normal_phase_spectrum,
 )
+from iddm.cli import main
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
+
+# Block-diagonal symplectic form for the quadrature order (x1, p1, x2, p2).
+SYMPLECTIC_FORM = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, -1.0, 0.0],
+])
+
+
+def _oracle_draws(seed, count):
+    """(params, delta, M) at `count` random admissible points, both phases, M = H/2."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        params = ModelParams(
+            omega=rng.uniform(1.0, 500.0),
+            lam=rng.uniform(0.0, 30.0),
+            kappa=rng.uniform(-2.0, 2.0),
+        )
+        delta = rng.uniform(-1.0, 1.0)
+        try:
+            sol = equilibrium_closed_form(params, delta)
+        except IDDMError:
+            continue
+        m = energy_derivatives(params, delta, (sol.alpha, 0.0, sol.beta, 0.0))[1] / 2.0
+        out.append((params, delta, sol.phase, m))
+    return out
+
+
+def test_block_route_matches_dense_symplectic_eigenvalues():
+    phases = set()
+    for params, delta, phase, m in _oracle_draws(61, 400):
+        phases.add(phase)
+        freqs = np.sort(np.abs(np.linalg.eigvals(SYMPLECTIC_FORM @ m).imag))
+        res = excitation_spectrum(params, delta)
+        # eigenvalues come in +-i eps pairs: [e-, e-, e+, e+] after sorting
+        assert abs(res.eps_minus - freqs[1]) <= 1e-14 * res.eps_plus
+        assert abs(res.eps_plus - freqs[3]) <= 1e-14 * res.eps_plus
+    assert {Phase.NORMAL, Phase.SUPERRADIANT} <= phases
+
+
+def test_block_route_matches_high_precision_reference():
+    # the program's Hessian entries are the reference's exact inputs:
+    # eps^2 are the eigenvalues of diag(m00, m33) [[m00, m02], [m02, m22]]
+    for params, delta, _, m in _oracle_draws(67, 400):
+        m00, m02, m22, m33 = (mpmath.mpf(float(x)) for x in (m[0, 0], m[0, 2], m[2, 2], m[3, 3]))
+        with mpmath.workdps(60):
+            trace = m00 * m00 + m33 * m22
+            det = m00 * m33 * (m00 * m22 - m02 * m02)
+            root = mpmath.sqrt(trace * trace - 4 * det)
+            ref_minus, ref_plus = mpmath.sqrt(2 * det / (trace + root)), mpmath.sqrt((trace + root) / 2)
+            res = excitation_spectrum(params, delta)
+            assert abs(res.eps_minus - ref_minus) <= 1e-15 * res.eps_plus
+            assert abs(res.eps_plus - ref_plus) <= 1e-15 * res.eps_plus
+
+
+@pytest.mark.parametrize("argv", [
+    ["--omega", "1.7e308", "--omega0", "1.7e308", "--lambda", "6e153", "--delta", "0"],
+    ["--omega", "1e308", "--kappa", "0", "--delta", "0"],
+])
+def test_spectrum_where_twice_f1_overflows(capsys, argv):
+    # h00 = 2 f1 overflows here; numpy's eigvals raised LinAlgError
+    assert main(["spectrum", *argv]) == 0
+    lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    eps = float(lines["eps_minus"]), float(lines["eps_plus"])
+    if "--omega0" in argv:
+        want = normal_phase_spectrum(ModelParams(omega=1.7e308, omega0=1.7e308, lam=6e153,
+                                                 kappa=-0.5), 0.0)
+    else:  # f2/f1 is below the float range, which the closed formula refuses
+        want = 1.0, 1e308  # eps_-^2 = 1 - O(1e-306), eps_+ = f1 (1 + O(1e-614))
+    assert all(math.isclose(e, w, rel_tol=1e-12) for e, w in zip(eps, want)), (eps, want)
+    assert lines["stable"] == "true"
+
+
+def test_spectrum_where_f2_dwarfs_f1():
+    # (f2/f1)^2 = 2.5e399 overflows, so the spectrum is not taken relative to m00
+    params = ModelParams(omega=1e-200, lam=0.0, kappa=-0.5)
+    res = excitation_spectrum(params, 0.0)
+    lo, hi = normal_phase_spectrum(params, 0.0)
+    assert math.isclose(res.eps_minus, lo, rel_tol=1e-12) and math.isclose(res.eps_plus, hi, rel_tol=1e-12)
+
+
+def test_oracle_kernels_need_no_numpy_linear_algebra(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy linear algebra called")
+
+    for owner, name in ((np.linalg, "eigvals"), (np.linalg, "eigvalsh"), (np, "kron"), (np, "einsum")):
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(iddm.meanfield, "_START_DRAWS", {})  # the start draws are made here too
+    for delta in (0.2, 0.8):  # normal, superradiant
+        assert excitation_spectrum(FIG2, delta).eps_minus > 0.0
+        sol = equilibrium_numeric(FIG2, delta)
+        assert sol.phase is equilibrium_closed_form(FIG2, delta).phase
+    out = measure(WernerState(0.6), ProjectiveMeasurement(0.3, Sign.MINUS))
+    assert math.isclose(out.delta, -0.6 * math.cos(0.6), rel_tol=1e-14)
 
 
 def test_decoupled_spectrum_exact():

@@ -12,6 +12,9 @@ Checked here:
   * edge cases: z = 0 (no steering), z = 1 (pure-state limit), targets
     beyond +-z are rejected, unmeasured population is zero, and an outcome
     sign that is not a Sign is refused
+  * the float contraction in measure matches the numpy route, (I x P) rho
+    (I x P) by Kronecker products, its trace and the partial trace by
+    einsum, within 4.4e-16 in every entry, the probability and delta
   * property over z, theta and sign: probability 1/2, delta = +-z cos 2theta,
     a Hermitian positive-semidefinite collapsed state of trace 1; and any
     target in [-z, z] is reached through angle_for_target_delta
@@ -84,6 +87,21 @@ def test_collapsed_state_entrywise():
             assert np.max(np.abs(out.density_matrix - want)) <= 1e-12
             trace = np.trace(out.density_matrix)
             assert math.isclose(trace.real, 1.0, rel_tol=0, abs_tol=1e-12)
+
+
+def test_contraction_matches_kronecker_route():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        state = WernerState(rng.uniform(0.0, 1.0))
+        meas = ProjectiveMeasurement(rng.uniform(-10.0, 10.0), Sign.PLUS if rng.uniform() < 0.5 else Sign.MINUS)
+        proj = np.kron(np.eye(2), meas.projector())
+        unnormalized = proj @ state.density_matrix() @ proj
+        probability = np.trace(unnormalized).real
+        reduced = np.einsum("ibjb->ij", unnormalized.reshape(2, 2, 2, 2)) / probability
+        out = measure(state, meas)
+        assert np.max(np.abs(out.density_matrix - reduced)) <= 4.4e-16
+        assert abs(out.probability - probability) <= 4.4e-16
+        assert abs(out.delta - (reduced[0, 0] - reduced[1, 1]).real) <= 4.4e-16
 
 
 def test_angle_inversion_round_trip():
