@@ -70,7 +70,7 @@ SYMPLECTIC_FORM = np.array([
 
 
 def _oracle_draws(seed, count):
-    """(params, delta, M) at `count` random admissible points, both phases, M = H/2."""
+    """(params, delta, phase, M) at `count` random admissible points, M = H/2."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
@@ -121,7 +121,7 @@ def test_block_route_matches_high_precision_reference():
     ["--omega", "1e308", "--kappa", "0", "--delta", "0"],
 ])
 def test_spectrum_where_twice_f1_overflows(capsys, argv):
-    # h00 = 2 f1 overflows here; numpy's eigvals raised LinAlgError
+    # h00 = 2 f1 overflows here
     assert main(["spectrum", *argv]) == 0
     lines = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     eps = float(lines["eps_minus"]), float(lines["eps_plus"])
@@ -135,7 +135,7 @@ def test_spectrum_where_twice_f1_overflows(capsys, argv):
 
 
 def test_spectrum_where_f2_dwarfs_f1():
-    # (f2/f1)^2 = 2.5e399 overflows, so the spectrum is not taken relative to m00
+    # (f2/f1)^2 = 2.5e399 overflows, so ratios to m00 = f1 would give eps_+ = inf
     params = ModelParams(omega=1e-200, lam=0.0, kappa=-0.5)
     res = excitation_spectrum(params, 0.0)
     lo, hi = normal_phase_spectrum(params, 0.0)

@@ -93,7 +93,8 @@ def test_contraction_matches_kronecker_route():
     rng = np.random.default_rng(31)
     for _ in range(500):
         state = WernerState(rng.uniform(0.0, 1.0))
-        meas = ProjectiveMeasurement(rng.uniform(-10.0, 10.0), Sign.PLUS if rng.uniform() < 0.5 else Sign.MINUS)
+        sign = Sign.PLUS if rng.uniform() < 0.5 else Sign.MINUS
+        meas = ProjectiveMeasurement(rng.uniform(-10.0, 10.0), sign)
         proj = np.kron(np.eye(2), meas.projector())
         unnormalized = proj @ state.density_matrix() @ proj
         probability = np.trace(unnormalized).real
