@@ -47,6 +47,12 @@ __all__ = [
 
 
 class SpectrumResult(NamedTuple):
+    """Normal-mode energies; stable is always true on a returned result.
+
+    excitation_spectrum raises UnstableEquilibriumError (exit code 1 from
+    `iddm spectrum`) at an unstable point instead of returning it.
+    """
+
     eps_minus: float
     eps_plus: float
     stable: bool

@@ -11,13 +11,23 @@ with floats at 17 significant digits, LF line endings and UTF-8 encoding, so
 repeated runs of the same grid are byte-identical.  The JSON-lines layout
 holds one object per row with the same keys (lam written as "lambda"),
 byte-identical to json.dumps of that dict with the nan numerics as null.
+
+Both writers format each distinct float object once.  They keep the delta
+text of the last delta object, the lambda text of each lambda object (at
+most _CSV_CHUNK of them, then the cache starts over), and the text after
+lambda for the last row whose alpha2 .. error are the same objects: every
+normal or error row of run_grid shares one such tail.  A cache is used only
+for the very object it holds, never for an equal value (0.0 == -0.0 prints
+differently, and no nan equals another), and it holds that object, so its
+id cannot be reused while cached.  In a superradiant row i_over_n is the
+alpha2 object and the JSON layout writes its text once.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import islice
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import (
     ChiUnsupportedError,
@@ -40,11 +50,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error"
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n"
-_CSV_CHUNK = 2048  # lines per write: the document is never held as one string
+_CSV_CHUNK = 2048  # lines per write and lambda texts held: the document is never held as one string
 # phase and error are Phase values or error tags: ASCII words that JSON quotes as they are
-_JSON_ROW = ('{"delta": %s, "lambda": %s, "alpha2": %s, "beta2": %s, "e0": %s, '
-             '"jz_over_n": %s, "i_over_n": %s, "phase": "%s", "error": "%s"}\n')
+_JSON_TAIL = ('"alpha2": %s, "beta2": %s, "e0": %s, "jz_over_n": %s, "i_over_n": %s, '
+              '"phase": "%s", "error": "%s"}\n')
 
 # alpha2, beta2, e0, jz_over_n, i_over_n at alpha = beta = 0: every normal and critical row
 _ORIGIN_COLUMNS = (0.0, 0.0, 0.0, -0.5, 0.0)
@@ -161,17 +170,43 @@ def _write_chunks(stream: TextIO, lines: Iterable[str]) -> None:
         stream.write(chunk)
 
 
+def _lines(rows: Iterable[PhaseDiagramRow], delta_text, lam_text, tail_text) -> Iterator[str]:
+    """delta_text(delta) + lam_text(lam) + tail_text(row[2:]) per row, one call per new object."""
+    delta = unset = object()
+    tail = (unset,) * 7  # the cached objects are held, so no id is reused while cached
+    lams = {}  # lam -> (lam, text), used for that object only: 0.0 == -0.0 and nan != nan
+    for r in rows:
+        if r[0] is not delta:
+            delta = r[0]
+            d = delta_text(delta)
+        lam = lams.get(r[1])
+        if lam is None or lam[0] is not r[1]:
+            if len(lams) >= _CSV_CHUNK:
+                lams.clear()
+            lam = lams[r[1]] = r[1], lam_text(r[1])
+        if (r[2] is not tail[0] or r[3] is not tail[1] or r[4] is not tail[2] or r[5] is not tail[3]
+                or r[6] is not tail[4] or r[7] is not tail[5] or r[8] is not tail[6]):
+            tail = r[2:]
+            t = tail_text(tail)
+        yield d + lam[1] + t
+
+
 def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
     """Write the CSV contract described in the module docstring."""
     stream.write(CSV_HEADER + "\n")
-    _write_chunks(stream, map(_CSV_ROW.__mod__, rows))
+    _write_chunks(stream, _lines(rows, "%.17g,".__mod__, "%.17g,".__mod__,
+                                 "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n".__mod__))
+
+
+def _json_tail(tail: tuple) -> str:
+    # a finite sum means five finite numbers, which json.dumps writes as float.__repr__ does
+    number = float.__repr__ if math.isfinite(sum(tail[:5])) else lambda x: _json_float(x, "null")
+    alpha2 = number(tail[0])  # a superradiant row's i_over_n is its alpha2 object
+    return _JSON_TAIL % (alpha2, number(tail[1]), number(tail[2]), number(tail[3]),
+                         alpha2 if tail[4] is tail[0] else number(tail[4]), *tail[5:])
 
 
 def write_phase_diagram_jsonl(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
     """Write the JSON-lines layout described in the module docstring."""
-    _write_chunks(stream, (
-        _JSON_ROW % (_json_float(r.delta, "NaN"), _json_float(r.lam, "NaN"),
-                     *[_json_float(x, "null") for x in r[2:7]],  # alpha2 .. i_over_n
-                     r.phase, r.error)
-        for r in rows
-    ))
+    _write_chunks(stream, _lines(rows, lambda x: '{"delta": %s, ' % _json_float(x, "NaN"),
+                                 lambda x: '"lambda": %s, ' % _json_float(x, "NaN"), _json_tail))

@@ -36,6 +36,13 @@ Checked here:
     back as nan from the CSV and as null from the JSON lines; the tags come
     from the sweep's own error map, and one example holds every phase and
     error string
+  * both writers format by object, not by value: rows sharing one float
+    object across fields and rows, consecutive rows with equal but distinct
+    +-0 or distinct nans in each field, numpy floats, a finite tail whose sum
+    overflows, and a one-pass generator of new floats on every row all give
+    the per-field CSV and the json.dumps lines
+  * 100,000 rows of distinct lambdas keep each writer's traced peak under
+    4 MB (its lambda cache is bounded)
   * the JSON scalar formatter that `iddm ed` writes with equals json.dumps
     on ED records holding None, bools, ints, nan, +-inf and a numpy float
 """
@@ -44,6 +51,7 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +432,58 @@ def test_csv_and_json_lines_round_trip(rows):
             if math.isnan(x):
                 assert fields[i] == "nan"
                 assert (values[i] is None) == (i >= 2)  # delta and lambda are written NaN
+
+
+def _fresh(x):
+    """A new float object equal to x: float(x) would return x itself."""
+    return float(repr(x))
+
+
+def _aliased_rows():
+    shared = 0.1 + 0.2  # one object in several fields and rows
+    rows = [PhaseDiagramRow(*[shared] * 7, "superradiant", ""),
+            PhaseDiagramRow(shared, 1.0, shared, 0.5, shared, shared, shared, "superradiant", "")] * 2
+    base = [0.25, 2.0, *iddm.sweep._ORIGIN_COLUMNS]
+    for k in range(7):  # in field k of consecutive rows: equal but distinct +-0, then distinct nans
+        for x in (0.0, -0.0, 0.0, -0.0, math.nan, -math.nan, math.nan):
+            fields = base.copy()  # every other field stays the same object
+            fields[k] = _fresh(x)
+            rows.append(PhaseDiagramRow(*fields, "normal", ""))
+    rows.append(PhaseDiagramRow(*map(np.float64, (0.5, -0.0, 1 / 3, 0.1, -1e-300, 0.0, 1 / 3)),
+                                "superradiant", ""))
+    rows.append(PhaseDiagramRow(0.5, 2.0, 1e308, 1e308, 1e308, 1e308, 1e308, "superradiant", ""))
+    return rows
+
+
+def _fresh_rows(count):
+    """One pass over rows whose floats are all new objects, so a freed row's ids come back."""
+    values = (0.0, -0.0, math.nan, 1.5, -0.0)
+    for i in range(count):  # each pair of rows is equal field for field, the next pair is not
+        yield PhaseDiagramRow(*[_fresh(values[(i // 2 + k) % len(values)]) for k in range(7)],
+                              _PHASES[i % len(_PHASES)], _ERRORS[i % len(_ERRORS)])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_writers_format_by_object_not_by_value(fmt):
+    write, reference, _ = _WRITERS[fmt]
+    rows = _aliased_rows()
+    assert _written(write, rows) == reference(rows)
+    assert _written(write, _fresh_rows(200)) == reference(list(_fresh_rows(200)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_writers_memory_stays_bounded_on_distinct_lambdas(fmt):
+    # 100,000 lambda texts held at once would peak near 20 MB; one chunk's worth stays near 1 MB.
+    # Plain tuples: the writers index rows, and a NamedTuple per row only slows the traced run.
+    write = _WRITERS[fmt][0]
+    rows = ((0.5, i / 7, *iddm.sweep._ORIGIN_COLUMNS, "normal", "") for i in range(100_000))
+    tracemalloc.start()
+    try:
+        write(rows, _WriteLog())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_json_line_matches_json_dumps_on_ed_records():
