@@ -179,16 +179,16 @@ def _lines(rows: Iterable[PhaseDiagramRow], delta_text, lam_text, tail_text) -> 
         if r[0] is not delta:
             delta = r[0]
             d = delta_text(delta)
-        lam = lams.get(r[1])
-        if lam is None or lam[0] is not r[1]:
+        entry = lams.get(r[1])
+        if entry is None or entry[0] is not r[1]:
             if len(lams) >= _CSV_CHUNK:
                 lams.clear()
-            lam = lams[r[1]] = r[1], lam_text(r[1])
+            entry = lams[r[1]] = r[1], lam_text(r[1])
         if (r[2] is not tail[0] or r[3] is not tail[1] or r[4] is not tail[2] or r[5] is not tail[3]
                 or r[6] is not tail[4] or r[7] is not tail[5] or r[8] is not tail[6]):
             tail = r[2:]
             t = tail_text(tail)
-        yield d + lam[1] + t
+        yield d + entry[1] + t
 
 
 def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
