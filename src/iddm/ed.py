@@ -146,47 +146,30 @@ def _hermite_functions(x: np.ndarray, cutoff: int) -> np.ndarray:
     return psi
 
 
-def _normed_hermite(x: np.ndarray, n: int) -> np.ndarray:
-    """numpy's _normed_hermite_n: the normalized Hermite polynomial of degree n at x."""
-    c0, c1 = 0.0, 1.0 / math.sqrt(math.sqrt(math.pi))
-    for nd in range(n, 1, -1):
-        c0, c1 = -c1 * math.sqrt((nd - 1.0) / nd), c0 + c1 * x * math.sqrt(2.0 / nd)
-    return c0 + c1 * x * math.sqrt(2.0) if n else np.full(x.shape, c1)
-
-
-def _gauss_hermite(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's hermgauss(deg) in its own operations, so the same bits: Jacobi-matrix nodes
-    (eigvalsh reads the lower triangle), one Newton step, weights 1 / fm^2 summing to sqrt(pi)."""
-    x = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, deg)), -1))
-    x -= _normed_hermite(x, deg) / (_normed_hermite(x, deg - 1) * math.sqrt(2 * deg))
-    fm = _normed_hermite(x, deg - 1)
-    fm /= np.abs(fm).max()
-    w = 1 / (fm * fm)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= math.sqrt(math.pi) / w.sum()
-    return x, w
-
-
 def _franck_condon(gamma: float, cutoff: int) -> np.ndarray:
     """<n'|D(gamma)|n> for real gamma and n, n' <= cutoff.
 
     D(gamma) shifts position by s = sqrt(2) gamma, so the element is the
     overlap of psi_n' (x) and psi_n (x - s).  With x = y + s/2 the integrand
     is exp(-y^2 - s^2/4) times a polynomial of degree n + n' <= 2 cutoff, so
-    Gauss-Hermite quadrature on cutoff + 1 nodes (numpy's hermgauss rule, after
-    Golub & Welsch, Math. Comp. 23, 221, 1969) is exact; the oscillator
+    Gauss-Hermite quadrature on d = cutoff + 1 nodes is exact (Golub & Welsch,
+    Math. Comp. 23, 221, 1969): nodes y from the Jacobi matrix, each given one
+    Newton step y -= psi_d / (sqrt(2d) psi_{d-1}), and weights taken already
+    scaled, w exp(y^2) = 1 / sum_{k <= cutoff} psi_k(y)^2.  The oscillator
     functions come from their three-term recurrence, which stays accurate
     where a recurrence on the matrix elements themselves loses all digits.
-    Raises InvalidParameterError when a scaled weight w exp(y^2) is not finite
-    and positive: from cutoff 370 on, w underflows where exp(y^2) overflows.
+    Raises InvalidParameterError when an outermost weight w falls below the
+    normal float range, as it does from cutoff 370 on.
     """
-    with np.errstate(all="ignore"):
-        y, w = _gauss_hermite(cutoff + 1)
-        weights = w * np.exp(y * y)
-    if not (weights.min() > 0 and weights.max() < math.inf):  # a nan fails both
+    y = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, cutoff + 1)), -1))
+    with np.errstate(all="ignore"):  # far past the refusal the functions underflow to 0
+        psi = _hermite_functions(y, cutoff + 1)
+        y -= psi[-1] / (math.sqrt(2.0 * (cutoff + 1)) * psi[-2])
+        weights = 1.0 / np.sum(_hermite_functions(y, cutoff) ** 2, axis=0)
+        outermost = weights[0] * np.exp(-y[0] * y[0])
+    if not outermost >= np.finfo(float).tiny:  # a nan fails too
         raise InvalidParameterError(
-            f"photon cutoff {cutoff} is beyond the Gauss-Hermite quadrature: its weights overflow"
+            f"photon cutoff {cutoff} is beyond the Gauss-Hermite quadrature: its outermost weight is subnormal"
         )
     half = gamma / math.sqrt(2.0)
     left = _hermite_functions(y + half, cutoff) * weights
@@ -415,19 +398,19 @@ def _lowest_state(
     raise ConvergenceFailureError(f"eigensolver did not converge in {budget} restarts")
 
 
-def _observables(params, n_atoms, delta, cutoff, coeffs):
+def _observables(params, n_atoms, delta, fc, coeffs):
     """(<Jz>, <a^dagger a>) of the block state coeffs[n, k] in the displaced basis.
 
-    Jz couples k to k + 1 with -t_k F(gamma); a = b + d_k on column k, so
+    Jz couples k to k + 1 with -t_k fc, fc = F(gamma); a = b + d_k on column k, so
     <a^dagger a> = <b^dagger b> + 2 d_k <b> + d_k^2 summed over k.
     """
-    _, _, d, gamma, t = _frame(params, n_atoms, delta)
-    fc = _franck_condon(gamma, cutoff)
+    _, _, d, _, t = _frame(params, n_atoms, delta)
+    levels = np.arange(float(len(coeffs)))
     jz = -2.0 * float(np.sum(t * np.sum(coeffs[:, 1:] * (fc @ coeffs[:, :-1]), axis=0)))
     weight = coeffs * coeffs
-    lowered = np.sqrt(np.arange(1.0, cutoff + 1))[:, None] * coeffs[:-1] * coeffs[1:]
+    lowered = np.sqrt(levels[1:])[:, None] * coeffs[:-1] * coeffs[1:]
     photons = float(
-        np.sum(np.arange(cutoff + 1.0) @ weight)
+        np.sum(levels @ weight)
         + 2.0 * np.sum(d * np.sum(lowered, axis=0))
         + np.sum(d * d * np.sum(weight, axis=0))
     )
@@ -486,7 +469,7 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
 
     block, sign = key
     delta = config.impurity_mode.delta if fixed else (1.0, -1.0)[block]
-    jz, photons = _observables(params, n, delta, base, _Sector(h, *key).scatter(psi))
+    jz, photons = _observables(params, n, delta, h.blocks[block][1][0][0], _Sector(h, *key).scatter(psi))
     parity_known = fixed and params.xi2 == 0
     return EDResult(
         n_atoms=n,

@@ -3,9 +3,11 @@
 Checked here:
   * the Fock-basis oracle: a hand-built 4x4 Hamiltonian for N = 1, cutoff 1,
     and the photon ladder of the drive term
-  * the Franck-Condon matrix against its exact finite sum, and its
-    Gauss-Hermite rule against numpy's hermgauss, byte for byte at 1 ... 400
-    nodes
+  * the Franck-Condon matrix against its exact finite sum; its Gauss-Hermite
+    rule integrates psi_m psi_n to delta_mn within 1e-14 at cutoffs 1 ... 369
+    (F(0) is that sum), entries near (369, 369) match the Laguerre closed form
+    for gamma from 0.05 to 20, and cutoff 370, where an outermost weight
+    falls below the normal float range, is refused
   * the matrix-free Hamiltonian against its own dense matrix (each block's
     product and the nonzero count), and the half-chain sector: scatter is an
     isometry onto each parity eigenspace on the existing coordinates, gather
@@ -59,6 +61,7 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,14 +213,24 @@ def test_franck_condon_matches_exact_sum(gamma):
             assert abs(f[row, col] - want) <= 1e-13 * max(1.0, abs(want))
 
 
-def test_gauss_hermite_is_numpy_hermgauss():
-    # the same nodes and weights to the last bit, overflowing weights included
-    from numpy.polynomial.hermite import hermgauss
-
-    with np.errstate(all="ignore"):
-        for deg in range(1, 401):
-            got, want = ed._gauss_hermite(deg), hermgauss(deg)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], deg
+def test_gauss_hermite_rule_to_the_last_accepted_cutoff():
+    # F(0) is the rule's sum of w psi_m psi_n, so orthonormality reads F(0) = 1
+    for cutoff in (1, 8, 40, 200, 369):
+        assert np.max(np.abs(ed._franck_condon(0.0, cutoff) - np.eye(cutoff + 1))) <= 1e-14, cutoff
+    # <m|D(g)|n> = sqrt(n!/m!) g^(m-n) e^(-g^2/2) L_n^(m-n)(g^2) for m >= n, and F(g)^T = F(-g)
+    with mpmath.workdps(40):
+        for gamma in (0.05, 2.0, 20.0):
+            f = ed._franck_condon(gamma, 369)
+            g = mpmath.mpf(gamma)
+            for row, col in [(369, 369), (369, 366), (366, 369), (368, 360)]:
+                m, n = max(row, col), min(row, col)
+                want = (
+                    mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m)) * (g if row >= col else -g) ** (m - n)
+                    * mpmath.exp(-g * g / 2) * mpmath.laguerre(n, m - n, g * g)
+                )
+                assert abs(f[row, col] - float(want)) <= 5e-14, (gamma, row, col)
+    with pytest.raises(InvalidParameterError, match="Gauss-Hermite"):
+        ed._franck_condon(2.0, 370)
 
 
 def test_decoupled_ground_energy_exact():
