@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConvergenceFailureError, DimensionTooLargeError, InvalidParameterError
 from .meanfield import equilibrium_closed_form
-from .model import ModelParams, _checked, check_count, check_population, effective_frequencies
+from .model import ModelParams, _checked, _floats, check_count, check_population, effective_frequencies
 
 __all__ = [
     "FixedDelta",
@@ -72,6 +72,7 @@ __all__ = [
 ]
 
 
+@_floats
 @_checked
 class FixedDelta(NamedTuple):
     """Impurity frozen to a classical population delta in [-1, 1]."""

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, UnreachableTargetError
-from .model import _checked, check_finite
+from .model import _checked, _floats, check_finite
 
 __all__ = [
     "Sign",
@@ -59,6 +59,7 @@ class Sign(Enum):
     MINUS = "minus"
 
 
+@_floats
 @_checked
 class WernerState(NamedTuple):
     """Two-qubit Werner state with mixing parameter z in [0, 1]."""

@@ -47,6 +47,14 @@ def _checked(record: type) -> type:
     return record
 
 
+def _floats(record: type) -> type:
+    """Make the checked record store float(x) of each field: a numpy float32 would run in single precision."""
+    new = record.__new__
+    record.__new__ = lambda cls, *args, **kwargs: tuple.__new__(cls, map(float, new(cls, *args, **kwargs)))
+    return record
+
+
+@_floats
 @_checked
 class ModelParams(NamedTuple):
     """Coefficients of the single-mode Hamiltonian.

@@ -12,6 +12,10 @@ repeated runs of the same grid are byte-identical.  The JSON-lines layout
 holds one object per row with the same keys (lam written as "lambda"),
 byte-identical to json.dumps of that dict with the nan numerics as null.
 
+run_grid returns a read-only collections.abc.Sequence, not a list: it builds
+each PhaseDiagramRow when it is read, so two reads give equal rows that are
+not the same objects, and it has no equality and no mutation.
+
 Both writers format each distinct float object once.  They keep the delta
 text of the last delta object, the lambda text of each lambda object (at
 most _CSV_CHUNK of them, then the cache starts over), and the text after
@@ -20,12 +24,13 @@ normal or error row of run_grid shares one such tail.  A cache is used only
 for the very object it holds, never for an equal value (0.0 == -0.0 prints
 differently, and no nan equals another), and it holds that object, so its
 id cannot be reused while cached.  In a superradiant row i_over_n is the
-alpha2 object and the JSON layout writes its text once.
+alpha2 object and both layouts write its text once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
@@ -107,32 +112,68 @@ def _error_tag(exc: IDDMError) -> str:
     return "invalid_parameter"
 
 
-def run_grid(spec: GridSpec) -> list[PhaseDiagramRow]:
-    """Closed-form equilibrium on the full grid, delta outer, lambda inner."""
+# the tail of every row outside the superradiant phase, by its code ~i; _TAIL_CODES keys it by phase or error tag
+_TAILS = [(*_ORIGIN_COLUMNS, phase, "") for phase in ("normal", "critical")] + [
+    (math.nan,) * 5 + ("error", tag) for tag in (*_ERROR_TAGS.values(), "invalid_parameter")]
+_TAIL_CODES = {tail[-1] or tail[-2]: ~i for i, tail in enumerate(_TAILS)}
+
+
+class _Grid(Sequence):
+    """run_grid's rows, each built when it is read from a code per point (see run_grid)."""
+
+    def __init__(self, deltas, lams, codes, values):
+        self._deltas, self._lams, self._codes, self._values = deltas, lams, codes, values
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        di, li = divmod(range(len(self))[i], len(self._lams))  # IndexError past either end
+        return next(iter(_Grid((self._deltas[di],), (self._lams[li],), (self._codes[i],), self._values)))
+
+    def __iter__(self) -> Iterator[PhaseDiagramRow]:
+        codes, values = iter(self._codes), self._values
+        for delta in self._deltas:
+            for lam, code in zip(self._lams, codes):
+                if code < 0:
+                    yield _new_tuple(PhaseDiagramRow, (delta, lam) + _TAILS[~code])
+                else:  # a superradiant row's i_over_n is its alpha2 object
+                    alpha2, beta2 = values[code], values[code + 1]
+                    yield _new_tuple(PhaseDiagramRow, (delta, lam, alpha2, beta2, values[code + 2], beta2 - 0.5,
+                                                       alpha2, "superradiant", ""))
+
+
+def run_grid(spec: GridSpec) -> Sequence[PhaseDiagramRow]:
+    """Closed-form equilibrium on the full grid, delta outer, lambda inner, one call per point made here.
+
+    The returned read-only sequence builds each row anew on every read: equal rows, not the same objects.
+    """
+    from array import array  # imported here: only a sweep needs it
+
     columns = []  # one ModelParams per lambda; a refused lambda tags its whole column
     for lam in _linspace(*spec.lambda_range):
         try:
             columns.append((lam, spec.params._replace(lam=lam), ""))
         except IDDMError as exc:
             columns.append((lam, None, _error_tag(exc)))
-    rows = []
-    nan = math.nan
-    for delta in _linspace(*spec.delta_range):
+    deltas = _linspace(*spec.delta_range)
+    # per point: the offset of a superradiant point's alpha2, beta2, e0 in values, else its _TAIL_CODES entry
+    codes, values = array("q"), array("d")
+    for delta in deltas:
         for lam, params, error in columns:
             if not error:
                 try:
                     alpha, beta, e0, _, phase = equilibrium_closed_form(params, delta)
                 except IDDMError as exc:
                     error = _error_tag(exc)
-            if error:
-                rows.append(PhaseDiagramRow(delta, lam, nan, nan, nan, nan, nan, "error", error))
-            elif phase is _SUPERRADIANT:
-                alpha2, beta2 = alpha**2, beta**2
-                rows.append(_new_tuple(PhaseDiagramRow, (delta, lam, alpha2, beta2, e0, beta2 - 0.5, alpha2,
-                                                         "superradiant", "")))
-            else:  # _value_ skips the Enum's `value` property
-                rows.append(_new_tuple(PhaseDiagramRow, (delta, lam, *_ORIGIN_COLUMNS, phase._value_, "")))
-    return rows
+            if error or phase is not _SUPERRADIANT:  # _value_ skips the Enum's `value` property
+                codes.append(_TAIL_CODES[error or phase._value_])
+            else:
+                codes.append(len(values))
+                values.extend((alpha**2, beta**2, e0))
+    return _Grid(deltas, [lam for lam, _, _ in columns], codes, values)
 
 
 def trace_critical_curve(
@@ -194,8 +235,13 @@ def _lines(rows: Iterable[PhaseDiagramRow], delta_text, lam_text, tail_text) -> 
 def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:
     """Write the CSV contract described in the module docstring."""
     stream.write(CSV_HEADER + "\n")
-    _write_chunks(stream, _lines(rows, "%.17g,".__mod__, "%.17g,".__mod__,
-                                 "%.17g,%.17g,%.17g,%.17g,%.17g,%s,%s\n".__mod__))
+    _write_chunks(stream, _lines(rows, "%.17g,".__mod__, "%.17g,".__mod__, _csv_tail))
+
+
+def _csv_tail(tail: tuple) -> str:
+    alpha2 = "%.17g" % tail[0]  # a superradiant row's i_over_n is its alpha2 object
+    return "%s,%.17g,%.17g,%.17g,%s,%s,%s\n" % (alpha2, tail[1], tail[2], tail[3],
+                                               alpha2 if tail[4] is tail[0] else "%.17g" % tail[4], tail[5], tail[6])
 
 
 def _json_tail(tail: tuple) -> str:

@@ -16,6 +16,10 @@ Checked here:
     (even 8.0, or a numpy float), a bool or a string is refused as not an
     integer, a value below the minimum as too small, and a numpy integer
     passes
+  * numpy float32 inputs to ModelParams, WernerState and FixedDelta are
+    stored as Python floats: the closed form, the minimizer (which
+    converges), the spectrum, critical_lambda, measure and ED give bit for
+    bit the results of the same values given as floats
 """
 
 import math
@@ -26,17 +30,25 @@ import pytest
 from iddm import (
     CavityMicroParams,
     EDConfig,
+    FixedDelta,
     GridSpec,
     ImpurityMicroParams,
     InvalidParameterError,
     ModelParams,
     NonPositiveF1Error,
+    ProjectiveMeasurement,
+    Sign,
+    WernerState,
     ZeroDetuningError,
+    critical_lambda,
     derive_cavity_params,
     derive_impurity_couplings,
     effective_frequencies,
     equilibrium_closed_form,
     equilibrium_numeric,
+    excitation_spectrum,
+    ground_state,
+    measure,
     trace_critical_curve,
 )
 
@@ -222,3 +234,26 @@ def test_every_count_is_refused_the_same_way(site):
     with pytest.raises(InvalidParameterError, match=f" must be >= {minimum}, got {minimum - 1}$"):
         call(minimum - 1)
     call(accepted)
+
+
+def test_float32_inputs_give_the_float_results():
+    # NumPy 2 keeps float32 arithmetic in single precision: the minimizer then stalled at a
+    # gradient of ~1e-7, and the closed form, spectrum and measurement were off at ~1e-7
+    single = ModelParams(omega=np.float32(400), lam=np.float32(12), kappa=np.float32(-0.5))
+    double = ModelParams(omega=400.0, lam=12.0, kappa=-0.5)
+    assert [type(x) for x in single] == [float] * len(single) and single == double
+    assert type(single._replace(lam=np.float32(3)).lam) is float
+    for delta in (-0.25, 0.0, 0.5):  # repr is exact and tells -0.0 from 0.0
+        for f in (equilibrium_closed_form, equilibrium_numeric, excitation_spectrum, critical_lambda):
+            assert repr(f(single, delta)) == repr(f(double, delta)), (f.__name__, delta)
+
+    z = np.float32(0.3)
+    assert type(WernerState(z).z) is float
+    got, want = (measure(WernerState(x), ProjectiveMeasurement(0.4, Sign.PLUS)) for x in (z, float(z)))
+    assert repr((got.delta, got.probability)) == repr((want.delta, want.probability))
+    assert got.density_matrix.tobytes() == want.density_matrix.tobytes()
+
+    assert type(FixedDelta(np.float32(0.25)).delta) is float
+    got, want = (ground_state(p, EDConfig(n_atoms=4, photon_cutoff=4, impurity_mode=FixedDelta(d)))
+                 for p, d in ((single._replace(lam=np.float32(2)), np.float32(0.25)), (double._replace(lam=2.0), 0.25)))
+    assert repr(got) == repr(want)

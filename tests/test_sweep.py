@@ -26,6 +26,12 @@ Checked here:
     for bit (any two nans equal) at 1, 2 and more points, on equal edges,
     +-0, subnormal spans whose step rounds to 0, spans near the float
     maximum and non-finite edges
+  * run_grid's rows read as a sequence: len, two iterations, indexing from
+    either end and slices (lists) agree bit for bit on every reference grid,
+    error and critical rows included; an index past either end raises
+    IndexError; rows share their delta objects along a grid line and their
+    tail objects outside the superradiant rows, whose i_over_n is alpha2
+  * run_grid holds the default 201 x 121 grid in under 1 MB (tracemalloc)
   * run_grid calls the closed form through the sweep module's own binding
     exactly once per grid point, error rows included, and every row carries
     .error (the benchmark's span tracer counts on both)
@@ -168,6 +174,49 @@ def test_run_grid_matches_per_point_reference(name):
     assert [_bits(r) for r in rows] == [_bits(r) for r in _reference_rows(spec)]
     assert all(type(v) is float for r in rows for v in r[:7])
     assert {r[-1] for r in rows} == tags
+
+
+@pytest.mark.parametrize("name", REFERENCE_GRIDS)
+def test_run_grid_reads_as_a_sequence(name):
+    params, delta_range, lambda_range, _ = REFERENCE_GRIDS[name]
+    rows = run_grid(GridSpec(params, delta_range=delta_range, lambda_range=lambda_range))
+    listed = list(rows)
+    bits = [_bits(r) for r in listed]
+    n = len(rows)
+    assert n == len(listed) == delta_range[2] * lambda_range[2]
+    assert [_bits(r) for r in rows] == bits  # a second read builds equal rows
+    assert [_bits(rows[i]) for i in range(n)] == [_bits(rows[i - n]) for i in range(n)] == bits
+    for past_the_end in (n, -n - 1, 10 * n):
+        with pytest.raises(IndexError):
+            rows[past_the_end]
+    for part in (slice(None), slice(3, -2), slice(None, None, -3), slice(n + 5, None), slice(-n - 5, 7, 2)):
+        assert type(rows[part]) is list and [_bits(r) for r in rows[part]] == bits[part]
+    assert {type(r) for r in rows} == {PhaseDiagramRow}
+    # what the writers' object caches count on: one delta object per grid line, one tail
+    # object per phase and error outside the superradiant rows, i_over_n is alpha2 inside
+    tails = {}
+    for prev, r in zip(listed, listed[1:]):
+        assert (r.delta is prev.delta) == (r.delta == prev.delta)
+    for r in listed:
+        if r.phase == "superradiant":
+            assert r.i_over_n is r.alpha2
+        else:
+            first = tails.setdefault(r.error or r.phase, r)
+            assert all(a is b for a, b in zip(r[2:], first[2:]))
+    if name in ("negative-lambda", "unbounded"):
+        assert {"normal", "critical", "invalid_parameter" if name == "negative-lambda" else "unbounded_phase"} <= set(tails)
+
+
+def test_run_grid_holds_the_default_grid_in_under_1_mb():
+    # 24,321 PhaseDiagramRow tuples and their floats took 3.98 MB; codes and doubles take 0.5 MB
+    tracemalloc.start()
+    try:
+        rows = run_grid(GridSpec(FIG2))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 201 * 121
+    assert held < 1_000_000
 
 
 @pytest.mark.parametrize("name", ["tracer-self-test", "unbounded"])
