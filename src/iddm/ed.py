@@ -73,7 +73,6 @@ __all__ = [
 
 
 @_floats
-@_checked
 class FixedDelta(NamedTuple):
     """Impurity frozen to a classical population delta in [-1, 1]."""
 

@@ -60,7 +60,6 @@ class Sign(Enum):
 
 
 @_floats
-@_checked
 class WernerState(NamedTuple):
     """Two-qubit Werner state with mixing parameter z in [0, 1]."""
 

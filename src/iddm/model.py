@@ -33,14 +33,18 @@ __all__ = [
 ]
 
 
-def _checked(record: type) -> type:
-    """Make construction, _make and _replace of the NamedTuple record run its _check."""
+def _checked(record: type, floats: bool = False) -> type:
+    """Make construction, _make and _replace of the NamedTuple record run its _check.
+
+    With floats, the record then stores float(x) of each field.
+    """
     new = record.__new__
 
     def __new__(cls, *args, **kwargs):
         self = new(cls, *args, **kwargs)
         self._check()
-        return self
+        # an exact-size tuple: one built from the map object is resized, which fills the tuple free list
+        return tuple.__new__(cls, (*map(float, self),)) if floats else self
 
     record.__new__ = __new__
     record._make = classmethod(lambda cls, iterable: cls(*iterable))  # what _replace calls
@@ -48,14 +52,11 @@ def _checked(record: type) -> type:
 
 
 def _floats(record: type) -> type:
-    """Make the checked record store float(x) of each field: a numpy float32 would run in single precision."""
-    new = record.__new__
-    record.__new__ = lambda cls, *args, **kwargs: tuple.__new__(cls, map(float, new(cls, *args, **kwargs)))
-    return record
+    """_checked for an all-float record, stored as float(x): numpy float32 would run in single precision."""
+    return _checked(record, floats=True)
 
 
 @_floats
-@_checked
 class ModelParams(NamedTuple):
     """Coefficients of the single-mode Hamiltonian.
 

@@ -112,7 +112,8 @@ def _error_tag(exc: IDDMError) -> str:
     return "invalid_parameter"
 
 
-# the tail of every row outside the superradiant phase, by its code ~i; _TAIL_CODES keys it by phase or error tag
+# the tail of every row outside the superradiant phase, by its code ~i;
+# _TAIL_CODES maps the phase or error tag to that code
 _TAILS = [(*_ORIGIN_COLUMNS, phase, "") for phase in ("normal", "critical")] + [
     (math.nan,) * 5 + ("error", tag) for tag in (*_ERROR_TAGS.values(), "invalid_parameter")]
 _TAIL_CODES = {tail[-1] or tail[-2]: ~i for i, tail in enumerate(_TAILS)}
@@ -140,9 +141,9 @@ class _Grid(Sequence):
                 if code < 0:
                     yield _new_tuple(PhaseDiagramRow, (delta, lam) + _TAILS[~code])
                 else:  # a superradiant row's i_over_n is its alpha2 object
-                    alpha2, beta2 = values[code], values[code + 1]
-                    yield _new_tuple(PhaseDiagramRow, (delta, lam, alpha2, beta2, values[code + 2], beta2 - 0.5,
-                                                       alpha2, "superradiant", ""))
+                    alpha2, beta2, e0 = values[code], values[code + 1], values[code + 2]
+                    yield _new_tuple(PhaseDiagramRow, (delta, lam, alpha2, beta2, e0, beta2 - 0.5, alpha2,
+                                                       "superradiant", ""))
 
 
 def run_grid(spec: GridSpec) -> Sequence[PhaseDiagramRow]:
@@ -240,8 +241,8 @@ def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> 
 
 def _csv_tail(tail: tuple) -> str:
     alpha2 = "%.17g" % tail[0]  # a superradiant row's i_over_n is its alpha2 object
-    return "%s,%.17g,%.17g,%.17g,%s,%s,%s\n" % (alpha2, tail[1], tail[2], tail[3],
-                                               alpha2 if tail[4] is tail[0] else "%.17g" % tail[4], tail[5], tail[6])
+    i_over_n = alpha2 if tail[4] is tail[0] else "%.17g" % tail[4]
+    return "%s,%.17g,%.17g,%.17g,%s,%s,%s\n" % (alpha2, tail[1], tail[2], tail[3], i_over_n, tail[5], tail[6])
 
 
 def _json_tail(tail: tuple) -> str:

@@ -254,6 +254,6 @@ def test_float32_inputs_give_the_float_results():
     assert got.density_matrix.tobytes() == want.density_matrix.tobytes()
 
     assert type(FixedDelta(np.float32(0.25)).delta) is float
-    got, want = (ground_state(p, EDConfig(n_atoms=4, photon_cutoff=4, impurity_mode=FixedDelta(d)))
-                 for p, d in ((single._replace(lam=np.float32(2)), np.float32(0.25)), (double._replace(lam=2.0), 0.25)))
+    got, want = (ground_state(p._replace(lam=lam), EDConfig(4, photon_cutoff=4, impurity_mode=FixedDelta(d)))
+                 for p, lam, d in ((single, np.float32(2), np.float32(0.25)), (double, 2.0, 0.25)))
     assert repr(got) == repr(want)

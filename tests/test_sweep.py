@@ -203,12 +203,13 @@ def test_run_grid_reads_as_a_sequence(name):
         else:
             first = tails.setdefault(r.error or r.phase, r)
             assert all(a is b for a, b in zip(r[2:], first[2:]))
-    if name in ("negative-lambda", "unbounded"):
-        assert {"normal", "critical", "invalid_parameter" if name == "negative-lambda" else "unbounded_phase"} <= set(tails)
+    if name in ("negative-lambda", "unbounded"):  # critical rows too
+        tag = "invalid_parameter" if name == "negative-lambda" else "unbounded_phase"
+        assert {"normal", "critical", tag} <= set(tails)
 
 
 def test_run_grid_holds_the_default_grid_in_under_1_mb():
-    # 24,321 PhaseDiagramRow tuples and their floats took 3.98 MB; codes and doubles take 0.5 MB
+    # a list of 24,321 PhaseDiagramRow tuples and their floats held 4.2 MB; codes and doubles take 0.5 MB
     tracemalloc.start()
     try:
         rows = run_grid(GridSpec(FIG2))
