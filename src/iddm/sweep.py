@@ -120,7 +120,7 @@ _TAIL_CODES = {tail[-1] or tail[-2]: ~i for i, tail in enumerate(_TAILS)}
 
 
 class _Grid(Sequence):
-    """run_grid's rows, each built when it is read from a code per point (see run_grid)."""
+    """run_grid's rows, built when read from a code per point; indexing reads the point's 1x1 grid."""
 
     def __init__(self, deltas, lams, codes, values):
         self._deltas, self._lams, self._codes, self._values = deltas, lams, codes, values
