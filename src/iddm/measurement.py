@@ -147,6 +147,7 @@ def angle_for_target_delta(z: float, target: float) -> tuple[float, Sign]:
     check_finite("target", target)
     if abs(target) > z:
         raise UnreachableTargetError(f"|target| = {abs(target)} exceeds z = {z}")
+    z, target = float(z), float(target)  # numpy float32 would run in single precision
     if z == 0.0:
         return math.pi / 4.0, Sign.PLUS
     theta = 0.5 * math.acos(min(1.0, abs(target) / z))

@@ -140,7 +140,7 @@ def effective_frequencies(params: ModelParams, delta: float) -> tuple[float, flo
     return f1, f2
 
 
-@_checked
+@_floats
 class CavityMicroParams(NamedTuple):
     """Microscopic cavity-BEC parameters behind (omega, omega0, lam, chi).
 
@@ -181,7 +181,7 @@ def derive_cavity_params(micro: CavityMicroParams, n_atoms: int) -> tuple[float,
     return omega, omega0, lam, chi
 
 
-@_checked
+@_floats
 class ImpurityMicroParams(NamedTuple):
     """Microscopic impurity-drive parameters behind (xi1, xi2).
 

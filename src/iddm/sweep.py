@@ -16,15 +16,10 @@ run_grid returns a read-only collections.abc.Sequence, not a list: it builds
 each PhaseDiagramRow when it is read, so two reads give equal rows that are
 not the same objects, and it has no equality and no mutation.
 
-Both writers format each distinct float object once.  They keep the delta
-text of the last delta object, the lambda text of each lambda object (at
-most _CSV_CHUNK of them, then the cache starts over), and the text after
-lambda for the last row whose alpha2 .. error are the same objects: every
-normal or error row of run_grid shares one such tail.  A cache is used only
-for the very object it holds, never for an equal value (0.0 == -0.0 prints
-differently, and no nan equals another), and it holds that object, so its
-id cannot be reused while cached.  In a superradiant row i_over_n is the
-alpha2 object and both layouts write its text once.
+Given run_grid's sequence, both writers format each lambda text and each
+shared tail (normal, critical, one per error tag) once per write, each delta
+text once per grid line and only a superradiant point's numbers per point;
+any other iterable of rows is formatted row by row.
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error"
-_CSV_CHUNK = 2048  # lines per write and lambda texts held: the document is never held as one string
+_CSV_CHUNK = 2048  # lines per write: the document is never held as one string
 # phase and error are Phase values or error tags: ASCII words that JSON quotes as they are
 _JSON_TAIL = ('"alpha2": %s, "beta2": %s, "e0": %s, "jz_over_n": %s, "i_over_n": %s, '
               '"phase": "%s", "error": "%s"}\n')
@@ -120,7 +115,7 @@ _TAIL_CODES = {tail[-1] or tail[-2]: ~i for i, tail in enumerate(_TAILS)}
 
 
 class _Grid(Sequence):
-    """run_grid's rows, built when read from a code per point; indexing reads the point's 1x1 grid."""
+    """run_grid's rows, built when read from a code per point."""
 
     def __init__(self, deltas, lams, codes, values):
         self._deltas, self._lams, self._codes, self._values = deltas, lams, codes, values
@@ -132,18 +127,21 @@ class _Grid(Sequence):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
         di, li = divmod(range(len(self))[i], len(self._lams))  # IndexError past either end
-        return next(iter(_Grid((self._deltas[di],), (self._lams[li],), (self._codes[i],), self._values)))
+        return _new_tuple(PhaseDiagramRow, (self._deltas[di], self._lams[li]) + self._tail(self._codes[i]))
 
     def __iter__(self) -> Iterator[PhaseDiagramRow]:
-        codes, values = iter(self._codes), self._values
+        codes, tail = iter(self._codes), self._tail
         for delta in self._deltas:
             for lam, code in zip(self._lams, codes):
-                if code < 0:
-                    yield _new_tuple(PhaseDiagramRow, (delta, lam) + _TAILS[~code])
-                else:  # a superradiant row's i_over_n is its alpha2 object
-                    alpha2, beta2, e0 = values[code], values[code + 1], values[code + 2]
-                    yield _new_tuple(PhaseDiagramRow, (delta, lam, alpha2, beta2, e0, beta2 - 0.5, alpha2,
-                                                       "superradiant", ""))
+                yield _new_tuple(PhaseDiagramRow, (delta, lam) + tail(code))
+
+    def _tail(self, code: int) -> tuple:
+        """A point's alpha2 .. error: the shared _TAILS entry, or a superradiant point's from values."""
+        if code < 0:
+            return _TAILS[~code]
+        values = self._values  # a superradiant point's i_over_n is its alpha2 object
+        alpha2, beta2 = values[code], values[code + 1]
+        return alpha2, beta2, values[code + 2], beta2 - 0.5, alpha2, "superradiant", ""
 
 
 def run_grid(spec: GridSpec) -> Sequence[PhaseDiagramRow]:
@@ -213,24 +211,16 @@ def _write_chunks(stream: TextIO, lines: Iterable[str]) -> None:
 
 
 def _lines(rows: Iterable[PhaseDiagramRow], delta_text, lam_text, tail_text) -> Iterator[str]:
-    """delta_text(delta) + lam_text(lam) + tail_text(row[2:]) per row, one call per new object."""
-    delta = unset = object()
-    tail = (unset,) * 7  # the cached objects are held, so no id is reused while cached
-    lams = {}  # lam -> (lam, text), used for that object only: 0.0 == -0.0 and nan != nan
-    for r in rows:
-        if r[0] is not delta:
-            delta = r[0]
-            d = delta_text(delta)
-        entry = lams.get(r[1])
-        if entry is None or entry[0] is not r[1]:
-            if len(lams) >= _CSV_CHUNK:
-                lams.clear()
-            entry = lams[r[1]] = r[1], lam_text(r[1])
-        if (r[2] is not tail[0] or r[3] is not tail[1] or r[4] is not tail[2] or r[5] is not tail[3]
-                or r[6] is not tail[4] or r[7] is not tail[5] or r[8] is not tail[6]):
-            tail = r[2:]
-            t = tail_text(tail)
-        yield d + entry[1] + t
+    """delta_text(delta) + lam_text(lam) + tail_text(row[2:]) per row; a _Grid formats each repeat once."""
+    if not isinstance(rows, _Grid):
+        for r in rows:
+            yield delta_text(r[0]) + lam_text(r[1]) + tail_text(r[2:])
+        return
+    lams, tails, codes = [*map(lam_text, rows._lams)], [*map(tail_text, _TAILS)], iter(rows._codes)
+    for delta in rows._deltas:
+        d = delta_text(delta)
+        for lam, code in zip(lams, codes):
+            yield d + lam + (tails[~code] if code < 0 else tail_text(rows._tail(code)))
 
 
 def write_phase_diagram_csv(rows: Iterable[PhaseDiagramRow], stream: TextIO) -> None:

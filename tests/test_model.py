@@ -16,10 +16,12 @@ Checked here:
     (even 8.0, or a numpy float), a bool or a string is refused as not an
     integer, a value below the minimum as too small, and a numpy integer
     passes
-  * numpy float32 inputs to ModelParams, WernerState and FixedDelta are
-    stored as Python floats: the closed form, the minimizer (which
-    converges), the spectrum, critical_lambda, measure and ED give bit for
-    bit the results of the same values given as floats
+  * numpy float32 inputs to ModelParams, CavityMicroParams,
+    ImpurityMicroParams, WernerState and FixedDelta are stored as Python
+    floats: the closed form, the minimizer (which converges), the spectrum,
+    critical_lambda, measure, ED, both microscopic reductions and
+    angle_for_target_delta give bit for bit the results of the same values
+    given as floats
 """
 
 import math
@@ -40,6 +42,7 @@ from iddm import (
     Sign,
     WernerState,
     ZeroDetuningError,
+    angle_for_target_delta,
     critical_lambda,
     derive_cavity_params,
     derive_impurity_couplings,
@@ -257,3 +260,15 @@ def test_float32_inputs_give_the_float_results():
     got, want = (ground_state(p._replace(lam=lam), EDConfig(4, photon_cutoff=4, impurity_mode=FixedDelta(d)))
                  for p, lam, d in ((single, np.float32(2), np.float32(0.25)), (double, 2.0, 0.25)))
     assert repr(got) == repr(want)
+
+    # the microscopic reductions and the steering angle compute in double precision too
+    fields = (-300, 2, 0.5, 0.1, 0.3, 0.05, 1.1, 2, 7)
+    single_micro = CavityMicroParams(*map(np.float32, fields))
+    assert [type(x) for x in single_micro] == [float] * len(fields)
+    double_micro = CavityMicroParams(*(float(np.float32(x)) for x in fields))
+    assert repr(derive_cavity_params(single_micro, 100)) == repr(derive_cavity_params(double_micro, 100))
+    got, want = (derive_impurity_couplings(ImpurityMicroParams(*(f(np.float32(x)) for x in (0.3, 1.1, 0.7))))
+                 for f in (np.float32, float))
+    assert repr(got) == repr(want)
+    z, target = np.float32(0.7), np.float32(-0.3)
+    assert repr(angle_for_target_delta(z, target)) == repr(angle_for_target_delta(float(z), float(target)))

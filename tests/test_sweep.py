@@ -42,13 +42,16 @@ Checked here:
     back as nan from the CSV and as null from the JSON lines; the tags come
     from the sweep's own error map, and one example holds every phase and
     error string
-  * both writers format by object, not by value: rows sharing one float
-    object across fields and rows, consecutive rows with equal but distinct
-    +-0 or distinct nans in each field, numpy floats, a finite tail whose sum
-    overflows, and a one-pass generator of new floats on every row all give
-    the per-field CSV and the json.dumps lines
-  * 100,000 rows of distinct lambdas keep each writer's traced peak under
-    4 MB (its lambda cache is bounded)
+  * both writers give the per-field CSV and the json.dumps lines on rows
+    sharing one float object across fields and rows, consecutive rows with
+    equal but distinct +-0 or distinct nans in each field, numpy floats, a
+    finite tail whose sum overflows and a one-pass generator of new floats
+    on every row, and on each reference grid's run_grid sequence whole,
+    which together carry every tail: normal, critical, superradiant and
+    every error tag
+  * 100,000 rows of distinct lambdas from a generator keep each writer's
+    traced peak under 4 MB (it holds one chunk of lines, not every lambda
+    text)
   * the JSON scalar formatter that `iddm ed` writes with equals json.dumps
     on ED records holding None, bools, ints, nan, +-inf and a numpy float
 """
@@ -192,7 +195,7 @@ def test_run_grid_reads_as_a_sequence(name):
     for part in (slice(None), slice(3, -2), slice(None, None, -3), slice(n + 5, None), slice(-n - 5, 7, 2)):
         assert type(rows[part]) is list and [_bits(r) for r in rows[part]] == bits[part]
     assert {type(r) for r in rows} == {PhaseDiagramRow}
-    # what the writers' object caches count on: one delta object per grid line, one tail
+    # the rows share objects as the grid stores them: one delta object per grid line, one tail
     # object per phase and error outside the superradiant rows, i_over_n is alpha2 inside
     tails = {}
     for prev, r in zip(listed, listed[1:]):
@@ -519,11 +522,18 @@ def test_writers_format_by_object_not_by_value(fmt):
     rows = _aliased_rows()
     assert _written(write, rows) == reference(rows)
     assert _written(write, _fresh_rows(200)) == reference(list(_fresh_rows(200)))
+    tails = set()
+    for params, delta_range, lambda_range, _ in REFERENCE_GRIDS.values():  # the run_grid sequence whole
+        grid = run_grid(GridSpec(params, delta_range=delta_range, lambda_range=lambda_range))
+        assert _written(write, grid) == reference(grid)
+        tails |= {r[-2:] for r in grid}
+    assert tails == {("superradiant", "")} | {t[-2:] for t in iddm.sweep._TAILS}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 def test_writers_memory_stays_bounded_on_distinct_lambdas(fmt):
-    # 100,000 lambda texts held at once would peak near 20 MB; one chunk's worth stays near 1 MB.
+    # Rows that are not run_grid's are formatted one by one: 100,000 lambda texts held at once
+    # would peak near 20 MB, and one chunk's worth of lines stays near 1 MB.
     # Plain tuples: the writers index rows, and a NamedTuple per row only slows the traced run.
     write = _WRITERS[fmt][0]
     rows = ((0.5, i / 7, *iddm.sweep._ORIGIN_COLUMNS, "normal", "") for i in range(100_000))
