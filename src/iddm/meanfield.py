@@ -79,7 +79,9 @@ class MeanFieldSolution(NamedTuple):
     """Equilibrium amplitudes at one (params, delta) point.
 
     alpha and beta are canonicalized to the nonnegative pair; the energy is
-    invariant under the simultaneous sign flip.  nu is None when lam = 0.
+    invariant under the simultaneous sign flip.  nu is None when lam = 0, and
+    inf where f1 f2 / (4 lam^2) exceeds the float range: the phase is then
+    normal and every other field is exact.
     """
 
     alpha: float
@@ -107,7 +109,7 @@ def _frequencies(params: ModelParams, delta: float) -> tuple[float, float]:
 
 
 def _nu(f1: float, f2: float, lam: float) -> float | None:
-    """nu = f1 f2 / (4 lam^2), or None at lam = 0.
+    """nu = f1 f2 / (4 lam^2), or None at lam = 0; inf where the quotient exceeds the float range.
 
     Raises UnboundedPhaseError where the energy has no interior minimum:
     nu <= -1, or lam = 0 with f2 < 0.

@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "delta,lambda,alpha2,beta2,e0,jz_over_n,i_over_n,phase,error"
-_CSV_CHUNK = 2048  # lines per write: the document is never held as one string
+_CSV_CHUNK = 256  # lines per write (18-48 KB): small against start-up RSS, never the whole document
 # phase and error are Phase values or error tags: ASCII words that JSON quotes as they are
 _JSON_TAIL = ('"alpha2": %s, "beta2": %s, "e0": %s, "jz_over_n": %s, "i_over_n": %s, '
               '"phase": "%s", "error": "%s"}\n')

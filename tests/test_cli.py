@@ -30,6 +30,8 @@ Checked here:
     and a grid whose differences of E0 overflow exit 1 with an error on stderr;
     a delta scan given --delta (flag or config) exits 1 with no output and
     derivative_scan's own message
+  * meanfield prints nu = undefined at lambda = 0, and nu = inf with the
+    normal phase where f1 f2 / (4 lambda^2) exceeds the float range
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
     byte-identical
   * ed emits one JSON record per atom number with parity exactly +-1, runs
@@ -324,6 +326,14 @@ def test_nu_undefined_at_zero_coupling(capsys):
     code, out, _ = run_cli(capsys, "meanfield", "--delta", "0.2", "--lambda", "0")
     assert code == 0
     assert parse_kv(out)["nu"] == "undefined"
+
+
+def test_nu_prints_inf_where_it_exceeds_the_float_range(capsys):
+    # f1 f2 / (4 lambda^2) overflows although 4 lambda^2 does not underflow: nu prints inf, the rest is exact
+    code, out, err = run_cli(capsys, "meanfield", "--lambda", "1e-160", "--delta", "0.2")
+    fields = parse_kv(out)
+    assert code == 0 and err == ""
+    assert fields["nu"] == "inf" and fields["phase"] == "normal"
 
 
 def test_config_equivalent_to_flags(tmp_path, capsys):
