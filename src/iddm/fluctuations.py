@@ -82,8 +82,10 @@ def excitation_spectrum(params: ModelParams, delta: float) -> SpectrumResult:
     m00, m02, m22, m33 = (math.ldexp(x, -e) for x in (m00, m02, m22, max(m33, 0.0)))
     p, q = m00 * m00, m33 * m22
     plus = math.sqrt((p + q) / 2.0 + math.hypot((p - q) / 2.0, m02 * math.sqrt(m00 * m33)))
-    # eps_-^2 = det / eps_+^2, the determinant taken as a product of roots
-    minus = math.sqrt(m00) * math.sqrt(m33) * math.sqrt(max(m00 * m22 - m02 * m02, 0.0)) / plus
+    # eps_-^2 = det / eps_+^2, the determinant taken as a product of roots; eps_+ = 0 only
+    # where M = 0 (f2 = lam = 0 and f1 = 5e-324, which halves to 0), and then det = 0 too
+    root_det = math.sqrt(m00) * math.sqrt(m33) * math.sqrt(max(m00 * m22 - m02 * m02, 0.0))
+    minus = root_det / plus if plus else 0.0
     eps_minus, eps_plus = math.ldexp(minus, e), math.ldexp(plus, e)
     if not (math.isfinite(eps_minus) and math.isfinite(eps_plus)):
         raise InvalidParameterError("fluctuation spectrum exceeds the float range")

@@ -31,6 +31,7 @@ that never saw them.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -351,16 +352,20 @@ def equilibrium_numeric(
 def critical_delta(params: ModelParams) -> float | None:
     """Impurity population at which nu = 1, or None when no root lies in [-1, 1].
 
-    For xi1 = 0 this is the closed form (4 lam^2 - omega omega0)/(omega kappa) - 1;
-    otherwise the quadratic f1(d) f2(d) = 4 lam^2 is solved and the smallest
-    admissible root (f1 > 0) in [-1, 1] is returned.
+    For xi1 = 0 this is the closed form (4 lam^2 - omega omega0)/(omega kappa) - 1
+    (over omega first where a product leaves the normal float range); otherwise
+    the quadratic f1(d) f2(d) = 4 lam^2 is solved and the smallest admissible
+    root (f1 > 0) in [-1, 1] is returned.
     """
     if params.chi != 0:
         raise ChiUnsupportedError(_CHI_REFUSAL)
     if params.kappa == 0:
         raise ZeroKappaError("critical_delta needs kappa != 0")
     if params.xi1 == 0:
-        dc = (4.0 * params.lam**2 - params.omega * params.omega0) / (params.omega * params.kappa) - 1.0
+        num, den = 4.0 * params.lam**2 - params.omega * params.omega0, params.omega * params.kappa
+        if not (math.isfinite(num) and sys.float_info.min <= abs(den) < math.inf):
+            num, den = 4.0 * params.lam**2 / params.omega - params.omega0, params.kappa
+        dc = num / den - 1.0
         return dc if -1.0 <= dc <= 1.0 else None
     # (omega + xi1 d)(omega0 + kappa(1 + d)) = 4 lam^2, quadratic in d
     a = params.kappa * params.xi1

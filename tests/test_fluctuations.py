@@ -22,7 +22,8 @@ Checked here:
   * where 2 f1 overflows the spectrum is finite: `spectrum` at
     omega = omega0 = 1.7e308, lambda = 6e153 matches the closed formula, and
     at omega = 1e308, kappa = 0 prints (1, 1e308); and where f2/f1 = 5e199
-    it matches the closed formula
+    it matches the closed formula; where M is 0 (f2 = lam = 0, f1 = 5e-324
+    halved to 0) the spectrum is (0, 0), not a ZeroDivisionError
   * the oracle kernels (spectrum, measure, minimizer) run with numpy's
     eigvals, eigvalsh, kron and einsum patched to raise
   * the soft mode closes at the phase boundary and reopens on both sides
@@ -140,6 +141,12 @@ def test_spectrum_where_f2_dwarfs_f1():
     res = excitation_spectrum(params, 0.0)
     lo, hi = normal_phase_spectrum(params, 0.0)
     assert math.isclose(res.eps_minus, lo, rel_tol=1e-12) and math.isclose(res.eps_plus, hi, rel_tol=1e-12)
+
+
+def test_spectrum_where_the_hessian_is_zero():
+    # f2 = lam = 0 and f1 = 5e-324, which halves to 0 in M: eps_+ = 0 divided the determinant
+    res = excitation_spectrum(ModelParams(omega=5e-324, lam=0.0, kappa=-0.5), 1.0)
+    assert res == (0.0, 0.0, True)  # the closed formula gives (0, 5e-324): one subnormal step off
 
 
 def test_oracle_kernels_need_no_numpy_linear_algebra(monkeypatch):

@@ -18,8 +18,9 @@ Checked here:
   * critical_delta / critical_lambda closed forms, boundary cases, the
     general xi1 != 0 root (None for a negative discriminant), and the
     standard-Dicke reduction; the linear root
-    when kappa xi1 underflows to 0, and lambda_c where f1 f2 overflows or
-    underflows (trace_critical_curve included)
+    when kappa xi1 underflows to 0, delta_c (xi1 = 0) where omega kappa or
+    omega omega0 underflows or overflows, and lambda_c where f1 f2 overflows
+    or underflows (trace_critical_curve included)
   * branch continuity across the phase boundary
   * for kappa < 0 (xi1 = 0) raising delta never restores the normal phase
   * second-difference scans: flat for kappa = 0, kink at the transition;
@@ -443,6 +444,17 @@ def test_critical_delta_when_kappa_xi1_underflows():
     tiny = critical_delta(ModelParams(omega=1.0, lam=0.45, kappa=5e-324, xi1=0.4))
     assert tiny == critical_delta(ModelParams(omega=1.0, lam=0.45, kappa=1e-300, xi1=0.4))
     assert math.isclose(tiny, -0.475, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("omega, omega0, kappa, lam, expected", [
+    (5e-324, 1.0, -0.5, 0.0, 1.0),  # omega kappa underflows to 0, which the closed form divided by
+    (1e-308, 1.0, 1e-308, 1.0, None),  # the same, and 4 lam^2/omega overflows: dc is far above 1
+    (1e300, 1e300, -1e300, 5.0, 0.0),  # both products overflow: inf/inf was nan, read as no root
+    (1e300, 1.0, 1e10, 5.0, None),  # omega kappa overflows: dc = -1 - 1e-10, not -1
+])
+def test_critical_delta_where_a_product_leaves_the_float_range(omega, omega0, kappa, lam, expected):
+    params = ModelParams(omega=omega, omega0=omega0, kappa=kappa, lam=lam)
+    assert critical_delta(params) == expected
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
