@@ -144,7 +144,7 @@ def test_spectrum_where_f2_dwarfs_f1():
 
 
 def test_spectrum_where_the_hessian_is_zero():
-    # f2 = lam = 0 and f1 = 5e-324, which halves to 0 in M: eps_+ = 0 divided the determinant
+    # f2 = lam = 0 and f1 = 5e-324, which halves to 0 in M: eps_+ = 0, and det/eps_+ must not divide by it
     res = excitation_spectrum(ModelParams(omega=5e-324, lam=0.0, kappa=-0.5), 1.0)
     assert res == (0.0, 0.0, True)  # the closed formula gives (0, 5e-324): one subnormal step off
 

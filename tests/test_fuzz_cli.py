@@ -9,9 +9,9 @@ at its default or drawn from +-10^[-300, 300], +-10^[-3, 3] and the edge values
     on the nu line only), or
   * it exits 1 (2 also for --numeric, a solver that did not converge) with one
     error: line on stderr and nothing on stdout.
-No other exit code, exception or warning may reach the caller.  Two examples
-are pinned, where a ZeroDivisionError once escaped at omega = 5e-324 and
-lambda = 0: critical, where omega kappa underflows to 0 in critical_delta,
+No other exit code, exception or warning may reach the caller.  Two runs at
+omega = 5e-324, lambda = 0 are pinned as examples, because each divides by a
+float that rounds to 0 unless guarded: critical, where omega kappa underflows,
 and spectrum at delta = 1, where the fluctuation Hessian is 0.
 """
 
@@ -70,8 +70,8 @@ def _documented(line: str) -> bool:
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_runs())
-@example((["critical", "--lambda=0.0", "--omega=5e-324"], {1}))  # omega kappa underflowed to 0
-@example((["spectrum", "--delta=1.0", "--lambda=0.0", "--omega=5e-324"], {1}))  # M was 0
+@example((["critical", "--lambda=0.0", "--omega=5e-324"], {1}))  # omega kappa underflows to 0
+@example((["spectrum", "--delta=1.0", "--lambda=0.0", "--omega=5e-324"], {1}))  # the Hessian is 0
 def test_one_point_commands_print_finite_values_or_refuse(run):
     argv, refusals = run
     out, err = io.StringIO(), io.StringIO()

@@ -447,10 +447,10 @@ def test_critical_delta_when_kappa_xi1_underflows():
 
 
 @pytest.mark.parametrize("omega, omega0, kappa, lam, expected", [
-    (5e-324, 1.0, -0.5, 0.0, 1.0),  # omega kappa underflows to 0, which the closed form divided by
+    (5e-324, 1.0, -0.5, 0.0, 1.0),  # omega kappa underflows to 0
     (1e-308, 1.0, 1e-308, 1.0, None),  # the same, and 4 lam^2/omega overflows: dc is far above 1
-    (1e300, 1e300, -1e300, 5.0, 0.0),  # both products overflow: inf/inf was nan, read as no root
-    (1e300, 1.0, 1e10, 5.0, None),  # omega kappa overflows: dc = -1 - 1e-10, not -1
+    (1e300, 1e300, -1e300, 5.0, 0.0),  # both products overflow; dc = -1e-598 rounds to 0
+    (1e300, 1.0, 1e10, 5.0, None),  # omega kappa overflows; dc = -1 - 1e-10 is out of range
 ])
 def test_critical_delta_where_a_product_leaves_the_float_range(omega, omega0, kappa, lam, expected):
     params = ModelParams(omega=omega, omega0=omega0, kappa=kappa, lam=lam)

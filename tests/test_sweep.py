@@ -51,7 +51,7 @@ Checked here:
     every error tag
   * 100,000 rows of distinct lambdas from a generator keep each writer's
     traced peak under 256 KB (it holds one chunk of 256 lines, not every
-    lambda text; 2048-line chunks peaked near 370 KB and 1 MB)
+    lambda text)
   * the JSON scalar formatter that `iddm ed` writes with equals json.dumps
     on ED records holding None, bools, ints, nan, +-inf and a numpy float
 """
@@ -533,7 +533,7 @@ def test_writers_format_by_object_not_by_value(fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 def test_writers_memory_stays_bounded_on_distinct_lambdas(fmt):
     # Rows that are not run_grid's are formatted one by one: 100,000 lambda texts held at once
-    # would peak near 20 MB, and one chunk's worth of lines stays near 61 KB (CSV) and 142 KB (JSON).
+    # would peak near 20 MB, and one chunk's worth of lines stays near 68 KB (CSV) and 146 KB (JSON).
     # Plain tuples: the writers index rows, and a NamedTuple per row only slows the traced run.
     write = _WRITERS[fmt][0]
     rows = ((0.5, i / 7, *iddm.sweep._ORIGIN_COLUMNS, "normal", "") for i in range(100_000))
