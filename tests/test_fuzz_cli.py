@@ -1,9 +1,10 @@
 """Boundary fuzz of the one-point commands, run in process through cli.main.
 
 Checked here, on meanfield (closed form and --numeric), spectrum and critical
-(with --delta and with --lambda), with every model field and delta either left
-at its default or drawn from +-10^[-300, 300], +-10^[-3, 3] and the edge values
-+-0, 5e-324, 1e-308, 1e154, 1e308 and 1.7e308, and every warning an error:
+(with --delta and with --lambda), with the command's delta or lambda and up to
+three other model fields drawn from +-10^[-300, 300], +-10^[-3, 3] and the edge
+values +-0, 5e-324, 1e-308, 1e154, 1e308 and 1.7e308, the rest left at their
+defaults, and every warning an error:
   * a run exits 0 with an empty stderr and every printed value a finite float
     or a documented word (undefined, no-transition, a phase name, true, or inf
     on the nu line only), or
