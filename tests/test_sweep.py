@@ -313,7 +313,9 @@ def default_rows():
     return rows
 
 
-_COUNTS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK]
+# The edges of one chunk and three chunks, plus fixed counts around 2048 lines
+# and at 6144 lines that stay cases whatever _CHUNK is set to.
+_COUNTS = sorted({0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK, 2047, 2048, 2049, 6144})
 
 
 @pytest.mark.parametrize("fmt, count", [pytest.param("csv", n, id=str(n)) for n in _COUNTS]
