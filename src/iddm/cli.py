@@ -19,8 +19,8 @@ maps a run to its exit code: 0 success, 1 invalid input or an output that
 cannot be written (a closed stdout pipe among them), 2 solver convergence
 failure.  Set IDDM_THREADS before launching to pin the linear algebra thread
 count (it is applied when the package is first imported).
-critical, sweep, deriv, spectrum and closed-form meanfield never import numpy;
-measure, meanfield --numeric and ed do.  No subcommand loads dataclasses (the
+critical, sweep, deriv, spectrum and meanfield (with or without --numeric)
+never import numpy; only measure and ed do.  No subcommand loads dataclasses (the
 records are NamedTuples: copy one by _replace), and only --config loads json.
 
 ed runs N = 100 without --n, doubles its photon cutoff until converged, solves

@@ -229,7 +229,6 @@ def _closed_form(f1: float, f2: float, lam: float) -> MeanFieldSolution:
 # is singular at |beta| = 1.
 _BETA_CAP = 1.0 - 1e-9
 _SEED = 20240817
-_START_DRAWS: dict[int, list[list[float]]] = {}  # seed_count -> its starts' uniform draws
 # A start stops once max|g| <= _GRAD_FLOOR * max(1, |e|), the roundoff level.
 _GRAD_FLOOR = 1e-14
 # The winning candidate must reach max|g| <= _GRAD_TOL.
@@ -320,13 +319,12 @@ def equilibrium_numeric(
     check_count("seed_count", seed_count)
     check_count("max_iterations", max_iterations, minimum=0)
 
-    if seed_count not in _START_DRAWS:
-        import numpy as np
+    import random
 
-        rng = np.random.default_rng(_SEED)  # the draws depend on seed_count alone
-        _START_DRAWS[seed_count] = rng.uniform(-1.0, 1.0, size=(seed_count - 1, 2)).tolist()
+    rng = random.Random(_SEED)  # a new generator per call: the starts depend on seed_count alone
     alpha_scale = 2.0 * lam / f1 if lam > 0 else 1.0 / f1
-    starts = [(0.0, 0.0), *((u * alpha_scale, v * 0.98) for u, v in _START_DRAWS[seed_count])]
+    starts = [(0.0, 0.0), *((rng.uniform(-1.0, 1.0) * alpha_scale, rng.uniform(-1.0, 1.0) * 0.98)
+                            for _ in range(seed_count - 1))]
     runs = [_descend(f1, f2, lam, x, y, max_iterations) for x, y in starts]
 
     eigenvalues = [_jacobi(*hess)[2:] for *_, hess in runs]
@@ -452,7 +450,8 @@ def derivative_scan(
     A kink in E0 shows up as a step in the second difference; the scan
     reports where the largest step sits.  Equilibrium failures at a grid
     point are re-raised with the offending point named; a step whose square
-    underflows to 0, or differences that are not finite, are refused.
+    underflows to 0, or differences that are not finite, are refused; so is
+    a range that leaves the parameter's domain, at its first point outside it.
     """
     if parameter_name not in ("delta", "lambda"):
         raise InvalidParameterError(f"parameter_name must be 'delta' or 'lambda', got {parameter_name!r}")
@@ -480,9 +479,20 @@ def derivative_scan(
     if h * h == 0:
         raise InvalidParameterError(f"step = {h}: step^2 underflows to 0")
 
-    grid = _linspace(start, stop, count)
+    def point(i: int) -> float:  # _linspace(start, stop, count)[i]
+        return i * h + start if i < count - 1 else stop
+
+    # A range that leaves the domain (check_population's or check_lambda's) is refused at its first
+    # point outside it, before the grid is built: only index 0 can lie below, so bisect above it.
+    inside = ((lambda v: -1.0 <= v <= 1.0) if parameter_name == "delta"
+              else lambda v: v == 0 or v > 0 and 0 < 4.0 * v * v < math.inf)
+    lo, first = (0, count) if inside(start) else (-1, 0)
+    while first - lo > 1:  # point(lo) lies inside the domain; point(first) outside it, or past the grid
+        mid = (lo + first) // 2
+        lo, first = (mid, first) if inside(point(mid)) else (lo, mid)
+    grid = _linspace(start, stop, count) if first == count else None
     e0 = []
-    for i, v in enumerate(grid):
+    for i, v in enumerate(grid) if grid else [(0, point(0)), (first, point(first))]:  # index 0's error first
         try:
             if parameter_name == "delta":
                 sol = equilibrium_closed_form(params, v)
@@ -500,16 +510,5 @@ def derivative_scan(
         raise InvalidParameterError(f"differences of E0 are not finite at step = {h}")
     steps = [abs(b - a) for a, b in zip(d2, d2[1:])]
     j = max(range(len(steps)), key=steps.__getitem__, default=0)  # the first maximum, as np.argmax
-    interior = grid[1:-1]
-    location = 0.5 * (interior[j] + interior[j + 1]) if steps else interior[0]
-    return DerivativeScan(
-        parameter_name=parameter_name,
-        grid=grid,
-        e0_values=e0,
-        d1_values=d1,
-        d2_values=d2,
-        step=h,
-        jump_index=j,
-        jump_location=location,
-        jump_size=steps[j] if steps else 0.0,
-    )
+    location = 0.5 * (grid[j + 1] + grid[j + 2]) if steps else grid[1]  # on the interior grid[1:-1]
+    return DerivativeScan(parameter_name, grid, e0, d1, d2, h, j, location, steps[j] if steps else 0.0)

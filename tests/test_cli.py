@@ -29,7 +29,9 @@ Checked here:
     (stop - start)/step that overflows, a step whose square underflows to 0
     and a grid whose differences of E0 overflow exit 1 with an error on stderr;
     a delta scan given --delta (flag or config) exits 1 with no output and
-    derivative_scan's own message
+    derivative_scan's own message; a scan range that leaves the domain of
+    delta or lambda exits 1 with the error of its first point outside it,
+    before the grid is built (a spy on the grid sees no call)
   * meanfield prints nu = undefined at lambda = 0, and nu = inf with the
     normal phase where f1 f2 / (4 lambda^2) exceeds the float range
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
@@ -56,19 +58,19 @@ Checked here:
     ed included, loads scipy at all, the ED names resolve on use, and no
     module of the package imports scipy
   * numpy stays unloaded by `import iddm`, `import iddm.cli`, sweep (CSV and
-    JSON lines), the closed-form meanfield, critical, deriv (lambda and
-    delta scans) and spectrum; the modules they
+    JSON lines), meanfield (closed form and --numeric), critical, deriv
+    (lambda and delta scans) and spectrum; the modules they
     load have no module-level numpy import; IDDM_THREADS=1 has set
     OPENBLAS_NUM_THREADS when numpy is first imported (by measure)
   * the numpy-free runs above, the JSON-lines sweep included, add none of
     dataclasses, inspect and json to sys.modules, and the numpy commands (ed
-    with FixedDelta and --full-qubit, spectrum, measure, meanfield --numeric)
-    none of dataclasses, json and numpy.polynomial
+    with FixedDelta and --full-qubit, spectrum, measure) none of
+    dataclasses, json and numpy.polynomial
   * every name in each module's __all__ resolves, the package's eager names
     are exactly the error classes and the __all__ of model, meanfield and
-    sweep (ZeroProbabilityOutcomeError is gone), the lazy ED names are
-    exactly ed's exports, and each lazy name (ED, fluctuations, measurement)
-    is its module's object
+    sweep (ZeroProbabilityOutcomeError is gone), the lazy names of
+    fluctuations, measurement and ed are exactly each module's exports, and
+    each lazy name is its module's object
 """
 
 import ast
@@ -538,6 +540,29 @@ def test_deriv_non_finite_or_overflowing_grid_exits_1(capsys, grid, message):
     assert code == 1 and out == "" and "error:" in err and message in err
 
 
+@pytest.mark.parametrize("grid, message", [
+    (["--wrt", "delta", "--from=-2", "--to=1", "--step", "1e-9"],
+     "error: delta = -2.0 (grid index 0): impurity population must lie in [-1, 1], got -2.0\n"),
+    (["--wrt", "delta", "--from=-5.9e66", "--to=-5e-324", "--step", "0.0207"],
+     "error: delta = -5.9e+66 (grid index 0): impurity population must lie in [-1, 1], got -5.9e+66\n"),
+    (["--wrt", "delta", "--from=0", "--to=2", "--step", "1e-9"],
+     "error: delta = 1.000000001 (grid index 1000000001): impurity population must lie in [-1, 1],"
+     " got 1.000000001\n"),
+    (["--wrt", "lambda", "--delta", "0", "--from=-1", "--to=1", "--step", "1e-9"],
+     "error: lambda = -1.0 (grid index 0): lambda must be >= 0, got -1.0\n"),
+    (["--wrt", "lambda", "--delta", "0", "--from=0", "--to=1e200", "--step", "1e150"],
+     "error: lambda = 6.704e+153 (grid index 6704): lambda = 6.704e+153 is too large:"
+     " 4 lambda^2 overflows\n"),
+], ids=["delta-below", "delta-far-below", "delta-above", "lambda-negative", "lambda-overflows"])
+def test_deriv_refuses_a_range_outside_the_domain_before_building_the_grid(monkeypatch, capsys, grid, message):
+    # the grids hold 1e9 to 3e68 points: the refusal must come before any is made
+    def spy(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(iddm.meanfield, "_linspace", spy)
+    assert run_cli(capsys, "deriv", *grid) == (1, "", message)
+
+
 def test_sweep_json_lines_tagged_row(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--kappa", "-2", "--delta-min", "1", "--delta-max", "1",
@@ -827,6 +852,7 @@ check("import iddm, iddm.cli")
 for argv in [
     ["sweep", "--delta-count", "3", "--lambda-count", "2"],
     ["meanfield", "--delta", "0.1"],
+    ["meanfield", "--delta", "0.1", "--numeric"],
     ["critical", "--delta", "0.1"],
     ["deriv", "--wrt", "lambda", "--from", "6", "--to", "8", "--step", "0.01", "--delta", "0"],
     ["deriv", "--wrt", "delta", "--from", "0", "--to", "1", "--step", "0.01"],
@@ -849,7 +875,6 @@ for argv in [
     ["ed", "--n", "4", "--full-qubit"],
     ["spectrum", "--delta", "0.1"],
     ["measure", "--z", "0.5", "--theta", "0.3"],
-    ["meanfield", "--delta", "0.1", "--numeric"],
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv
@@ -986,8 +1011,9 @@ def test_exported_names_resolve():
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == eager and len(errors) == 12
     assert "ZeroProbabilityOutcomeError" not in dir(iddm) and not hasattr(iddm.errors, "ZeroProbabilityOutcomeError")
-    ed_names = {name for name, module in iddm._LAZY_NAMES.items() if module == "ed"}
-    assert ed_names == set(iddm.ed.__all__)
+    for lazy in ("fluctuations", "measurement", "ed"):  # each lazy module's whole __all__
+        names = {name for name, module in iddm._LAZY_NAMES.items() if module == lazy}
+        assert names == set(importlib.import_module(f"iddm.{lazy}").__all__), lazy
     for name, module in iddm._LAZY_NAMES.items():
         module = importlib.import_module(f"iddm.{module}")
         assert name in module.__all__ and getattr(iddm, name) is getattr(module, name)

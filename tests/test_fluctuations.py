@@ -37,7 +37,6 @@ import mpmath
 import numpy as np
 import pytest
 
-import iddm.meanfield
 from iddm import (
     DomainError,
     IDDMError,
@@ -155,7 +154,6 @@ def test_oracle_kernels_need_no_numpy_linear_algebra(monkeypatch):
 
     for owner, name in ((np.linalg, "eigvals"), (np.linalg, "eigvalsh"), (np, "kron"), (np, "einsum")):
         monkeypatch.setattr(owner, name, refuse)
-    monkeypatch.setattr(iddm.meanfield, "_START_DRAWS", {})  # the start draws are made here too
     for delta in (0.2, 0.8):  # normal, superradiant
         assert excitation_spectrum(FIG2, delta).eps_minus > 0.0
         sol = equilibrium_numeric(FIG2, delta)

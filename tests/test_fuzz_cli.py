@@ -1,4 +1,4 @@
-"""Boundary fuzz of the one-point commands, run in process through cli.main.
+"""Boundary fuzz of the commands, run in process through cli.main.
 
 Checked here, on meanfield (closed form and --numeric), spectrum and critical
 (with --delta and with --lambda), with the command's delta or lambda and up to
@@ -14,17 +14,30 @@ No other exit code, exception or warning may reach the caller.  Two runs at
 omega = 5e-324, lambda = 0 are pinned as examples, because each divides by a
 float that rounds to 0 unless guarded: critical, where omega kappa underflows,
 and spectrum at delta = 1, where the fluctuation Hessian is 0.
+
+The same values and the same invariant, exit 1 being the only refusal, cover
+three more families, each with its own reading of a successful run:
+  * measure, with --z and then --target, or --theta and an optional --sign:
+    every printed value is a finite float but sign's, which is plus or minus;
+  * sweep on a 2x2 grid, as CSV and as JSON lines, with drawn axis edges and
+    up to three model fields: a row's numbers are finite unless its error
+    column is set, and then they are nan (CSV) or null (JSON);
+  * deriv along delta or lambda (at a drawn --delta), with drawn --from and
+    --step, --to set 2, 3 or 4 steps past --from (so that no grid holds more
+    than a handful of points) and up to three model fields: every value is
+    finite, and d1 and d2 are empty on the first and last rows only.
 """
 
 import contextlib
 import io
+import json
 import math
 import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iddm import Phase
+from iddm import CSV_HEADER, Phase
 from iddm.cli import main
 
 _EDGES = [0.0, 5e-324, 1e-308, 1e154, 1e308, 1.7e308]
@@ -55,26 +68,31 @@ def _runs(draw):
     return head + [f"{flag}={draw(_VALUES)!r}" for flag in flags], refusals
 
 
-def _documented(line: str) -> bool:
-    if line == "no-transition":
-        return True
-    key, sep, value = line.partition(" = ")
-    if not sep:
-        return False
-    if value in _WORDS or (key == "nu" and value == "inf"):
-        return True
+def _finite(text: str) -> bool:
     try:
-        return math.isfinite(float(value))
+        return math.isfinite(float(text))
     except ValueError:
         return False
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def _documented(line: str) -> bool:
+    if line == "no-transition":
+        return True
+    key, sep, value = line.partition(" = ")
+    return bool(sep) and (value in _WORDS or (key == "nu" and value == "inf") or _finite(value))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(_runs())
 @example((["critical", "--lambda=0.0", "--omega=5e-324"], {1}))  # omega kappa underflows to 0
 @example((["spectrum", "--delta=1.0", "--lambda=0.0", "--omega=5e-324"], {1}))  # the Hessian is 0
 def test_one_point_commands_print_finite_values_or_refuse(run):
     argv, refusals = run
+    _check_run(argv, refusals, lambda out: all(_documented(line) for line in out.splitlines()))
+
+
+def _check_run(argv, refusals, valid):
+    """Run argv: exit 0 with valid(stdout) and no stderr, or a refusal with one error line."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
@@ -82,8 +100,108 @@ def test_one_point_commands_print_finite_values_or_refuse(run):
     out, err = out.getvalue(), err.getvalue()
     if code == 0:
         assert err == "", argv
-        assert out and all(_documented(line) for line in out.splitlines()), (argv, out)
+        assert out and valid(out), (argv, out)
     else:
         assert code in refusals, (argv, code, err)
         assert out == "", (argv, out)
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+def _flag(draw, flag):
+    return f"{flag}={draw(_VALUES)!r}"
+
+
+def _model_flags(draw, fields):
+    return [_flag(draw, flag) for flag in draw(st.lists(st.sampled_from(fields), max_size=3, unique=True))]
+
+
+@st.composite
+def _measure_runs(draw):
+    argv = ["measure", _flag(draw, "--z")]
+    if draw(st.booleans()):
+        return argv + [_flag(draw, "--target")]
+    argv.append(_flag(draw, "--theta"))
+    if draw(st.booleans()):
+        argv.append("--sign=" + draw(st.sampled_from(["plus", "minus"])))
+    return argv
+
+
+def _measure_output(out: str) -> bool:
+    lines = [line.partition(" = ") for line in out.splitlines()]
+    return all(sep and (value in ("plus", "minus") if key == "sign" else _finite(value))
+               for key, sep, value in lines)
+
+
+@st.composite
+def _sweep_runs(draw):
+    argv = ["sweep", "--delta-count=2", "--lambda-count=2",
+            "--format=" + draw(st.sampled_from(["csv", "json-lines"]))]
+    for axis in ("delta", "lambda"):
+        lo, hi = sorted(draw(st.lists(_VALUES, min_size=2, max_size=2)))
+        argv += [f"--{axis}-min={lo!r}", f"--{axis}-max={hi!r}"]
+    return argv + _model_flags(draw, _MODEL)
+
+
+_PHASES = {p.value for p in Phase}
+
+
+def _all_finite(values) -> bool:
+    return all(isinstance(x, float) and math.isfinite(x) for x in values)
+
+
+def _sweep_row(row: dict) -> bool:
+    """Finite numbers on a phase's row; None (nan in CSV, null in JSON) on an error row."""
+    numbers = [row[key] for key in CSV_HEADER.split(",")[2:7]]
+    if row["error"]:
+        ok = row["phase"] == "error" and numbers == [None] * 5
+    else:
+        ok = row["phase"] in _PHASES and _all_finite(numbers)
+    return ok and _all_finite([row["delta"], row["lambda"]])
+
+
+def _sweep_output(out: str) -> bool:
+    keys, lines = CSV_HEADER.split(","), out.splitlines()
+    if lines[0] == CSV_HEADER:  # a CSV nan reads as None, as a JSON null does
+        lines = lines[1:]
+        fields = [line.split(",") for line in lines]
+        rows = [dict(zip(keys, [None if x == "nan" else float(x) for x in f[:7]] + f[7:]))
+                for f in fields if len(f) == len(keys)]
+    else:
+        rows = [row for row in map(json.loads, lines) if list(row) == keys]
+    return len(lines) == len(rows) == 4 and all(map(_sweep_row, rows))
+
+
+@st.composite
+def _deriv_runs(draw):
+    wrt = draw(st.sampled_from(["delta", "lambda"]))
+    start, step = draw(_VALUES), draw(_MAGNITUDES)  # a step <= 0 is refused before anything is run
+    stop = start + draw(st.sampled_from([2, 3, 4])) * step  # never drawn freely: the grid stays small
+    argv = ["deriv", f"--wrt={wrt}", f"--from={start!r}", f"--to={stop!r}", f"--step={step!r}"]
+    if wrt == "lambda":
+        return argv + [_flag(draw, "--delta")] + _model_flags(draw, _MODEL)
+    return argv + _model_flags(draw, _MODEL + ["--lambda"])
+
+
+def _deriv_output(out: str) -> bool:
+    header, *rows = out.splitlines()
+    rows = [row.split(",") for row in rows]
+    edges = (0, len(rows) - 1)
+    return header == "param,value,e0,d1,d2" and 3 <= len(rows) <= 9 and all(
+        len(row) == 5 and row[0] in ("delta", "lambda") and _finite(row[1]) and _finite(row[2])
+        and all(x == "" if i in edges else _finite(x) for x in row[3:])
+        for i, row in enumerate(rows))
+
+
+_FAMILIES = {
+    "measure": (_measure_runs(), _measure_output),
+    "sweep": (_sweep_runs(), _sweep_output),
+    "deriv": (_deriv_runs(), _deriv_output),
+}
+
+
+@settings(max_examples=180, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_FAMILIES)).flatmap(
+    lambda name: _FAMILIES[name][0].map(lambda argv: (argv, _FAMILIES[name][1]))))
+def test_measure_sweep_and_deriv_print_finite_values_or_refuse(run):
+    argv, valid = run
+    _check_run(argv, {1}, valid)

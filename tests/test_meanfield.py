@@ -29,7 +29,9 @@ Checked here:
     (np.linspace, slice differences, np.argmax: the first of tied steps)
   * a lambda scan refuses a negative lambda, and chi != 0, at grid index 0
     with the point named in the message; a scan refuses a parameter other
-    than delta or lambda, a step <= 0, stop <= start and fewer than 3 points
+    than delta or lambda, a step <= 0, stop <= start and fewer than 3 points;
+    a range past the domain's upper edge is refused with the message of its
+    first point outside, or of index 0 where that point fails too
   * refusal behavior: nu <= -1, chi != 0 (critical_lambda, critical_delta
     and trace_critical_curve included), |beta| out of range, zero budget,
     a lone origin start in the superradiant phase (a saddle), a negative
@@ -556,6 +558,21 @@ def test_lambda_scan_refusals_name_the_first_point():
         derivative_scan(FIG2._replace(chi=0.3), "lambda", 1.0, 2.0, 0.5, delta=0.0)
     assert str(info.value) == "lambda = 1.0 (grid index 0): mean-field routines require chi = 0"
 
+
+
+@pytest.mark.parametrize("params, name, start, stop, step, delta, message", [
+    (FIG2, "delta", 0.3, 1.3, 0.1, None,
+     "delta = 1.1 (grid index 8): impurity population must lie in [-1, 1], got 1.1"),
+    (FIG2, "lambda", 1e153, 9e153, 1e153, 0.0,
+     "lambda = 7e+153 (grid index 6): lambda = 7e+153 is too large: 4 lambda^2 overflows"),
+    (FIG2._replace(chi=0.3), "delta", 0.3, 1.3, 0.1, None,
+     "delta = 0.3 (grid index 0): mean-field routines require chi = 0"),
+])
+def test_scan_past_the_domain_names_what_the_full_grid_would(params, name, start, stop, step, delta, message):
+    # refused before the grid is built, with the message a point-by-point run of the whole grid gives
+    with pytest.raises(IDDMError) as info:
+        derivative_scan(params, name, start, stop, step, delta=delta)
+    assert str(info.value) == message
 
 def _numpy_scan(params, parameter_name, start, stop, step, delta):
     """derivative_scan as it was first written: np.linspace, slice arithmetic, np.argmax."""
