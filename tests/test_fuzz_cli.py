@@ -19,13 +19,15 @@ The same values and the same invariant, exit 1 being the only refusal, cover
 three more families, each with its own reading of a successful run:
   * measure, with --z and then --target, or --theta and an optional --sign:
     every printed value is a finite float but sign's, which is plus or minus;
-  * sweep on a 2x2 grid, as CSV and as JSON lines, with drawn axis edges and
-    up to three model fields: a row's numbers are finite unless its error
-    column is set, and then they are nan (CSV) or null (JSON);
-  * deriv along delta or lambda (at a drawn --delta), with drawn --from and
-    --step, --to set 2, 3 or 4 steps past --from (so that no grid holds more
-    than a handful of points) and up to three model fields: every value is
-    finite, and d1 and d2 are empty on the first and last rows only.
+  * sweep on a 2x2 grid, as CSV and as JSON lines, with drawn axis edges
+    (each axis's two in order) and up to three model fields: a row's numbers
+    are finite unless its error column is set, and then they are nan (CSV)
+    or null (JSON);
+  * deriv along delta or lambda (at a drawn --delta), with a drawn --from, a
+    drawn magnitude as --step, --to set 2, 3 or 4 steps past --from (so that
+    no grid holds more than a handful of points) and up to three model
+    fields: every value is finite, and d1 and d2 are empty on the first and
+    last rows only.
 """
 
 import contextlib
