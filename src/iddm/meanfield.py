@@ -482,10 +482,17 @@ def derivative_scan(
     def point(i: int) -> float:  # _linspace(start, stop, count)[i]
         return i * h + start if i < count - 1 else stop
 
+    check = check_population if parameter_name == "delta" else check_lambda
+
+    def inside(v: float) -> bool:
+        try:
+            check(v)
+        except InvalidParameterError:
+            return False
+        return True
+
     # A range that leaves the domain (check_population's or check_lambda's) is refused at its first
     # point outside it, before the grid is built: only index 0 can lie below, so bisect above it.
-    inside = ((lambda v: -1.0 <= v <= 1.0) if parameter_name == "delta"
-              else lambda v: v == 0 or v > 0 and 0 < 4.0 * v * v < math.inf)
     lo, first = (0, count) if inside(start) else (-1, 0)
     while first - lo > 1:  # point(lo) lies inside the domain; point(first) outside it, or past the grid
         mid = (lo + first) // 2
@@ -510,5 +517,16 @@ def derivative_scan(
         raise InvalidParameterError(f"differences of E0 are not finite at step = {h}")
     steps = [abs(b - a) for a, b in zip(d2, d2[1:])]
     j = max(range(len(steps)), key=steps.__getitem__, default=0)  # the first maximum, as np.argmax
-    location = 0.5 * (grid[j + 1] + grid[j + 2]) if steps else grid[1]  # on the interior grid[1:-1]
-    return DerivativeScan(parameter_name, grid, e0, d1, d2, h, j, location, steps[j] if steps else 0.0)
+    interior = grid[1:-1]
+    location = 0.5 * (interior[j] + interior[j + 1]) if steps else interior[0]
+    return DerivativeScan(
+        parameter_name=parameter_name,
+        grid=grid,
+        e0_values=e0,
+        d1_values=d1,
+        d2_values=d2,
+        step=h,
+        jump_index=j,
+        jump_location=location,
+        jump_size=steps[j] if steps else 0.0,
+    )

@@ -84,7 +84,7 @@ def _documented(line: str) -> bool:
     return bool(sep) and (value in _WORDS or (key == "nu" and value == "inf") or _finite(value))
 
 
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_runs())
 @example((["critical", "--lambda=0.0", "--omega=5e-324"], {1}))  # omega kappa underflows to 0
 @example((["spectrum", "--delta=1.0", "--lambda=0.0", "--omega=5e-324"], {1}))  # the Hessian is 0
@@ -201,7 +201,7 @@ _FAMILIES = {
 }
 
 
-@settings(max_examples=180, deadline=None, derandomize=True, database=None)
+@settings(max_examples=110, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(_FAMILIES)).flatmap(
     lambda name: _FAMILIES[name][0].map(lambda argv: (argv, _FAMILIES[name][1]))))
 def test_measure_sweep_and_deriv_print_finite_values_or_refuse(run):

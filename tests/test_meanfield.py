@@ -559,7 +559,6 @@ def test_lambda_scan_refusals_name_the_first_point():
     assert str(info.value) == "lambda = 1.0 (grid index 0): mean-field routines require chi = 0"
 
 
-
 @pytest.mark.parametrize("params, name, start, stop, step, delta, message", [
     (FIG2, "delta", 0.3, 1.3, 0.1, None,
      "delta = 1.1 (grid index 8): impurity population must lie in [-1, 1], got 1.1"),
@@ -573,6 +572,7 @@ def test_scan_past_the_domain_names_what_the_full_grid_would(params, name, start
     with pytest.raises(IDDMError) as info:
         derivative_scan(params, name, start, stop, step, delta=delta)
     assert str(info.value) == message
+
 
 def _numpy_scan(params, parameter_name, start, stop, step, delta):
     """derivative_scan as it was first written: np.linspace, slice arithmetic, np.argmax."""
