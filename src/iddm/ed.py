@@ -439,9 +439,9 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
 
     base = int(config.photon_cutoff)
     h = build_hamiltonian(params, config, base)
-    solves = {key: _lowest_state(_Sector(h, *key)) for key in sectors}
-    raises = 0
+    known, raises = {}, 0  # known: the sector that the failed check solved at the raised cutoff
     while True:
+        solves = {key: known.get(key) or _lowest_state(_Sector(h, *key)) for key in sectors}
         lowest = min(energy for energy, _ in solves.values())
         key = next(
             k for k, (energy, _) in solves.items()
@@ -460,12 +460,7 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
         if converged:
             break
         raises += 1
-        base, h = larger, big
-        solves = {
-            other: (energy2, psi2) if other == key
-            else _lowest_state(_Sector(h, *other))
-            for other in sectors
-        }
+        base, h, known = larger, big, {key: (energy2, psi2)}
 
     block, sign = key
     delta = config.impurity_mode.delta if fixed else (1.0, -1.0)[block]

@@ -31,7 +31,6 @@ that never saw them.
 from __future__ import annotations
 
 import math
-import sys
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -123,6 +122,16 @@ def _nu(f1: float, f2: float, lam: float) -> float | None:
     if nu <= -1.0:
         raise UnboundedPhaseError(f"nu = {nu} <= -1: no interior minimum")
     return nu
+
+
+def _unit_scale(*values: float) -> list[float]:
+    """values over the power of two that brings the largest |value| into [0.5, 1).
+
+    The division is exact unless a quotient is subnormal, so values times any
+    2^k give the same list while they stay in the normal float range.
+    """
+    e = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -e) for v in values]
 
 
 def _spin_k(b1: float, b2: float, rim: bool) -> float:
@@ -229,6 +238,7 @@ def _closed_form(f1: float, f2: float, lam: float) -> MeanFieldSolution:
 # is singular at |beta| = 1.
 _BETA_CAP = 1.0 - 1e-9
 _SEED = 20240817
+# Both gradient tests are taken on (f1, f2, lam) over `_unit_scale`'s power of two.
 # A start stops once max|g| <= _GRAD_FLOOR * max(1, |e|), the roundoff level.
 _GRAD_FLOOR = 1e-14
 # The winning candidate must reach max|g| <= _GRAD_TOL.
@@ -325,7 +335,8 @@ def equilibrium_numeric(
     alpha_scale = 2.0 * lam / f1 if lam > 0 else 1.0 / f1
     starts = [(0.0, 0.0), *((rng.uniform(-1.0, 1.0) * alpha_scale, rng.uniform(-1.0, 1.0) * 0.98)
                             for _ in range(seed_count - 1))]
-    runs = [_descend(f1, f2, lam, x, y, max_iterations) for x, y in starts]
+    unit = _unit_scale(f1, f2, lam)
+    runs = [_descend(*unit, x, y, max_iterations) for x, y in starts]
 
     eigenvalues = [_jacobi(*hess)[2:] for *_, hess in runs]
     kept = [run for run, (w0, w1) in zip(runs, eigenvalues)
@@ -350,9 +361,9 @@ def equilibrium_numeric(
 def critical_delta(params: ModelParams) -> float | None:
     """Impurity population at which nu = 1, or None when no root lies in [-1, 1].
 
-    For xi1 = 0 this is the closed form (4 lam^2 - omega omega0)/(omega kappa) - 1
-    (over omega first where a product leaves the normal float range); otherwise
-    the quadratic f1(d) f2(d) = 4 lam^2 is solved and the smallest admissible
+    For xi1 = 0 this is the closed form (4 lam^2/omega - omega0)/kappa - 1;
+    otherwise the quadratic f1(d) f2(d) = 4 lam^2 is solved on the energies
+    over a power of two near the largest of them, and the smallest admissible
     root (f1 > 0) in [-1, 1] is returned.
     """
     if params.chi != 0:
@@ -360,15 +371,13 @@ def critical_delta(params: ModelParams) -> float | None:
     if params.kappa == 0:
         raise ZeroKappaError("critical_delta needs kappa != 0")
     if params.xi1 == 0:
-        num, den = 4.0 * params.lam**2 - params.omega * params.omega0, params.omega * params.kappa
-        if not (math.isfinite(num) and sys.float_info.min <= abs(den) < math.inf):
-            num, den = 4.0 * params.lam**2 / params.omega - params.omega0, params.kappa
-        dc = num / den - 1.0
+        dc = (4.0 * params.lam * params.lam / params.omega - params.omega0) / params.kappa - 1.0
         return dc if -1.0 <= dc <= 1.0 else None
+    omega, omega0, kappa, xi1, lam = _unit_scale(params.omega, params.omega0, params.kappa, params.xi1, params.lam)
     # (omega + xi1 d)(omega0 + kappa(1 + d)) = 4 lam^2, quadratic in d
-    a = params.kappa * params.xi1
-    b = params.xi1 * (params.omega0 + params.kappa) + params.omega * params.kappa
-    c = params.omega * (params.omega0 + params.kappa) - 4.0 * params.lam**2
+    a = kappa * xi1
+    b = xi1 * (omega0 + kappa) + omega * kappa
+    c = omega * (omega0 + kappa) - 4.0 * lam * lam
     disc = b * b - 4.0 * a * c
     if disc < 0:
         return None
@@ -379,7 +388,7 @@ def critical_delta(params: ModelParams) -> float | None:
     admissible = sorted(
         min(1.0, max(-1.0, r))
         for r in roots
-        if -1.0 - slack <= r <= 1.0 + slack and params.omega + params.xi1 * r > 0
+        if -1.0 - slack <= r <= 1.0 + slack and omega + xi1 * r > 0
     )
     return admissible[0] if admissible else None
 

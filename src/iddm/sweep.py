@@ -129,12 +129,6 @@ class _Grid(Sequence):
         di, li = divmod(range(len(self))[i], len(self._lams))  # IndexError past either end
         return _new_tuple(PhaseDiagramRow, (self._deltas[di], self._lams[li]) + self._tail(self._codes[i]))
 
-    def __iter__(self) -> Iterator[PhaseDiagramRow]:
-        codes, tail = iter(self._codes), self._tail
-        for delta in self._deltas:
-            for lam, code in zip(self._lams, codes):
-                yield _new_tuple(PhaseDiagramRow, (delta, lam) + tail(code))
-
     def _tail(self, code: int) -> tuple:
         """A point's alpha2 .. error: the shared _TAILS entry, or a superradiant point's from values."""
         if code < 0:

@@ -19,7 +19,8 @@ Checked here:
     item, a non-string for a string, a non-boolean for a switch, a value
     outside the choices) and write no file, integral floats and
     numeric strings are accepted, and a
-    config-driven run is byte-identical to the flag-driven one; as a property
+    config-driven run is byte-identical to the flag-driven one, a true
+    numeric or full_qubit key included; as a property
     over random splits of the options between config and flags, a flag wins
     over the config and the config over the default
   * the retired settings (n_atoms, include_chi, convergence_factor,
@@ -348,6 +349,18 @@ def test_config_equivalent_to_flags(tmp_path, capsys):
         "--delta", "0.6",
     )
     assert from_config == from_flags
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["meanfield", "--delta", "0.75"], "numeric"),
+    (["ed", "--n", "4", "--omega-q-prime", "0.3"], "full_qubit"),
+])
+def test_config_switch_equals_its_flag(tmp_path, capsys, argv, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: True}))
+    from_flag = run_cli(capsys, *argv, "--" + key.replace("_", "-"))
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == from_flag
+    assert from_flag[0] == 0 and from_flag != run_cli(capsys, *argv)  # the switch changes the run
 
 
 def test_flags_override_config(tmp_path, capsys):

@@ -21,6 +21,10 @@ Checked here:
     when kappa xi1 underflows to 0, delta_c (xi1 = 0) where omega kappa or
     omega omega0 underflows or overflows, and lambda_c where f1 f2 overflows
     or underflows (trace_critical_curve included)
+  * property: every energy times 2^k (|k| <= 300, every number normal)
+    leaves alpha, beta, nu, the phase and delta_c (xi1 = 0 and xi1 != 0)
+    unchanged and scales e0 (closed form and minimizer), eps_pm and
+    lambda_c by 2^k, bit for bit
   * branch continuity across the phase boundary
   * for kappa < 0 (xi1 = 0) raising delta never restores the normal phase
   * second-difference scans: flat for kappa = 0, kink at the transition;
@@ -42,7 +46,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from iddm import (
@@ -62,6 +66,7 @@ from iddm import (
     energy_derivatives,
     equilibrium_closed_form,
     equilibrium_numeric,
+    excitation_spectrum,
     observables,
     trace_critical_curve,
 )
@@ -489,6 +494,61 @@ def test_critical_points_consistent():
     # lambda_c evaluated at delta_c reproduces the scan coupling
     dc = critical_delta(FIG2)
     assert math.isclose(critical_lambda(FIG2, dc), FIG2.lam, rel_tol=0, abs_tol=1e-12)
+
+
+# --- energy-scale covariance --------------------------------------------------
+
+def _outcome(f, *args):
+    """f(*args), or the class of the IDDMError it raises."""
+    try:
+        return f(*args)
+    except IDDMError as exc:
+        return type(exc)
+
+
+def _solves(params, delta):
+    """Every mean-field answer at one point; critical_delta also at xi1 = 0."""
+    return (equilibrium_closed_form(params, delta), _outcome(equilibrium_numeric, params, delta),
+            _outcome(excitation_spectrum, params, delta), critical_lambda(params, delta),
+            critical_delta(params), critical_delta(params._replace(xi1=0.0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    omega=_finite(0.5, 500.0),
+    omega0=_finite(0.1, 5.0),
+    lam=_finite(1e-3, 30.0),
+    kappa=_finite(-2.0, 2.0).filter(bool),
+    xi1=_finite(-0.4, 0.4),
+    delta=_finite(-1.0, 1.0),
+    k=st.integers(-300, 300),
+)
+# omega = 400, lam = 12, kappa = -0.5 times 2^-100 and 2^20: absolute stop tests answer wrongly, then refuse
+@example(omega=400.0, omega0=1.0, lam=12.0, kappa=-0.5, xi1=0.0, delta=0.5, k=-100)
+@example(omega=400.0, omega0=1.0, lam=12.0, kappa=-0.5, xi1=0.0, delta=0.5, k=20)
+# times 2^300, b*b of the delta_c quadratic on raw energies overflows
+@example(omega=0.4238371324945841, omega0=0.7217749109097017, lam=32.06260369470957,
+         kappa=0.25717778133893887, xi1=0.9533608589520433, delta=0.0, k=300)
+def test_every_energy_times_a_power_of_two(omega, omega0, lam, kappa, xi1, delta, k):
+    # H is linear in the energies: times 2^k, alpha, beta, nu, the phase and delta_c hold and
+    # e0, eps_pm and lambda_c scale by 2^k, bit for bit while every number stays normal
+    params = ModelParams(omega=omega, omega0=omega0, lam=lam, kappa=kappa, xi1=xi1)
+    try:
+        closed, numeric, spectrum, lam_c, dc, dc0 = _solves(params, delta)
+    except IDDMError:
+        reject()
+    energies = [*params, closed.e0, lam_c or 0.0]
+    if not isinstance(numeric, type):
+        energies.append(numeric.e0)
+        numeric = numeric._replace(e0=math.ldexp(numeric.e0, k))
+    if not isinstance(spectrum, type):
+        energies += spectrum[:2]
+        spectrum = spectrum._replace(eps_minus=math.ldexp(spectrum.eps_minus, k),
+                                     eps_plus=math.ldexp(spectrum.eps_plus, k))
+    assume(all(x == 0 or 2.0**-1022 <= abs(math.ldexp(x, k)) < math.inf for x in energies))
+    scaled = ModelParams(*(math.ldexp(x, k) for x in params))
+    assert _solves(scaled, delta) == (closed._replace(e0=math.ldexp(closed.e0, k)), numeric, spectrum,
+                                      lam_c and math.ldexp(lam_c, k), dc, dc0)
 
 
 # --- observables ------------------------------------------------------------
