@@ -30,9 +30,8 @@ __version__ = "0.1.0"
 _LAZY_NAMES = {
     **dict.fromkeys(("SpectrumResult", "excitation_spectrum", "normal_phase_spectrum"),
                     "fluctuations"),
-    **dict.fromkeys(("BELL_STATE", "CollapsedImpurity", "ProjectiveMeasurement", "SIGMA_Z", "Sign",
-                     "WernerState", "angle_for_target_delta", "measure", "unmeasured_population"),
-                    "measurement"),
+    **dict.fromkeys(("CollapsedImpurity", "ProjectiveMeasurement", "Sign", "WernerState",
+                     "angle_for_target_delta", "measure"), "measurement"),
     **dict.fromkeys(("EDConfig", "EDResult", "FixedDelta", "FullQubit", "build_hamiltonian",
                      "finite_size_scan", "ground_state"), "ed"),
 }

@@ -268,7 +268,8 @@ def build_hamiltonian(
     has norm <= 1), is so large that the solver's resolution, machine epsilon
     times that bound, exceeds 1e-8 * max(N, -min diag): a lower bound of the
     truncation check's target 1e-8 * max(N, |E|), since E <= min diag; or
-    when the bound's square overflows, as the solver's vector norms would.
+    when the bound is not finite or its square overflows, as the solver's
+    vector norms would.
     """
     cutoff = config.photon_cutoff if photon_cutoff is None else photon_cutoff
     if isinstance(config.impurity_mode, FixedDelta):
@@ -279,18 +280,21 @@ def build_hamiltonian(
     dim = len(populations) * (cutoff + 1) * (config.n_atoms + 1)
     if dim > config.dimension_cap:
         raise DimensionTooLargeError(f"Hilbert-space dimension {dim} exceeds cap {config.dimension_cap}")
-    blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan entry is refused below
+        blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
     for diag, terms in blocks:
-        lowest = diag.min()
-        spins = sum(np.max(np.abs(spin), initial=0.0) for _, spin, _ in terms)
-        norm = float(max(diag.max(), -lowest) + 2.0 * spins)
+        lowest = float(diag.min())  # the bound in Python floats: numpy's would warn
+        spins = sum(float(np.max(np.abs(spin), initial=0.0)) for _, spin, _ in terms)
+        norm = max(float(diag.max()), -lowest) + 2.0 * spins
+        if not math.isfinite(norm):
+            raise InvalidParameterError(f"the Hamiltonian's norm bound is not finite: {norm}")
         resolution, target = np.finfo(float).eps * norm, 1e-8 * max(config.n_atoms, -lowest)
         if resolution > target:
             raise InvalidParameterError(
                 f"the Hamiltonian's norm bound {norm:.3g} is beyond the eigensolver: its "
                 f"resolution {resolution:.3g} exceeds the 1e-8-per-atom target {target:.3g}"
             )
-        if norm * norm == math.inf:  # a Python float product: numpy's would warn
+        if norm * norm == math.inf:
             raise InvalidParameterError(f"the Hamiltonian's norm bound {norm:.3g} overflows when squared")
     return Hamiltonian(config.n_atoms, cutoff, blocks)
 

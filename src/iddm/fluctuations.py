@@ -7,7 +7,7 @@ components a = q/sqrt(2); by the chain rule its quadrature Hessian is
 
     M = d^2E/dq^2 = (1/2) d^2E/da^2,
 
-an exact power-of-two scale of the Hessian from `energy_derivatives`.  The
+an exact power-of-two scale of the Hessian from `meanfield._derivatives`.  The
 two normal-mode energies eps_- <= eps_+ are the symplectic eigenvalues of M
 at the mean-field equilibrium, i.e. the positive imaginary parts of the
 spectrum of J M with J the symplectic form (Emary & Brandes, PRE 67, 066203,

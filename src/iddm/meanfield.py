@@ -9,8 +9,9 @@ a = (Re alpha, Im alpha, Re beta, Im beta):
     K = sqrt(1 - |beta|^2),
 
 with f1, f2 the effective frequencies at population delta, and
-`energy_derivatives` gives its gradient (4,) and Hessian (4, 4) in the same
-components.  Both take plain float components, one point per call.
+`_derivatives` gives, from (f1, f2, lam), its gradient and the distinct
+Hessian entries in the same components.  Both take plain float components,
+one point per call.
 This is the one place the surface is written; the fluctuation spectrum and
 the numerical minimizer both use it.  The minimum is real, so on the real
 slice it reads E0 = f1 alpha^2 + f2 beta^2 - 4 lam K alpha beta.  For nu =
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     ChiUnsupportedError,
@@ -46,16 +47,12 @@ from .errors import (
 from .model import (ModelParams, check_count, check_finite, check_lambda, check_population,
                     effective_frequencies)
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "Phase",
     "MeanFieldSolution",
     "DerivativeScan",
     "CRITICAL_NU_TOL",
     "energy",
-    "energy_derivatives",
     "equilibrium_closed_form",
     "equilibrium_numeric",
     "critical_delta",
@@ -175,24 +172,6 @@ def energy(params: ModelParams, delta: float, a) -> float:
     The four components are floats; |beta| > 1 is refused.
     """
     return _energy(*_frequencies(params, delta), params.lam, a)
-
-
-def energy_derivatives(params: ModelParams, delta: float, a) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient (4,) and Hessian (4, 4) of `energy` in the components of a.
-
-    Takes the same inputs as `energy` but needs |beta| < 1 strictly; K
-    appears in denominators.
-    """
-    import numpy as np
-
-    grad, (h00, h02, h03, h22, h23, h33) = _derivatives(*_frequencies(params, delta), params.lam, a)
-    hess = np.array([
-        [h00, 0.0, h02, h03],
-        [0.0, h00, 0.0, 0.0],
-        [h02, 0.0, h22, h23],
-        [h03, 0.0, h23, h33],
-    ])
-    return np.array(grad), hess
 
 
 # The closed form runs once per grid point: module globals and tuple.__new__

@@ -42,16 +42,12 @@ __all__ = [
     "WernerState",
     "ProjectiveMeasurement",
     "CollapsedImpurity",
-    "SIGMA_Z",
-    "BELL_STATE",
-    "unmeasured_population",
     "measure",
     "angle_for_target_delta",
 ]
 
-SIGMA_Z = np.diag([1.0, -1.0])
-BELL_STATE = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)  # (|00> + |11>)/sqrt(2)
-_BELL_OUTER = np.outer(BELL_STATE, BELL_STATE).ravel().tolist()
+# |Phi><Phi| as 16 floats, entry (i, j) at 4i + j, written from its exact entries 1/2
+_BELL_OUTER = [0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5]
 
 
 class Sign(Enum):
@@ -68,9 +64,6 @@ class WernerState(NamedTuple):
     def _check(self):
         if not 0.0 <= self.z <= 1.0:
             raise InvalidParameterError(f"Werner parameter z must lie in [0, 1], got {self.z}")
-
-    def density_matrix(self) -> np.ndarray:
-        return np.array(self._entries(), dtype=complex).reshape(4, 4)
 
     def _entries(self) -> list[float]:
         """The 4x4 density matrix as 16 floats, row 2a + b for A in a, B in b; i % 5 == 0 on the diagonal."""
@@ -93,16 +86,9 @@ class ProjectiveMeasurement(NamedTuple):
         if not isinstance(self.sign, Sign):
             raise InvalidParameterError(f"sign must be a Sign, got {self.sign!r}")
 
-    def state_vector(self) -> np.ndarray:
-        return np.array(self._components())
-
     def _components(self) -> tuple[float, float]:
         c, s = math.cos(self.theta), math.sin(self.theta)
         return (c, s) if self.sign is Sign.PLUS else (-s, c)
-
-    def projector(self) -> np.ndarray:
-        v = self.state_vector()
-        return np.outer(v, v).astype(complex)
 
 
 class CollapsedImpurity(NamedTuple):
@@ -113,19 +99,14 @@ class CollapsedImpurity(NamedTuple):
     probability: float
 
 
-def unmeasured_population(state: WernerState) -> float:
-    """Impurity population before any measurement; zero for every Werner state."""
-    rho = state.density_matrix()
-    return float(np.real(np.trace(rho @ np.kron(SIGMA_Z, np.eye(2)))))
-
-
 def measure(state: WernerState, measurement: ProjectiveMeasurement) -> CollapsedImpurity:
     """Collapse the impurity by measuring the auxiliary qubit.
 
     Applies (I x P) rho (I x P), P = |v><v|, and traces out the auxiliary
     qubit, as the float contraction sum_kl rho[(i, k), (j, l)] v_k v_l; its
-    trace is the outcome probability, exactly 1/2 for every Werner state and
-    measurement angle, so the division never meets a vanishing outcome.
+    trace is the outcome probability, 1/2 up to roundoff for every Werner
+    state and measurement angle, so the division never meets a vanishing
+    outcome.
     """
     v0, v1 = measurement._components()
     w = state._entries()

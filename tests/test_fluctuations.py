@@ -2,7 +2,8 @@
 
 Checked here:
   * lam = 0 decoupling: spectrum equals (f1, f2) sorted, machine precision
-  * the analytic Hessian is symmetric and matches central second differences
+  * the analytic Hessian of meanfield._derivatives (as a numpy array from
+    tests/_oracles.py) is symmetric and matches central second differences
     of the energy at random interior points (Im alpha, Im beta != 0 included)
   * normal-phase spectra from the Hessian route match the closed two-mode
     formula (eps_- within 1e-12 of itself, eps_+ within 1e-9 max(1, eps_+));
@@ -49,7 +50,6 @@ from iddm import (
     critical_lambda,
     effective_frequencies,
     energy,
-    energy_derivatives,
     equilibrium_closed_form,
     equilibrium_numeric,
     excitation_spectrum,
@@ -57,6 +57,8 @@ from iddm import (
     normal_phase_spectrum,
 )
 from iddm.cli import main
+
+from _oracles import energy_derivatives
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 

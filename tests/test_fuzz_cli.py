@@ -27,7 +27,14 @@ three more families, each with its own reading of a successful run:
     drawn magnitude as --step, --to set 2, 3 or 4 steps past --from (so that
     no grid holds more than a handful of points) and up to three model
     fields: every value is finite, and d1 and d2 are empty on the first and
-    last rows only.
+    last rows only;
+  * ed at N from 1 to 8 and a first cutoff from 1 to 4, with FixedDelta (and
+    --delta among the drawn fields) or, in about 30 % of runs, --full-qubit,
+    and up to three model fields: every value of every JSON record is a
+    finite number, a bool or null.  Two runs are pinned as examples: omega =
+    1e308, whose diagonal overflows to inf, and a FullQubit run with
+    chi = -1.7e308 on top, whose diagonal holds inf - inf = nan; both are
+    refused before the solve.
 """
 
 import contextlib
@@ -207,3 +214,25 @@ _FAMILIES = {
 def test_measure_sweep_and_deriv_print_finite_values_or_refuse(run):
     argv, valid = run
     _check_run(argv, {1}, valid)
+
+
+@st.composite
+def _ed_runs(draw):
+    argv = ["ed", f"--n={draw(st.integers(1, 8))}", f"--cutoff={draw(st.integers(1, 4))}"]
+    if draw(st.integers(0, 9)) < 3:
+        return argv + ["--full-qubit"] + _model_flags(draw, _MODEL + ["--lambda"])
+    return argv + _model_flags(draw, _MODEL + ["--lambda", "--delta"])
+
+
+def _ed_output(out: str) -> bool:
+    return all(
+        value is None or isinstance(value, bool) or (isinstance(value, (int, float)) and math.isfinite(value))
+        for line in out.splitlines() for value in json.loads(line).values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ed_runs())
+@example(["ed", "--n=2", "--cutoff=4", "--omega=1e308"])  # the diagonal overflows to inf
+@example(["ed", "--full-qubit", "--n=8", "--cutoff=2", "--omega=1e308", "--chi=-1.7e308"])  # inf - inf
+def test_ed_prints_finite_records_or_refuses(argv):
+    _check_run(argv, {1}, _ed_output)

@@ -4,7 +4,8 @@ Checked here:
   * frozen equilibrium values at the reference parameter set (delta = 0,
     0.5, 0.75, 1) including the superradiant order parameters and energy
   * the energy's reference values, its |beta| domain and the chi refusal
-  * the gradient vanishes at closed-form equilibria and matches central
+  * the gradient of meanfield._derivatives (as numpy arrays from
+    tests/_oracles.py) vanishes at closed-form equilibria and matches central
     finite differences of the energy in all four amplitude components
   * property: gradient and Hessian match central first and second
     differences of the energy at any parameters and amplitudes inside the
@@ -63,7 +64,6 @@ from iddm import (
     critical_lambda,
     derivative_scan,
     energy,
-    energy_derivatives,
     equilibrium_closed_form,
     equilibrium_numeric,
     excitation_spectrum,
@@ -71,6 +71,8 @@ from iddm import (
     trace_critical_curve,
 )
 from iddm.meanfield import _newton_step
+
+from _oracles import energy_derivatives
 
 FIG2 = ModelParams(omega=400.0, lam=5.0, kappa=-0.5)
 

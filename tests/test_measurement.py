@@ -1,20 +1,23 @@
 """Measurement-based impurity-population control on a shared Werner pair.
 
-Checked here:
-  * the two projectors at any angle resolve the identity
-  * both outcomes occur with probability exactly 1/2, independent of z and
-    theta (the Werner state's ancilla marginal is maximally mixed)
+Checked here, against the numpy oracles of tests/_oracles.py, which never
+read the package's own entries:
+  * the oracle's two projectors at any angle resolve the identity
+  * both outcomes occur with probability 1/2 up to roundoff, independent of
+    z and theta (the Werner state's ancilla marginal is maximally mixed)
   * the collapsed impurity population is +z cos(2 theta) on the plus outcome
     and -z cos(2 theta) on the minus outcome
   * averaging the population over outcomes gives zero
   * the collapsed state equals (1 - z)/2 * I + z |psi><psi| entrywise
   * angle_for_target_delta inverts the map and round-trips through measure
-  * edge cases: z = 0 (no steering), z = 1 (pure-state limit), targets
-    beyond +-z are rejected, unmeasured population is zero, and an outcome
-    sign that is not a Sign is refused
-  * the float contraction in measure matches the numpy route, (I x P) rho
-    (I x P) by Kronecker products, its trace and the partial trace by
-    einsum, within 4.4e-16 in every entry, the probability and delta
+  * edge cases: z = 0 (no steering), z = 1 (pure-state limit, where both
+    outcomes at theta = 0 have probability exactly 0.5 in floats), targets
+    beyond +-z are rejected, and an outcome sign that is not a Sign is
+    refused
+  * the float contraction in measure matches the numpy route on the oracle's
+    Werner state and projector, (I x P) rho (I x P) by Kronecker products,
+    its trace and the partial trace by einsum, within 4.4e-16 in every
+    entry, the probability and delta
   * property over z, theta and sign: probability 1/2, delta = +-z cos 2theta,
     a Hermitian positive-semidefinite collapsed state of trace 1; and any
     target in [-z, z] is reached through angle_for_target_delta
@@ -35,15 +38,15 @@ from iddm import (
     WernerState,
     angle_for_target_delta,
     measure,
-    unmeasured_population,
 )
+
+from _oracles import measurement_vector, projector, werner_density_matrix
 
 
 def test_projectors_resolve_identity():
     rng = np.random.default_rng(11)
     for theta in rng.uniform(0.0, math.pi, size=25):
-        plus = ProjectiveMeasurement(theta, Sign.PLUS).projector()
-        minus = ProjectiveMeasurement(theta, Sign.MINUS).projector()
+        plus, minus = projector(theta, Sign.PLUS), projector(theta, Sign.MINUS)
         assert np.max(np.abs(plus + minus - np.eye(2))) <= 1e-14
         assert np.max(np.abs(plus @ plus - plus)) <= 1e-14
         assert np.max(np.abs(plus @ minus)) <= 1e-14
@@ -82,7 +85,7 @@ def test_collapsed_state_entrywise():
         for sign in (Sign.PLUS, Sign.MINUS):
             meas = ProjectiveMeasurement(theta, sign)
             out = measure(WernerState(z), meas)
-            psi = meas.state_vector()
+            psi = measurement_vector(theta, sign)
             want = (1.0 - z) / 2.0 * np.eye(2) + z * np.outer(psi, psi.conj())
             assert np.max(np.abs(out.density_matrix - want)) <= 1e-12
             trace = np.trace(out.density_matrix)
@@ -92,14 +95,14 @@ def test_collapsed_state_entrywise():
 def test_contraction_matches_kronecker_route():
     rng = np.random.default_rng(31)
     for _ in range(500):
-        state = WernerState(rng.uniform(0.0, 1.0))
+        z = rng.uniform(0.0, 1.0)
         sign = Sign.PLUS if rng.uniform() < 0.5 else Sign.MINUS
-        meas = ProjectiveMeasurement(rng.uniform(-10.0, 10.0), sign)
-        proj = np.kron(np.eye(2), meas.projector())
-        unnormalized = proj @ state.density_matrix() @ proj
+        theta = rng.uniform(-10.0, 10.0)
+        proj = np.kron(np.eye(2), projector(theta, sign))
+        unnormalized = proj @ werner_density_matrix(z) @ proj
         probability = np.trace(unnormalized).real
         reduced = np.einsum("ibjb->ij", unnormalized.reshape(2, 2, 2, 2)) / probability
-        out = measure(state, meas)
+        out = measure(WernerState(z), ProjectiveMeasurement(theta, sign))
         assert np.max(np.abs(out.density_matrix - reduced)) <= 4.4e-16
         assert abs(out.probability - probability) <= 4.4e-16
         assert abs(out.delta - (reduced[0, 0] - reduced[1, 1]).real) <= 4.4e-16
@@ -149,6 +152,8 @@ def test_pure_state_limit():
     assert math.isclose(out.delta, 1.0, rel_tol=0, abs_tol=1e-14)
     out_m = measure(WernerState(1.0), ProjectiveMeasurement(0.0, Sign.MINUS))
     assert math.isclose(out_m.delta, -1.0, rel_tol=0, abs_tol=1e-14)
+    # |Phi><Phi| has entries 1/2; a rounded 1/sqrt(2) squared gave 0.49999999999999989
+    assert out.probability == out_m.probability == 0.5
 
 
 def test_unreachable_target_raises():
@@ -156,12 +161,6 @@ def test_unreachable_target_raises():
         angle_for_target_delta(0.5, 0.6)
     with pytest.raises(UnreachableTargetError):
         angle_for_target_delta(0.5, -0.50001)
-
-
-def test_unmeasured_population_is_zero():
-    rng = np.random.default_rng(29)
-    for z in rng.uniform(0.0, 1.0, size=10):
-        assert unmeasured_population(WernerState(z)) == 0.0
 
 
 def test_invalid_fidelity_rejected():
