@@ -19,9 +19,8 @@ maps a run to its exit code: 0 success, 1 invalid input or an output that
 cannot be written (a closed stdout pipe among them), 2 solver convergence
 failure.  Set IDDM_THREADS before launching to pin the linear algebra thread
 count (it is applied when the package is first imported).
-critical, sweep, deriv, spectrum and meanfield (with or without --numeric)
-never import numpy; only measure and ed do.  No subcommand loads dataclasses (the
-records are NamedTuples: copy one by _replace), and only --config loads json.
+Only ed imports numpy, and only --config loads json; no subcommand loads
+dataclasses (the records are NamedTuples: copy one by _replace).
 
 ed runs N = 100 without --n, doubles its photon cutoff until converged, solves
 to machine precision, and includes chi Jz^2/N whenever --chi is nonzero.
@@ -133,7 +132,7 @@ def _coerce(o: _Opt, raw):
             raise CLIError(f"config key {o.key!r} must be an integer or a nonempty list of integers")
     try:
         value = _convert(o.conv, raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # float() of an integer past the float range overflows
         raise CLIError(f"config key {o.key!r}: cannot convert {raw!r}")
     if o.choices and value not in o.choices:
         raise CLIError(f"config key {o.key!r} must be one of {o.choices}")
@@ -295,14 +294,12 @@ def _cmd_measure(v: dict, provided: set) -> None:
         theta = v["theta"]
         sign = Sign(v["sign"]) if v["sign"] is not None else Sign.PLUS
     outcome = measure(WernerState(z), ProjectiveMeasurement(theta, sign))
-    rho = outcome.density_matrix
     print(f"theta = {_fmt(theta)}")
     print(f"sign = {sign.value}")
     print(f"probability = {_fmt(outcome.probability)}")
     print(f"delta = {_fmt(outcome.delta)}")
-    for i in range(2):
-        for j in range(2):
-            print(f"rho_{i}{j} = {_fmt(rho[i, j].real)}")
+    for ij, x in zip(("00", "01", "10", "11"), (outcome.rho00, outcome.rho01, outcome.rho01, outcome.rho11)):
+        print(f"rho_{ij} = {_fmt(x)}")
 
 
 # name -> (help, handler, options beyond the model's), in the order of --help

@@ -32,8 +32,6 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InvalidParameterError, UnreachableTargetError
 from .model import _checked, _floats, check_finite
 
@@ -45,9 +43,6 @@ __all__ = [
     "measure",
     "angle_for_target_delta",
 ]
-
-# |Phi><Phi| as 16 floats, entry (i, j) at 4i + j, written from its exact entries 1/2
-_BELL_OUTER = [0.5, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.5]
 
 
 class Sign(Enum):
@@ -64,11 +59,6 @@ class WernerState(NamedTuple):
     def _check(self):
         if not 0.0 <= self.z <= 1.0:
             raise InvalidParameterError(f"Werner parameter z must lie in [0, 1], got {self.z}")
-
-    def _entries(self) -> list[float]:
-        """The 4x4 density matrix as 16 floats, row 2a + b for A in a, B in b; i % 5 == 0 on the diagonal."""
-        mixed = (1.0 - self.z) / 4.0
-        return [self.z * x + (mixed if i % 5 == 0 else 0.0) for i, x in enumerate(_BELL_OUTER)]
 
 
 @_checked
@@ -92,30 +82,41 @@ class ProjectiveMeasurement(NamedTuple):
 
 
 class CollapsedImpurity(NamedTuple):
-    """Post-measurement impurity state, its population and outcome probability."""
+    """The collapsed impurity state (real and symmetric: rho01 = rho10), its population and probability."""
 
-    density_matrix: np.ndarray
+    rho00: float
+    rho01: float
+    rho11: float
     delta: float
     probability: float
+
+    @property
+    def density_matrix(self):
+        """The state as a complex 2x2 numpy array, built anew on each read (measure needs no numpy)."""
+        import numpy as np
+        return np.array([[self.rho00, self.rho01], [self.rho01, self.rho11]], dtype=complex)
 
 
 def measure(state: WernerState, measurement: ProjectiveMeasurement) -> CollapsedImpurity:
     """Collapse the impurity by measuring the auxiliary qubit.
 
-    Applies (I x P) rho (I x P), P = |v><v|, and traces out the auxiliary
-    qubit, as the float contraction sum_kl rho[(i, k), (j, l)] v_k v_l; its
-    trace is the outcome probability, 1/2 up to roundoff for every Werner
-    state and measurement angle, so the division never meets a vanishing
-    outcome.
+    Tr_B[(I x P) rho (I x P)], P = |v><v|, in closed form with mixed = (1 - z)/4
+    and half = z/2: rho00 = v0 (half + mixed) v0 + v1 mixed v1, rho11 = v0 mixed
+    v0 + v1 (half + mixed) v1 and rho01 = rho10 = v0 half v1 (+ 0.0, never -0).
+    Its trace p is the outcome probability, 1/2 up to roundoff for every Werner
+    state and angle, so no outcome vanishes.  The entries are scaled by 1/p,
+    as numpy's complex division by p scaled them ((a + 0 * 0) * (1/p)), so
+    that they keep those digits; delta is (rho00 - rho11)/p.
     """
     v0, v1 = measurement._components()
-    w = state._entries()
-    half = [(w[r] * v0 + w[r + 1] * v1, w[r + 2] * v0 + w[r + 3] * v1) for r in (0, 4, 8, 12)]
-    rho = [[v0 * half[2 * i][j] + v1 * half[2 * i + 1][j] for j in (0, 1)] for i in (0, 1)]
-    probability = rho[0][0] + rho[1][1]
-    reduced = np.array(rho, dtype=complex) / probability
-    delta = (rho[0][0] - rho[1][1]) / probability
-    return CollapsedImpurity(density_matrix=reduced, delta=delta, probability=probability)
+    mixed, half = (1.0 - state.z) / 4.0, state.z * 0.5
+    rho00 = v0 * ((half + mixed) * v0) + v1 * (mixed * v1)
+    rho11 = v0 * (mixed * v0) + v1 * ((half + mixed) * v1)
+    rho01 = v0 * (half * v1) + 0.0
+    probability = rho00 + rho11
+    scale = 1.0 / probability
+    return CollapsedImpurity(rho00 * scale, rho01 * scale, rho11 * scale,
+                             (rho00 - rho11) / probability, probability)
 
 
 def angle_for_target_delta(z: float, target: float) -> tuple[float, Sign]:

@@ -47,7 +47,8 @@ Checked here:
     spy on the computation sees no call) and creates no file; a stdout pipe
     that the reader closes, mid-run or before the first write, exits 1 with
     an error line and no traceback
-  * measure solves --target and reports the collapsed state
+  * measure solves --target and reports the collapsed state; its stdout is
+    pinned to the last digit on four runs, rho_10 printing rho_01's text
   * non-finite sweep axis edges, and edges whose span overflows, exit 1
   * an f1 or f2 that overflows to +-inf exits 1 naming the frequency, from
     meanfield, critical, ed and spectrum, and tags its sweep row
@@ -60,12 +61,13 @@ Checked here:
     module of the package imports scipy
   * numpy stays unloaded by `import iddm`, `import iddm.cli`, sweep (CSV and
     JSON lines), meanfield (closed form and --numeric), critical, deriv
-    (lambda and delta scans) and spectrum; the modules they load import
-    numpy nowhere, not even inside a function; IDDM_THREADS=1 has set
-    OPENBLAS_NUM_THREADS when numpy is first imported (by measure)
+    (lambda and delta scans), spectrum and measure (with --theta and with
+    --target); the modules they load but measurement.py import numpy
+    nowhere, not even inside a function; IDDM_THREADS=1 has set
+    OPENBLAS_NUM_THREADS when numpy is first imported (by ed)
   * the numpy-free runs above, the JSON-lines sweep included, add none of
-    dataclasses, inspect and json to sys.modules, and the numpy commands (ed
-    with FixedDelta and --full-qubit, spectrum, measure) none of
+    dataclasses, inspect and json to sys.modules, and the runs after numpy
+    has loaded (ed with FixedDelta and --full-qubit, spectrum) none of
     dataclasses, json and numpy.polynomial
   * every name in each module's __all__ resolves, the package's eager names
     are exactly the error classes and the __all__ of model, meanfield and
@@ -778,6 +780,38 @@ def test_measure_target(capsys):
     rho_00, rho_11 = float(kv["rho_00"]), float(kv["rho_11"])
     assert math.isclose(rho_00 + rho_11, 1.0, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(rho_00 - rho_11, 0.4, rel_tol=0, abs_tol=1e-12)
+    assert kv["rho_10"] == kv["rho_01"]
+
+
+# Whole stdout, the digits as the 4x4 contraction printed them, but for rho_10,
+# which is now rho_01's text: the contraction gave 0.19762486568826232 and
+# 0.43874821936960606 on the first two.  On the third, rho_00 / p would end in
+# ...0671 (the entries are scaled by 1/p); on the fourth, v0 * (half * v1)
+# without + 0.0 would print rho_01 = -0.
+_MEASURE_STDOUT = {
+    "--z 0.7 --theta 0.3": (
+        "theta = 0.29999999999999999\nsign = plus\nprobability = 0.5\ndelta = 0.57773493043677471\n"
+        "rho_00 = 0.78886746521838735\nrho_01 = 0.19762486568826235\nrho_10 = 0.19762486568826235\n"
+        "rho_11 = 0.21113253478161259\n"),
+    "--z 0.9 --target 0.2": (
+        "theta = 0.67335161724676285\nsign = plus\nprobability = 0.5\ndelta = 0.20000000000000018\n"
+        "rho_00 = 0.60000000000000009\nrho_01 = 0.43874821936960617\nrho_10 = 0.43874821936960617\n"
+        "rho_11 = 0.39999999999999991\n"),
+    "--z 0.3 --theta 0.8": (
+        "theta = 0.80000000000000004\nsign = plus\nprobability = 0.49999999999999994\n"
+        "delta = -0.0087598566903867043\nrho_00 = 0.4956200716548067\nrho_01 = 0.1499360404562258\n"
+        "rho_10 = 0.1499360404562258\nrho_11 = 0.50437992834519341\n"),
+    "--z 0 --theta 2": (
+        "theta = 2\nsign = plus\nprobability = 0.5\ndelta = 0\n"
+        "rho_00 = 0.5\nrho_01 = 0\nrho_10 = 0\nrho_11 = 0.5\n"),
+}
+
+
+@pytest.mark.parametrize("args", _MEASURE_STDOUT)
+def test_measure_prints_a_symmetric_state_to_the_last_digit(capsys, args):
+    code, out, err = run_cli(capsys, "measure", *args.split())
+    assert (code, err) == (0, "")
+    assert out == _MEASURE_STDOUT[args]
 
 
 def test_measure_explicit_angle(capsys):
@@ -871,6 +905,8 @@ for argv in [
     ["deriv", "--wrt", "delta", "--from", "0", "--to", "1", "--step", "0.01"],
     ["sweep", "--delta-count", "3", "--lambda-count", "2", "--format", "json-lines"],
     ["spectrum", "--delta", "0.1"],
+    ["measure", "--z", "0.7", "--theta", "0.3"],
+    ["measure", "--z", "0.9", "--target", "0.2"],
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv
@@ -878,7 +914,7 @@ for argv in [
 """
 
 
-# The numpy commands add neither dataclasses nor json, and ed no numpy.polynomial.
+# ed, and spectrum after it, add neither dataclasses nor json, and ed no numpy.polynomial.
 _NUMPY_COMMANDS = """
 import contextlib, io, sys
 before = set(sys.modules)
@@ -887,7 +923,6 @@ for argv in [
     ["ed", "--n", "4"],
     ["ed", "--n", "4", "--full-qubit"],
     ["spectrum", "--delta", "0.1"],
-    ["measure", "--z", "0.5", "--theta", "0.3"],
 ]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert iddm.cli.main(argv) == 0, argv
@@ -918,7 +953,7 @@ class Probe:
 sys.meta_path.insert(0, Probe())
 from iddm.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["measure", "--z", "0.5", "--theta", "0.3"]) == 0
+    assert main(["ed", "--n", "2", "--cutoff", "2"]) == 0
 assert "numpy" in sys.modules and Probe.seen == ["1"], Probe.seen
 """
 
@@ -982,7 +1017,8 @@ def test_package_source_imports_no_scipy():
         assert "scipy" not in _imported_packages(path), path.name
 
 
-# The modules that `import iddm` and the mean-field subcommands load.
+# The modules that `import iddm` and the mean-field subcommands load.  measurement.py,
+# which measure also loads, is not among them: CollapsedImpurity.density_matrix imports numpy.
 _NUMPY_FREE_MODULES = ("__init__.py", "errors.py", "model.py", "meanfield.py", "sweep.py", "cli.py",
                        "fluctuations.py")
 

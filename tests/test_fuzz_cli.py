@@ -35,6 +35,23 @@ three more families, each with its own reading of a successful run:
     1e308, whose diagonal overflows to inf, and a FullQubit run with
     chi = -1.7e308 on top, whose diagonal holds inf - inf = nan; both are
     refused before the solve.
+
+A last family runs every subcommand from a --config file.  It holds the
+command's required keys, up to three of its other keys and up to three model
+fields (critical gets --delta or --lambda, measure --theta or --target), each
+a value that fits its option in about 9 draws of 10: a number from the values
+above or [-1, 1], as a float, its text, padded text or an integer; a count
+as an integer, float, text or (for n) a list, at most 3 sweep points per
+axis, 3 starts, 40 iterations, N = 8 and a first cutoff of 4; a choice or a
+boolean; an output of - (or, rarely, "", null or 1.0: no path is written).
+The rest are odd: booleans, null, junk and numeric text, lists, objects,
+NaN, Infinity and 10**400, which overflows float() and is pinned as an
+example (never a count, which it would pass).  deriv's range spans 2 to 4 steps as above, sweep without a
+count in the file runs 2 points on that axis, and ed without n runs N = 2.
+About one run in ten also sets bogus, z, n or delta, a key that the command
+may not have, to 1.0.  A run exits 0 with the
+output its command's family reads above, or exits 1 (2 also for meanfield)
+with one error: line and nothing on stdout.
 """
 
 import contextlib
@@ -43,11 +60,13 @@ import json
 import math
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iddm import CSV_HEADER, Phase
-from iddm.cli import main
+from iddm.cli import _COMMANDS as _CLI_COMMANDS
+from iddm.cli import _MODEL_OPTS, main
 
 _EDGES = [0.0, 5e-324, 1e-308, 1e154, 1e308, 1.7e308]
 _MAGNITUDES = st.one_of(
@@ -168,7 +187,7 @@ def _sweep_row(row: dict) -> bool:
     return ok and _all_finite([row["delta"], row["lambda"]])
 
 
-def _sweep_output(out: str) -> bool:
+def _sweep_output(out: str, points: int = 4) -> bool:
     keys, lines = CSV_HEADER.split(","), out.splitlines()
     if lines[0] == CSV_HEADER:  # a CSV nan reads as None, as a JSON null does
         lines = lines[1:]
@@ -177,7 +196,7 @@ def _sweep_output(out: str) -> bool:
                 for f in fields if len(f) == len(keys)]
     else:
         rows = [row for row in map(json.loads, lines) if list(row) == keys]
-    return len(lines) == len(rows) == 4 and all(map(_sweep_row, rows))
+    return len(lines) == len(rows) == points and all(map(_sweep_row, rows))
 
 
 @st.composite
@@ -236,3 +255,87 @@ def _ed_output(out: str) -> bool:
 @example(["ed", "--full-qubit", "--n=8", "--cutoff=2", "--omega=1e308", "--chi=-1.7e308"])  # inf - inf
 def test_ed_prints_finite_records_or_refuses(argv):
     _check_run(argv, {1}, _ed_output)
+
+
+# --config: any value JSON can hold, under each subcommand's own keys.  Each
+# count has a bound, and deriv's range spans 2 to 4 steps, so that no grid,
+# minimizer or ED basis grows with a draw.
+_ODD_VALUES = [True, False, None, "", "abc", [], [1.0], {"x": 1}, math.nan, math.inf, -math.inf, "1e400", "nan",
+               2.5, "2.0", -1, 0, "true", "CSV"]
+_ODD_COUNTS = st.sampled_from(_ODD_VALUES)
+_ODD = st.sampled_from(_ODD_VALUES + [10**400])  # overflows a float, and would pass as a count
+_RARELY = st.sampled_from([False] * 9 + [True])  # st.integers would favour its ends
+_NUMBERS = st.one_of(_VALUES, st.floats(-1.0, 1.0))  # z, delta and target live in [-1, 1]
+_NUMBER_FORMS = st.sampled_from([lambda x: x, repr, lambda x: f" {x!r} ", int])  # int(1e308) is exact
+_COUNT_FORMS = st.sampled_from([lambda k: k, float, str, lambda k: [k, 1]])  # a list fits n alone
+_COUNTS = {"delta_count": 3, "lambda_count": 3, "seeds": 3, "solver_maxiter": 40, "n": 8, "cutoff": 4,
+           "dimension_cap": 10**6}
+_FALLBACK = {"delta_count": 2, "lambda_count": 2, "n": 2}  # flags for counts whose default is large
+_ONE_OF = {"critical": ("delta", "lambda"), "measure": ("theta", "target")}  # a run needs one of the two
+_MODEL_KEYS = st.lists(st.sampled_from([o.key for o in _MODEL_OPTS]), max_size=3, unique=True)
+# up to three of each command's own keys; deriv's range is drawn on its own
+_OWN_KEYS = {name: st.lists(st.sampled_from([o.key for o in opts if o.key not in ("from", "to", "step")]),
+                            max_size=3, unique=True) for name, (_, _, opts) in _CLI_COMMANDS.items()}
+
+
+def _config_value(draw, opt):
+    """A value that fits opt in about 9 draws of 10, else an odd one."""
+    if opt.key == "output":  # any other string would name a file to write
+        return draw(st.sampled_from([None, 1.0, ""])) if draw(_RARELY) else "-"
+    if opt.key in _COUNTS:
+        if draw(_RARELY):
+            return draw(_ODD_COUNTS)
+        return draw(_COUNT_FORMS)(draw(st.integers(1, _COUNTS[opt.key])))
+    if draw(_RARELY):
+        return draw(_ODD)
+    if opt.choices:
+        return draw(st.sampled_from(opt.choices))
+    if opt.action == "store_const":
+        return draw(st.booleans())
+    return draw(_NUMBER_FORMS)(draw(_NUMBERS))
+
+
+@st.composite
+def _config_runs(draw):
+    name = draw(st.sampled_from(list(_CLI_COMMANDS)))
+    own = {o.key: o for o in _CLI_COMMANDS[name][2]}
+    opts = {o.key: o for o in _MODEL_OPTS} | own
+    keys = draw(_OWN_KEYS[name]) + draw(_MODEL_KEYS)
+    keys += [key for key, o in own.items() if o.required and key not in keys]
+    if name in _ONE_OF and not set(_ONE_OF[name]) & set(keys):
+        keys.append(draw(st.sampled_from(_ONE_OF[name])))
+    config = {key: _config_value(draw, opts[key]) for key in keys}
+    if name == "deriv":
+        start, step = draw(_VALUES), draw(_MAGNITUDES)
+        stop = start + draw(st.sampled_from([2, 3, 4])) * step
+        for key, x in (("from", start), ("to", stop), ("step", step)):
+            config[key] = draw(_ODD) if draw(_RARELY) else draw(st.sampled_from([x, repr(x)]))
+    if draw(_RARELY):
+        config[draw(st.sampled_from(["bogus", "z", "n", "delta"]))] = 1.0  # unknown unless the command has it
+    argv = [name] + [f"--{key.replace('_', '-')}={k}" for key, k in _FALLBACK.items()
+                     if key in opts and key not in config]
+    return argv, config
+
+
+def _config_output(argv, config):
+    """The reading of a successful run of argv with this config."""
+    if argv[0] == "sweep":
+        counts = _FALLBACK | config
+        return lambda out: _sweep_output(out, int(counts["delta_count"]) * int(counts["lambda_count"]))
+    return {"measure": _measure_output, "deriv": _deriv_output, "ed": _ed_output}.get(
+        argv[0], lambda out: all(_documented(line) for line in out.splitlines()))
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("config") / "config.json"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(run=_config_runs())
+@example(run=(["critical"], {"delta": 0.2, "omega": 10**400}))  # float() of the integer overflows
+def test_config_values_print_finite_values_or_refuse(config_path, run):
+    argv, config = run
+    config_path.write_text(json.dumps(config), encoding="utf-8")  # nan and inf as NaN and Infinity
+    _check_run(argv + [f"--config={config_path}"], {1, 2} if argv[0] == "meanfield" else {1},
+               _config_output(argv, config))

@@ -14,13 +14,16 @@ read the package's own entries:
     outcomes at theta = 0 have probability exactly 0.5 in floats), targets
     beyond +-z are rejected, and an outcome sign that is not a Sign is
     refused
-  * the float contraction in measure matches the numpy route on the oracle's
+  * the closed form in measure matches the numpy route on the oracle's
     Werner state and projector, (I x P) rho (I x P) by Kronecker products,
     its trace and the partial trace by einsum, within 4.4e-16 in every
     entry, the probability and delta
   * property over z, theta and sign: probability 1/2, delta = +-z cos 2theta,
-    a Hermitian positive-semidefinite collapsed state of trace 1; and any
-    target in [-z, z] is reached through angle_for_target_delta
+    a real collapsed state that equals its transpose exactly, positive
+    semidefinite and of trace 1; and any target in [-z, z] is reached
+    through angle_for_target_delta
+  * the collapsed impurity holds its entries as floats, and density_matrix
+    builds a new complex array on each read
 """
 
 import math
@@ -92,7 +95,7 @@ def test_collapsed_state_entrywise():
             assert math.isclose(trace.real, 1.0, rel_tol=0, abs_tol=1e-12)
 
 
-def test_contraction_matches_kronecker_route():
+def test_closed_form_matches_kronecker_route():
     rng = np.random.default_rng(31)
     for _ in range(500):
         z = rng.uniform(0.0, 1.0)
@@ -106,6 +109,15 @@ def test_contraction_matches_kronecker_route():
         assert np.max(np.abs(out.density_matrix - reduced)) <= 4.4e-16
         assert abs(out.probability - probability) <= 4.4e-16
         assert abs(out.delta - (reduced[0, 0] - reduced[1, 1]).real) <= 4.4e-16
+
+
+def test_collapsed_impurity_holds_floats():
+    out = measure(WernerState(0.7), ProjectiveMeasurement(0.3, Sign.MINUS))
+    assert [type(x) for x in out] == [float] * 5 and out._fields[:3] == ("rho00", "rho01", "rho11")
+    rho = out.density_matrix
+    assert rho.dtype == complex and rho.tolist() == [[out.rho00, out.rho01], [out.rho01, out.rho11]]
+    rho[0, 0] = 0.0
+    assert out.density_matrix[0, 0] == out.rho00 != 0.0
 
 
 def test_angle_inversion_round_trip():
@@ -190,7 +202,7 @@ def test_measurement_identities_property(z, theta, sign, share):
     want = z * math.cos(2.0 * theta)
     assert abs(out.delta - (want if sign is Sign.PLUS else -want)) <= 1e-12
     rho = out.density_matrix
-    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-15
+    assert np.array_equal(rho, rho.T) and not rho.imag.any()
     assert np.min(np.linalg.eigvalsh(rho)) >= -1e-15
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     target = share * z
