@@ -36,14 +36,13 @@ import contextlib
 import errno
 import os
 import sys
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConvergenceFailureError, IDDMError
 from .meanfield import (
+    _derivative_rows,
     critical_delta,
     critical_lambda,
-    derivative_scan,
     equilibrium_closed_form,
     equilibrium_numeric,
     observables,
@@ -98,10 +97,12 @@ def _add_opts(parser: argparse.ArgumentParser, opts: list[_Opt]) -> None:
 
 
 def _build_parser(command: str | None) -> _Parser:
-    """Every subcommand, with options only on the one named command: no other is parsed."""
+    """The named command's subparser alone, with its options; every subcommand, without
+    options, when command names none (for --help and the usage errors)."""
     parser = _Parser(prog="iddm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser, required=True)
-    for name, (help_text, _, opts) in _COMMANDS.items():
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, _, opts = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name == command:
             p.add_argument("--config", dest="config", default=None, help="JSON config file")
@@ -244,14 +245,11 @@ def _cmd_sweep(v: dict, provided: set) -> None:
 
 
 def _cmd_deriv(v: dict, provided: set) -> None:
-    scan = derivative_scan(_params(v), v["wrt"], v["start"], v["stop"], v["step"], delta=v["delta"])
-    edge = ("",)  # central differences have no edge values
-    d1, d2 = (chain(edge, map(_fmt, d), edge) for d in (scan.d1_values, scan.d2_values))
-    name = scan.parameter_name
+    _, rows = _derivative_rows(_params(v), v["wrt"], v["start"], v["stop"], v["step"], delta=v["delta"])
+    row, edge = (v["wrt"] + tail for tail in (",%.17g,%.17g,%.17g,%.17g\n", ",%.17g,%.17g,,\n"))
     with _out_stream(v["output"]) as out:
         out.write("param,value,e0,d1,d2\n")
-        _write_chunks(out, (f"{name},{_fmt(x)},{_fmt(e0)},{a},{b}\n"
-                            for x, e0, a, b in zip(scan.grid, scan.e0_values, d1, d2)))
+        _write_chunks(out, (row % r if r[2] is not None else edge % r[:2] for r in rows()))
 
 
 def _cmd_spectrum(v: dict, provided: set) -> None:

@@ -424,22 +424,13 @@ class DerivativeScan(NamedTuple):
     jump_size: float
 
 
-def derivative_scan(
-    params: ModelParams,
-    parameter_name: str,
-    start: float,
-    stop: float,
-    step: float,
-    *,
-    delta: float | None = None,
-) -> DerivativeScan:
-    """Scan E0 along delta or lambda and difference it on the grid.
+def _derivative_rows(params: ModelParams, parameter_name: str, start: float, stop: float, step: float,
+                     *, delta: float | None = None):
+    """Make every refusal of `derivative_scan`, solving each grid point once, then return (h, rows).
 
-    A kink in E0 shows up as a step in the second difference; the scan
-    reports where the largest step sits.  Equilibrium failures at a grid
-    point are re-raised with the offending point named; a step whose square
-    underflows to 0, or differences that are not finite, are refused; so is
-    a range that leaves the parameter's domain, at its first point outside it.
+    rows() solves each point again and yields (value, e0, d1, d2) per grid
+    point, d1 = d2 = None on the two edge rows, so a scan of any length runs
+    in constant memory.
     """
     if parameter_name not in ("delta", "lambda"):
         raise InvalidParameterError(f"parameter_name must be 'delta' or 'lambda', got {parameter_name!r}")
@@ -451,6 +442,7 @@ def derivative_scan(
         raise InvalidParameterError("delta scans take no separate delta argument")
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         check_finite(name, value)
+    start, stop = float(start), float(stop)  # the grid holds floats, as _linspace's does
     if not step > 0:
         raise InvalidParameterError(f"step must be > 0, got {step}")
     if not stop > start:
@@ -480,29 +472,70 @@ def derivative_scan(
         return True
 
     # A range that leaves the domain (check_population's or check_lambda's) is refused at its first
-    # point outside it, before the grid is built: only index 0 can lie below, so bisect above it.
+    # point outside it, before the grid is walked: only index 0 can lie below, so bisect above it.
     lo, first = (0, count) if inside(start) else (-1, 0)
     while first - lo > 1:  # point(lo) lies inside the domain; point(first) outside it, or past the grid
         mid = (lo + first) // 2
         lo, first = (mid, first) if inside(point(mid)) else (lo, mid)
-    grid = _linspace(start, stop, count) if first == count else None
-    e0 = []
-    for i, v in enumerate(grid) if grid else [(0, point(0)), (first, point(first))]:  # index 0's error first
-        try:
-            if parameter_name == "delta":
-                sol = equilibrium_closed_form(params, v)
-            else:  # (f1, f2) once, at index 0, after the first lambda's own checks
-                lam = check_lambda(v)
-                if i == 0:
-                    f1, f2 = _frequencies(params, delta)
-                sol = _closed_form(f1, f2, lam)
-        except IDDMError as exc:
-            raise type(exc)(f"{parameter_name} = {v} (grid index {i}): {exc}") from exc
-        e0.append(sol.e0)
-    d1 = [(e0[i + 2] - e0[i]) / (2.0 * h) for i in range(count - 2)]
-    d2 = [(e0[i + 2] - 2.0 * e0[i + 1] + e0[i]) / (h * h) for i in range(count - 2)]
-    if not all(map(math.isfinite, d1 + d2)):
+
+    def e0s(indices):
+        for i in indices:
+            v = point(i)
+            try:
+                if parameter_name == "delta":
+                    e0 = equilibrium_closed_form(params, v).e0
+                else:  # (f1, f2) once, at index 0, after the first lambda's own checks
+                    lam = check_lambda(v)
+                    if i == 0:
+                        f1, f2 = _frequencies(params, delta)
+                    e0 = _closed_form(f1, f2, lam).e0
+            except IDDMError as exc:
+                raise type(exc)(f"{parameter_name} = {v} (grid index {i}): {exc}") from exc
+            yield v, e0
+
+    def rows():
+        points = e0s(range(count))
+        (v0, a), (v, b) = next(points), next(points)
+        yield v0, a, None, None
+        for w, c in points:  # a, b, c: E0 at the left neighbour, at v and at the right one
+            yield v, b, (c - a) / (2.0 * h), (c - 2.0 * b + a) / (h * h)
+            v, a, b = w, b, c
+        yield v, b, None, None
+
+    if first < count:  # index 0's error first, then that of the first point outside the domain
+        for _ in e0s((0, first)):
+            pass
+    # a full pass, so that a point's own error anywhere outranks a difference that is not finite
+    if sum(d1 is not None and not (math.isfinite(d1) and math.isfinite(d2)) for _, _, d1, d2 in rows()):
         raise InvalidParameterError(f"differences of E0 are not finite at step = {h}")
+    return h, rows
+
+
+def derivative_scan(
+    params: ModelParams,
+    parameter_name: str,
+    start: float,
+    stop: float,
+    step: float,
+    *,
+    delta: float | None = None,
+) -> DerivativeScan:
+    """Scan E0 along delta or lambda and difference it on the grid.
+
+    A kink in E0 shows up as a step in the second difference; the scan
+    reports where the largest step sits.  Equilibrium failures at a grid
+    point are re-raised with the offending point named; a step whose square
+    underflows to 0, or differences that are not finite, are refused; so is
+    a range that leaves the parameter's domain, at its first point outside it.
+    """
+    h, rows = _derivative_rows(params, parameter_name, start, stop, step, delta=delta)
+    grid, e0, d1, d2 = [], [], [], []
+    for value, e, first, second in rows():  # four lists, without a list of the row tuples on top of them
+        grid.append(value)
+        e0.append(e)
+        if first is not None:
+            d1.append(first)
+            d2.append(second)
     steps = [abs(b - a) for a, b in zip(d2, d2[1:])]
     j = max(range(len(steps)), key=steps.__getitem__, default=0)  # the first maximum, as np.argmax
     interior = grid[1:-1]

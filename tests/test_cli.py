@@ -28,11 +28,14 @@ Checked here:
   * deriv emits the documented CSV with empty edge cells and shows the
     curvature jump at the transition; a non-finite scan edge or step, a
     (stop - start)/step that overflows, a step whose square underflows to 0
-    and a grid whose differences of E0 overflow exit 1 with an error on stderr;
-    a delta scan given --delta (flag or config) exits 1 with no output and
-    derivative_scan's own message; a scan range that leaves the domain of
-    delta or lambda exits 1 with the error of its first point outside it,
-    before the grid is built (a spy on the grid sees no call)
+    and a grid whose differences of E0 overflow exit 1 with an error on stderr,
+    and a point's own refusal outranks a difference that is not finite at an
+    earlier point; a delta scan given --delta (flag or config) exits 1 with no
+    output and derivative_scan's own message; a scan range that leaves the
+    domain of delta or lambda exits 1 with the error of its first point
+    outside it, before the grid is walked (spies on the per-point kernels see
+    no other point); a 20,001-point deriv to a file peaks under 512 KB
+    (tracemalloc)
   * meanfield prints nu = undefined at lambda = 0, and nu = inf with the
     normal phase where f1 f2 / (4 lambda^2) exceeds the float range
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
@@ -85,6 +88,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -545,8 +549,13 @@ def test_deriv_delta_scan_rejects_fixed_delta(tmp_path, capsys):
     # the second difference at the kink next to delta = -1 overflows to -inf
     (["--wrt", "delta", "--from=-1", "--to=-0.9999999999999858", "--step", "8.881784197001252e-16",
       "--kappa", "1e300", "--lambda", "1e143"], "differences of E0 are not finite"),
+    # d2 at index 1 is -inf, but a point's own refusal outranks it wherever on the grid it lies
+    (["--wrt", "delta", "--from=-1", "--to=-0.9999999999999858", "--step", "8.881784197001252e-16",
+      "--kappa=-1e300", "--lambda", "6e143"],
+     "error: delta = -0.9999999999999956 (grid index 5): nu = -1.2335811384723963 <= -1: no interior minimum\n"),
 ], ids=["stop-inf", "start-minus-inf", "start-nan", "stop-nan", "step-inf", "step-nan",
-        "count-overflow", "span-overflow", "step-squared-underflow", "d2-overflow"])
+        "count-overflow", "span-overflow", "step-squared-underflow", "d2-overflow",
+        "point-error-after-d2-overflow"])
 def test_deriv_non_finite_or_overflowing_grid_exits_1(capsys, grid, message):
     # --flag=value, so that argparse does not read -inf as an option; a grid
     # without --wrt scans lambda at delta = 0
@@ -570,12 +579,37 @@ def test_deriv_non_finite_or_overflowing_grid_exits_1(capsys, grid, message):
      " 4 lambda^2 overflows\n"),
 ], ids=["delta-below", "delta-far-below", "delta-above", "lambda-negative", "lambda-overflows"])
 def test_deriv_refuses_a_range_outside_the_domain_before_building_the_grid(monkeypatch, capsys, grid, message):
-    # the grids hold 1e9 to 3e68 points: the refusal must come before any is made
-    def spy(*args):
-        raise AssertionError("grid built")
+    # the grids hold 1e9 to 3e68 points: the per-point kernel of the scan may see only the two
+    # points the refusal ranks, index 0 and the named one
+    start = next(float(arg.partition("=")[2]) for arg in grid if arg.startswith("--from="))
+    allowed = {start, float(message.split(" = ")[1].split(" (")[0])}
+    # equilibrium_closed_form(params, delta) solves a delta scan, _closed_form(f1, f2, lam) a lambda scan
+    name, at = ("equilibrium_closed_form", 1) if grid[1] == "delta" else ("_closed_form", 2)
+    kernel = getattr(iddm.meanfield, name)
 
-    monkeypatch.setattr(iddm.meanfield, "_linspace", spy)
+    def spy(*args):
+        if args[at] not in allowed:
+            raise AssertionError(f"solved at {args[at]}")
+        return kernel(*args)
+
+    monkeypatch.setattr(iddm.meanfield, name, spy)
     assert run_cli(capsys, "deriv", *grid) == (1, "", message)
+
+
+def test_deriv_memory_does_not_grow_with_the_scan(tmp_path):
+    # a scan held as lists of its grid, E0 and differences peaked at 3.1 MB here; one write chunk
+    # of 256 lines takes about 30 KB
+    target = tmp_path / "scan.csv"
+    argv = ["deriv", "--wrt", "lambda", "--from", "0", "--to", "12", "--step", "0.0006", "--delta", "0",
+            "--output", str(target)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(target.read_text().splitlines()) == 1 + 20_001
+    assert peak < 512 * 1024
 
 
 def test_sweep_json_lines_tagged_row(capsys):
@@ -674,7 +708,7 @@ def test_ed_refuses_bad_atom_number_before_solving(capsys, monkeypatch, mode):
 
 
 # the computation each command runs before it writes
-_RUN = {"sweep": "iddm.cli.run_grid", "deriv": "iddm.cli.derivative_scan", "ed": "iddm.ed.ground_state"}
+_RUN = {"sweep": "iddm.cli.run_grid", "deriv": "iddm.cli._derivative_rows", "ed": "iddm.ed.ground_state"}
 
 
 @pytest.mark.parametrize("argv", [
