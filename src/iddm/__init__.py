@@ -25,8 +25,8 @@ from .sweep import *
 __version__ = "0.1.0"
 
 # The names of the spectrum, measurement and ED modules resolve on first use
-# (PEP 562): measurement and ed load numpy, and fluctuations is loaded only by
-# the processes that ask for a spectrum.
+# (PEP 562): ed loads numpy; measurement (numpy only in CollapsedImpurity.density_matrix)
+# and fluctuations stay lazy to keep start-up short.
 _LAZY_NAMES = {
     **dict.fromkeys(("SpectrumResult", "excitation_spectrum", "normal_phase_spectrum"),
                     "fluctuations"),

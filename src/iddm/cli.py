@@ -246,6 +246,8 @@ def _cmd_sweep(v: dict, provided: set) -> None:
 
 def _cmd_deriv(v: dict, provided: set) -> None:
     _, rows = _derivative_rows(_params(v), v["wrt"], v["start"], v["stop"], v["step"], delta=v["delta"])
+    for _ in rows():  # a checking pass: a refused scan opens no --output and writes nothing
+        pass
     row, edge = (v["wrt"] + tail for tail in (",%.17g,%.17g,%.17g,%.17g\n", ",%.17g,%.17g,,\n"))
     with _out_stream(v["output"]) as out:
         out.write("param,value,e0,d1,d2\n")

@@ -426,11 +426,11 @@ class DerivativeScan(NamedTuple):
 
 def _derivative_rows(params: ModelParams, parameter_name: str, start: float, stop: float, step: float,
                      *, delta: float | None = None):
-    """Make every refusal of `derivative_scan`, solving each grid point once, then return (h, rows).
+    """Refuse a bad grid, or one that leaves the domain, then return (h, rows).
 
-    rows() solves each point again and yields (value, e0, d1, d2) per grid
-    point, d1 = d2 = None on the two edge rows, so a scan of any length runs
-    in constant memory.
+    rows() solves each grid point once and yields (value, e0, d1, d2), with d1 = d2 = None
+    on the two edge rows, in constant memory; after its last row it refuses differences
+    that are not finite, so that a point's own error anywhere outranks them.
     """
     if parameter_name not in ("delta", "lambda"):
         raise InvalidParameterError(f"parameter_name must be 'delta' or 'lambda', got {parameter_name!r}")
@@ -479,15 +479,15 @@ def _derivative_rows(params: ModelParams, parameter_name: str, start: float, sto
         lo, first = (mid, first) if inside(point(mid)) else (lo, mid)
 
     def e0s(indices):
+        frequencies = None
         for i in indices:
             v = point(i)
             try:
                 if parameter_name == "delta":
                     e0 = equilibrium_closed_form(params, v).e0
-                else:  # (f1, f2) once, at index 0, after the first lambda's own checks
+                else:  # (f1, f2) once, after the first lambda's own checks
                     lam = check_lambda(v)
-                    if i == 0:
-                        f1, f2 = _frequencies(params, delta)
+                    f1, f2 = frequencies = frequencies or _frequencies(params, delta)
                     e0 = _closed_form(f1, f2, lam).e0
             except IDDMError as exc:
                 raise type(exc)(f"{parameter_name} = {v} (grid index {i}): {exc}") from exc
@@ -497,17 +497,19 @@ def _derivative_rows(params: ModelParams, parameter_name: str, start: float, sto
         points = e0s(range(count))
         (v0, a), (v, b) = next(points), next(points)
         yield v0, a, None, None
+        finite = True
         for w, c in points:  # a, b, c: E0 at the left neighbour, at v and at the right one
-            yield v, b, (c - a) / (2.0 * h), (c - 2.0 * b + a) / (h * h)
+            d1, d2 = (c - a) / (2.0 * h), (c - 2.0 * b + a) / (h * h)
+            finite = finite and math.isfinite(d1) and math.isfinite(d2)
+            yield v, b, d1, d2
             v, a, b = w, b, c
         yield v, b, None, None
+        if not finite:
+            raise InvalidParameterError(f"differences of E0 are not finite at step = {h}")
 
     if first < count:  # index 0's error first, then that of the first point outside the domain
         for _ in e0s((0, first)):
             pass
-    # a full pass, so that a point's own error anywhere outranks a difference that is not finite
-    if sum(d1 is not None and not (math.isfinite(d1) and math.isfinite(d2)) for _, _, d1, d2 in rows()):
-        raise InvalidParameterError(f"differences of E0 are not finite at step = {h}")
     return h, rows
 
 
@@ -538,8 +540,7 @@ def derivative_scan(
             d2.append(second)
     steps = [abs(b - a) for a, b in zip(d2, d2[1:])]
     j = max(range(len(steps)), key=steps.__getitem__, default=0)  # the first maximum, as np.argmax
-    interior = grid[1:-1]
-    location = 0.5 * (interior[j] + interior[j + 1]) if steps else interior[0]
+    location = 0.5 * (grid[j + 1] + grid[j + 2]) if steps else grid[1]  # d2_values[j] sits at grid[j + 1]
     return DerivativeScan(
         parameter_name=parameter_name,
         grid=grid,

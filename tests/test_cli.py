@@ -34,8 +34,13 @@ Checked here:
     output and derivative_scan's own message; a scan range that leaves the
     domain of delta or lambda exits 1 with the error of its first point
     outside it, before the grid is walked (spies on the per-point kernels see
-    no other point); a 20,001-point deriv to a file peaks under 512 KB
-    (tracemalloc)
+    no other point); a negative lambda is refused before chi != 0, index 0's
+    own refusal before the first point outside the domain, and that point's
+    before an earlier one that is never solved, each without creating its
+    --output; deriv solves each point twice (a checking pass before
+    --output is opened, then the write) where derivative_scan solves it
+    once (tests/test_meanfield.py); a 20,001-point deriv to a file peaks
+    under 512 KB (tracemalloc)
   * meanfield prints nu = undefined at lambda = 0, and nu = inf with the
     normal phase where f1 f2 / (4 lambda^2) exceeds the float range
   * sweep emits CSV/JSON lines, honors --output, and repeated runs are
@@ -594,6 +599,23 @@ def test_deriv_refuses_a_range_outside_the_domain_before_building_the_grid(monke
 
     monkeypatch.setattr(iddm.meanfield, name, spy)
     assert run_cli(capsys, "deriv", *grid) == (1, "", message)
+
+
+@pytest.mark.parametrize("grid, message", [
+    # lambda's own check comes before the chi refusal of the frequencies
+    (["--wrt", "lambda", "--delta", "0", "--chi", "0.3", "--from=-0.5", "--to", "0.5", "--step", "0.25"],
+     "error: lambda = -0.5 (grid index 0): lambda must be >= 0, got -0.5\n"),
+    # index 0's own refusal outranks the first point outside the domain (delta = 1.1)
+    (["--wrt", "delta", "--chi", "0.3", "--from", "0.3", "--to", "1.3", "--step", "0.1"],
+     "error: delta = 0.3 (grid index 0): mean-field routines require chi = 0\n"),
+    # the first point outside the domain outranks index 1, whose f1 = 0 is never solved
+    (["--wrt", "delta", "--from", "0.5", "--to", "1.5", "--step", "0.5", "--xi1=-400"],
+     "error: delta = 1.5 (grid index 2): impurity population must lie in [-1, 1], got 1.5\n"),
+], ids=["lambda-before-chi", "index-0-before-domain", "domain-before-index-1"])
+def test_deriv_refusal_order(tmp_path, capsys, grid, message):
+    target = tmp_path / "scan.csv"
+    assert run_cli(capsys, "deriv", *grid, "--output", str(target)) == (1, "", message)
+    assert not target.exists()
 
 
 def test_deriv_memory_does_not_grow_with_the_scan(tmp_path):

@@ -36,7 +36,11 @@ Checked here:
     with the point named in the message; a scan refuses a parameter other
     than delta or lambda, a step <= 0, stop <= start and fewer than 3 points;
     a range past the domain's upper edge is refused with the message of its
-    first point outside, or of index 0 where that point fails too
+    first point outside, or of index 0 where that point fails too, and the
+    points between them are never solved
+  * derivative_scan solves each grid point once (a spy on the closed form
+    counts 6,001 calls on a 6,001-point lambda scan and 2,001 on a 2,001-point
+    delta scan), and `iddm deriv` twice: a checking pass, then the write
   * refusal behavior: nu <= -1, chi != 0 (critical_lambda, critical_delta
     and trace_critical_curve included), |beta| out of range, zero budget,
     a lone origin start in the superradiant phase (a saddle), a negative
@@ -628,12 +632,41 @@ def test_lambda_scan_refusals_name_the_first_point():
      "lambda = 7e+153 (grid index 6): lambda = 7e+153 is too large: 4 lambda^2 overflows"),
     (FIG2._replace(chi=0.3), "delta", 0.3, 1.3, 0.1, None,
      "delta = 0.3 (grid index 0): mean-field routines require chi = 0"),
+    # index 1 (delta = 1, f1 = 0) would fail too, but it is never solved
+    (FIG2._replace(xi1=-400.0), "delta", 0.5, 1.5, 0.5, None,
+     "delta = 1.5 (grid index 2): impurity population must lie in [-1, 1], got 1.5"),
 ])
 def test_scan_past_the_domain_names_what_the_full_grid_would(params, name, start, stop, step, delta, message):
-    # refused before the grid is built, with the message a point-by-point run of the whole grid gives
+    # refused before the grid is walked: index 0's own error first, else that of the first point
+    # outside the domain; the points between them are not solved, so an earlier one that would
+    # fail goes unnamed, where a point-by-point walk of the whole grid would stop at it
     with pytest.raises(IDDMError) as info:
         derivative_scan(params, name, start, stop, step, delta=delta)
     assert str(info.value) == message
+
+
+def test_scan_solves_each_point_once_and_deriv_twice(monkeypatch, tmp_path):
+    import iddm.cli
+    import iddm.meanfield
+
+    kernel, calls = iddm.meanfield._closed_form, []
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(iddm.meanfield, "_closed_form", spy)
+    fig2 = ["--omega", "400", "--lambda", "5", "--kappa", "-0.5"]
+    for wrt, start, stop, step, delta, count in [("lambda", 0.0, 12.0, 0.002, 0.0, 6001),
+                                                 ("delta", -1.0, 1.0, 0.001, None, 2001)]:
+        calls.clear()
+        assert len(derivative_scan(FIG2, wrt, start, stop, step, delta=delta).grid) == count
+        assert len(calls) == count
+        calls.clear()
+        argv = ["deriv", *fig2, "--wrt", wrt, "--from", str(start), "--to", str(stop), "--step", str(step),
+                *([] if delta is None else ["--delta", str(delta)]), "--output", str(tmp_path / "scan.csv")]
+        assert iddm.cli.main(argv) == 0
+        assert len(calls) == 2 * count
 
 
 def _numpy_scan(params, parameter_name, start, stop, step, delta):
