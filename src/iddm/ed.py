@@ -200,11 +200,13 @@ def _frame(params: ModelParams, n_atoms: int, delta: float):
 class Hamiltonian:
     """H in the displaced basis, applied block by block and never assembled.
 
-    blocks holds one (diag, terms) pair per sigma_z block, in the order
-    (upper, lower): diag[n, k] is the diagonal element of D(d_m)|n>|m>,
-    k = m + N/2, and each term (fc, spin, step) stands for
-    fc (x) sum_k spin[k] |k + step><k| plus its transpose, a Hermitian term
-    that moves the Jx index up or down by step with photon overlaps fc.
+    n_atoms and cutoff are Python ints.  blocks holds one (diag, terms, d, t)
+    per sigma_z block, in the order (upper, lower): diag[n, k] is the diagonal
+    element of D(d_m)|n>|m>, k = m + N/2, and each term (fc, spin, step) stands
+    for fc (x) sum_k spin[k] |k + step><k| plus its transpose, a Hermitian term
+    that moves the Jx index up or down by step with photon overlaps fc; the
+    first term is Jz's, with fc = F(gamma).  d and t are the block's frame (see
+    _frame), kept for its observables.
     """
 
     def __init__(self, n_atoms: int, cutoff: int, blocks):
@@ -218,12 +220,12 @@ class Hamiltonian:
         return sum(
             np.count_nonzero(diag)
             + sum(2 * np.count_nonzero(fc) * np.count_nonzero(spin) for fc, spin, _ in terms)
-            for diag, terms in self.blocks
+            for diag, terms, _, _ in self.blocks
         )
 
     def apply_block(self, block: int, x: np.ndarray) -> np.ndarray:
         """Block number block applied to x, a vector of block_size entries."""
-        diag, terms = self.blocks[block]
+        diag, terms, _, _ = self.blocks[block]
         x = x.reshape(diag.shape)
         out = diag * x
         for fc, spin, step in terms:
@@ -234,7 +236,7 @@ class Hamiltonian:
     def toarray(self) -> np.ndarray:
         size = self.block_size
         out = np.zeros(self.shape)
-        for b, (diag, terms) in enumerate(self.blocks):
+        for b, (diag, terms, _, _) in enumerate(self.blocks):
             dense = np.diag(diag.ravel())
             for fc, spin, step in terms:
                 up = np.kron(fc, np.diag(spin, -step))
@@ -243,9 +245,8 @@ class Hamiltonian:
         return out
 
 
-def _block(params: ModelParams, config: EDConfig, delta: float, cutoff: int, shift: float):
-    """(diag, terms) of the block at impurity population delta, its diagonal moved by shift."""
-    n = config.n_atoms
+def _block(params: ModelParams, n: int, cutoff: int, delta: float, shift: float):
+    """(diag, terms, d, t) of the block at impurity population delta, its diagonal moved by shift."""
     f1, f2, d, gamma, t = _frame(params, n, delta)
     diag = f1 * (np.arange(cutoff + 1.0)[:, None] - (d * d)[None, :])
     terms = [(_franck_condon(gamma, cutoff), -f2 * t, 1)]
@@ -254,14 +255,12 @@ def _block(params: ModelParams, config: EDConfig, delta: float, cutoff: int, shi
         t2 = t * t
         diag = diag + (params.chi / n) * (np.concatenate([t2, [0.0]]) + np.concatenate([[0.0], t2]))
         terms.append((_franck_condon(2.0 * gamma, cutoff), (params.chi / n) * t[:-1] * t[1:], 2))
-    return diag + shift, terms
+    return diag + shift, terms, d, t
 
 
-def build_hamiltonian(
-    params: ModelParams, config: EDConfig, photon_cutoff: int | None = None
-) -> Hamiltonian:
-    """The Hamiltonian in the displaced basis at the config's (or the given)
-    photon cutoff; FullQubit blocks carry +-omega_q_prime / 2.
+def build_hamiltonian(params: ModelParams, config: EDConfig) -> Hamiltonian:
+    """The Hamiltonian in the displaced basis at the config's photon cutoff;
+    FullQubit blocks carry +-omega_q_prime / 2.
 
     Raises InvalidParameterError when a block's norm bound, max|diag| plus
     twice the largest spin coefficient of each term (a Franck-Condon matrix
@@ -271,24 +270,25 @@ def build_hamiltonian(
     when the bound is not finite or its square overflows, as the solver's
     vector norms would.
     """
-    cutoff = config.photon_cutoff if photon_cutoff is None else photon_cutoff
+    # numpy integer counts would reach ground_state's record, which JSON cannot write
+    n, cutoff = int(config.n_atoms), int(config.photon_cutoff)
     if isinstance(config.impurity_mode, FixedDelta):
         populations = [(config.impurity_mode.delta, 0.0)]
     else:
         half = 0.5 * params.omega_q_prime
         populations = [(1.0, half), (-1.0, -half)]
-    dim = len(populations) * (cutoff + 1) * (config.n_atoms + 1)
+    dim = len(populations) * (cutoff + 1) * (n + 1)
     if dim > config.dimension_cap:
         raise DimensionTooLargeError(f"Hilbert-space dimension {dim} exceeds cap {config.dimension_cap}")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan entry is refused below
-        blocks = [_block(params, config, delta, cutoff, shift) for delta, shift in populations]
-    for diag, terms in blocks:
+        blocks = [_block(params, n, cutoff, delta, shift) for delta, shift in populations]
+    for diag, terms, _, _ in blocks:
         lowest = float(diag.min())  # the bound in Python floats: numpy's would warn
         spins = sum(float(np.max(np.abs(spin), initial=0.0)) for _, spin, _ in terms)
         norm = max(float(diag.max()), -lowest) + 2.0 * spins
         if not math.isfinite(norm):
             raise InvalidParameterError(f"the Hamiltonian's norm bound is not finite: {norm}")
-        resolution, target = np.finfo(float).eps * norm, 1e-8 * max(config.n_atoms, -lowest)
+        resolution, target = np.finfo(float).eps * norm, 1e-8 * max(n, -lowest)
         if resolution > target:
             raise InvalidParameterError(
                 f"the Hamiltonian's norm bound {norm:.3g} is beyond the eigensolver: its "
@@ -296,7 +296,7 @@ def build_hamiltonian(
             )
         if norm * norm == math.inf:
             raise InvalidParameterError(f"the Hamiltonian's norm bound {norm:.3g} overflows when squared")
-    return Hamiltonian(config.n_atoms, cutoff, blocks)
+    return Hamiltonian(n, cutoff, blocks)
 
 
 class _Sector:
@@ -402,13 +402,15 @@ def _lowest_state(
     raise ConvergenceFailureError(f"eigensolver did not converge in {budget} restarts")
 
 
-def _observables(params, n_atoms, delta, fc, coeffs):
-    """(<Jz>, <a^dagger a>) of the block state coeffs[n, k] in the displaced basis.
+def _observables(block, coeffs):
+    """(<Jz>, <a^dagger a>) of the state coeffs[n, k] of a Hamiltonian block in its displaced basis.
 
-    Jz couples k to k + 1 with -t_k fc, fc = F(gamma); a = b + d_k on column k, so
-    <a^dagger a> = <b^dagger b> + 2 d_k <b> + d_k^2 summed over k.
+    Jz couples k to k + 1 with -t_k fc, fc = F(gamma) of the block's first term;
+    a = b + d_k on column k, so <a^dagger a> = <b^dagger b> + 2 d_k <b> + d_k^2
+    summed over k.
     """
-    _, _, d, _, t = _frame(params, n_atoms, delta)
+    _, terms, d, t = block
+    fc = terms[0][0]
     levels = np.arange(float(len(coeffs)))
     jz = -2.0 * float(np.sum(t * np.sum(coeffs[:, 1:] * (fc @ coeffs[:, :-1]), axis=0)))
     weight = coeffs * coeffs
@@ -435,14 +437,10 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
     raises DimensionTooLargeError).
     Reported observables come from the final base state.
     """
-    n = int(config.n_atoms)  # a numpy integer count would reach the record, which JSON cannot write
+    h = build_hamiltonian(params, config)
     fixed = isinstance(config.impurity_mode, FixedDelta)
-    blocks = (0,) if fixed else (0, 1)
     signs = (1.0, -1.0) if params.xi2 == 0 else (None,)
-    sectors = [(block, sign) for block in blocks for sign in signs]
-
-    base = int(config.photon_cutoff)
-    h = build_hamiltonian(params, config, base)
+    sectors = [(block, sign) for block in range(len(h.blocks)) for sign in signs]
     known, raises = {}, 0  # known: the sector that the failed check solved at the raised cutoff
     while True:
         solves = {key: known.get(key) or _lowest_state(_Sector(h, *key)) for key in sectors}
@@ -452,30 +450,28 @@ def ground_state(params: ModelParams, config: EDConfig) -> EDResult:
             if energy <= lowest + 1e-12 * max(1.0, abs(lowest))
         )
         energy, psi = solves[key]
-        e_atom = energy / n
-        larger = 2 * base
-        if raises and len(blocks) * (larger + 1) * (n + 1) > config.dimension_cap:
+        e_atom = energy / h.n_atoms
+        if raises and len(h.blocks) * (2 * h.cutoff + 1) * (h.n_atoms + 1) > config.dimension_cap:
             break
-        big = build_hamiltonian(params, config, larger)
+        big = build_hamiltonian(params, config._replace(photon_cutoff=2 * h.cutoff))
         enlarged = _Sector(big, *key)
         energy2, psi2 = _lowest_state(enlarged, np.pad(psi, (0, enlarged.shape[0] - len(psi))))
-        shift = abs(energy2 / n - e_atom)
+        shift = abs(energy2 / h.n_atoms - e_atom)
         converged = shift <= 1e-8 * max(1.0, abs(e_atom))
         if converged:
             break
         raises += 1
-        base, h, known = larger, big, {key: (energy2, psi2)}
+        h, known = big, {key: (energy2, psi2)}
 
     block, sign = key
-    delta = config.impurity_mode.delta if fixed else (1.0, -1.0)[block]
-    jz, photons = _observables(params, n, delta, h.blocks[block][1][0][0], _Sector(h, *key).scatter(psi))
+    jz, photons = _observables(h.blocks[block], _Sector(h, *key).scatter(psi))
     parity_known = fixed and params.xi2 == 0
     return EDResult(
-        n_atoms=n,
-        photon_cutoff=base,
+        n_atoms=h.n_atoms,
+        photon_cutoff=h.cutoff,
         energy_per_atom=e_atom,
-        jz_over_n=jz / n,
-        photons_over_n=photons / n,
+        jz_over_n=jz / h.n_atoms,
+        photons_over_n=photons / h.n_atoms,
         parity=sign if fixed else None,
         converged=converged,
         cutoff_shift=shift,

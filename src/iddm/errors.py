@@ -24,7 +24,7 @@ class ZeroDetuningError(InvalidParameterError):
 
 
 class ZeroKappaError(InvalidParameterError):
-    """kappa = 0: the impurity population cannot drive the transition."""
+    """kappa = xi1 = 0: the impurity population cannot drive the transition."""
 
 
 class ChiUnsupportedError(InvalidParameterError):

@@ -341,15 +341,16 @@ def critical_delta(params: ModelParams) -> float | None:
     """Impurity population at which nu = 1, or None when no root lies in [-1, 1].
 
     For xi1 = 0 this is the closed form (4 lam^2/omega - omega0)/kappa - 1;
-    otherwise the quadratic f1(d) f2(d) = 4 lam^2 is solved on the energies
-    over a power of two near the largest of them, and the smallest admissible
-    root (f1 > 0) in [-1, 1] is returned.
+    otherwise the quadratic f1(d) f2(d) = 4 lam^2 (linear when kappa = 0) is
+    solved on the energies over a power of two near the largest of them, and
+    the smallest admissible root (f1 > 0) in [-1, 1] is returned.  Raises
+    ZeroKappaError when kappa = xi1 = 0.
     """
     if params.chi != 0:
         raise ChiUnsupportedError(_CHI_REFUSAL)
-    if params.kappa == 0:
-        raise ZeroKappaError("critical_delta needs kappa != 0")
     if params.xi1 == 0:
+        if params.kappa == 0:
+            raise ZeroKappaError("critical_delta needs kappa != 0 or xi1 != 0")
         dc = (4.0 * params.lam * params.lam / params.omega - params.omega0) / params.kappa - 1.0
         return dc if -1.0 <= dc <= 1.0 else None
     omega, omega0, kappa, xi1, lam = _unit_scale(params.omega, params.omega0, params.kappa, params.xi1, params.lam)
@@ -361,8 +362,9 @@ def critical_delta(params: ModelParams) -> float | None:
     if disc < 0:
         return None
     q = -(b + math.copysign(math.sqrt(disc), b if b != 0 else 1.0)) / 2.0
-    # a kappa xi1 that underflows to 0 leaves the linear equation and its one root c/q
-    roots = [0.0] if q == 0 else [c / q] if a == 0 else [q / a, c / q]
+    # a = 0 (kappa = 0, or a kappa xi1 that underflows) leaves the linear equation and its
+    # one root c/q; q = 0 (b = 0 and b^2 = 4ac) leaves the root 0 if c = 0 and none otherwise
+    roots = ([0.0] if c == 0 else []) if q == 0 else [c / q] if a == 0 else [q / a, c / q]
     slack = 1e-12
     admissible = sorted(
         min(1.0, max(-1.0, r))

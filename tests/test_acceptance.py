@@ -286,7 +286,7 @@ def test_criterion_08_parity_invariant(report):
     failures = []
     try:
         config = EDConfig(n_atoms=6, photon_cutoff=8, impurity_mode=FixedDelta(0.3))
-        h = build_hamiltonian(FIG2, config, photon_cutoff=8).toarray()
+        h = build_hamiltonian(FIG2, config).toarray()
         # parity (-1)^n |n, N-k><n, k| on the displaced basis at N = 6, cutoff 8
         pi = np.kron(np.diag((-1.0) ** np.arange(9)), np.eye(7)[::-1])
         norm = float(np.max(np.abs(h @ pi - pi @ h)))

@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Checked here:
-  * critical prints the exact threshold lines and no-transition sentinel
+  * critical prints the exact threshold lines and no-transition sentinel,
+    the linear root at kappa = 0 with xi1 != 0 included, and exits 1 with
+    ZeroKappaError's message at kappa = xi1 = 0
   * exactly-one-of --lambda/--delta is enforced (exit 1 either way)
   * critical with --chi != 0 exits 1 for --delta and --lambda, with the
     refusal on stderr and nothing on stdout
@@ -132,6 +134,17 @@ def test_critical_delta_exact_line(capsys):
     code, out, _ = run_cli(capsys, "critical", "--lambda", "5")
     assert code == 0
     assert out == "delta_c = 0.5\n"
+
+
+def test_critical_delta_at_kappa_zero(capsys):
+    # f1 = omega + xi1 delta still moves the boundary: (400 - 300 delta) * 1 = 4 * 36 at 256/300
+    code, out, _ = run_cli(capsys, "critical", "--lambda", "6", "--kappa", "0", "--xi1=-300")
+    assert code == 0
+    assert out == "delta_c = 0.85333333333333339\n"
+    code, out, err = run_cli(capsys, "critical", "--lambda", "6", "--kappa", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: critical_delta needs kappa != 0 or xi1 != 0\n"
 
 
 def test_critical_no_transition(capsys):

@@ -267,7 +267,7 @@ def test_hermitian_and_parity_commutes():
             chi=chi,
         )
         config = EDConfig(n_atoms=6, photon_cutoff=8, impurity_mode=FixedDelta(0.3))
-        h = build_hamiltonian(params, config, photon_cutoff=8).toarray()
+        h = build_hamiltonian(params, config).toarray()
         assert np.max(np.abs(h - h.T)) <= 1e-12
         pi = _parity(6, 8)
         assert np.max(np.abs(pi @ pi - np.eye(len(pi)))) == 0.0
@@ -303,8 +303,8 @@ def test_operator_matches_its_dense_matrix():
             omega=rng.uniform(1.0, 6.0), lam=rng.uniform(0.2, 2.0), kappa=rng.uniform(-1.0, 1.0),
             chi=chi, xi2=0.4 if isinstance(mode, FullQubit) else 0.0, omega_q_prime=0.6,
         )
-        config = EDConfig(n_atoms=n_atoms, impurity_mode=mode)
-        h = build_hamiltonian(params, config, photon_cutoff=5)
+        config = EDConfig(n_atoms=n_atoms, photon_cutoff=5, impurity_mode=mode)
+        h = build_hamiltonian(params, config)
         dense = h.toarray()
         size = h.block_size
         for b in range(len(h.blocks)):
@@ -332,8 +332,8 @@ def test_lowest_state_matches_dense_sector(n_atoms, cutoff, variant, omega, lam,
         xi2=coupling if "xi2" in variant else 0.0,
     )
     mode = FullQubit() if variant.startswith("qubit") else FixedDelta(delta)
-    config = EDConfig(n_atoms=n_atoms, impurity_mode=mode)
-    h = build_hamiltonian(params, config, photon_cutoff=cutoff)
+    config = EDConfig(n_atoms=n_atoms, photon_cutoff=cutoff, impurity_mode=mode)
+    h = build_hamiltonian(params, config)
     dense, size = h.toarray(), h.block_size
     for block in range(len(h.blocks)):
         sub = dense[block * size:(block + 1) * size, block * size:(block + 1) * size]
@@ -356,8 +356,8 @@ def test_energy_resolution_is_relative_to_the_energy(omega, n_atoms, cutoff):
     # -f2 N/2 + f2 (Pi = -1), while ||H|| ~ f1 cutoff is thousands of times
     # larger; the tie rule needs the energy to 1e-12 * max(1, |E|)
     params = ModelParams(omega=omega, lam=0.0, kappa=-0.5)
-    h = build_hamiltonian(params, EDConfig(n_atoms=n_atoms, impurity_mode=FixedDelta(0.4)),
-                          photon_cutoff=cutoff)
+    config = EDConfig(n_atoms=n_atoms, photon_cutoff=cutoff, impurity_mode=FixedDelta(0.4))
+    h = build_hamiltonian(params, config)
     f2 = 1.0 - 0.5 * 1.4
     for sign, want in ((1.0, -f2 * n_atoms / 2.0), (-1.0, -f2 * n_atoms / 2.0 + f2)):
         energy, _ = ed._lowest_state(ed._Sector(h, 0, sign))
@@ -480,7 +480,7 @@ ECS_CUTOFF = 24
 def test_displaced_sectors_match_fock_oracle(params, config):
     n = config.n_atoms
     fock = _fock(params, config, FOCK_CUTOFF)
-    ecs = build_hamiltonian(params, config, photon_cutoff=ECS_CUTOFF).toarray()
+    ecs = build_hamiltonian(params, config._replace(photon_cutoff=ECS_CUTOFF)).toarray()
     parity = isinstance(config.impurity_mode, FixedDelta) and params.xi2 == 0
     fock_signs = _fock_signs(n, FOCK_CUTOFF) if parity else None
     for block in (0,) if isinstance(config.impurity_mode, FixedDelta) else (0, 1):
@@ -610,7 +610,7 @@ def test_raising_stops_at_dimension_cap():
     assert res.cutoff_raises == 2
     assert not res.converged
     # the reported energy is the sector's lowest at the final cutoff
-    h = build_hamiltonian(CRITICAL, config, photon_cutoff=4).toarray()
+    h = build_hamiltonian(CRITICAL, config._replace(photon_cutoff=4)).toarray()
     iso = _isometry(32, 4, res.parity)
     want = np.linalg.eigvalsh(iso.T @ h @ iso)[0]
     assert abs(res.energy_per_atom * 32 - want) <= 1e-12
@@ -660,7 +660,7 @@ def test_dimension_cap():
         dimension_cap=10_000,
     )
     with pytest.raises(DimensionTooLargeError):
-        build_hamiltonian(FIG2, config, photon_cutoff=2000)
+        build_hamiltonian(FIG2, config)
 
 
 def test_config_refuses_bad_sizes():

@@ -19,7 +19,8 @@ Checked here:
   * critical_delta / critical_lambda closed forms, boundary cases, the
     general xi1 != 0 root (None for a negative discriminant), and the
     standard-Dicke reduction; the linear root
-    when kappa xi1 underflows to 0, delta_c (xi1 = 0) where omega kappa or
+    when kappa xi1 underflows to 0 or kappa = 0 (no root where xi1 omega0
+    underflows to 0 too), delta_c (xi1 = 0) where omega kappa or
     omega omega0 underflows or overflows, and lambda_c where f1 f2 overflows
     or underflows (trace_critical_curve included)
   * property: every energy times 2^k (|k| <= 300, every number normal)
@@ -431,6 +432,24 @@ def test_critical_delta_out_of_range():
 def test_critical_delta_needs_kappa():
     with pytest.raises(ZeroKappaError):
         critical_delta(ModelParams(omega=400.0, lam=5.0, kappa=0.0))
+
+
+def test_critical_delta_linear_at_kappa_zero():
+    # f2 = omega0 is fixed, but f1 = omega + xi1 d still crosses 4 lam^2 / omega0
+    params = ModelParams(omega=400.0, lam=6.0, kappa=0.0, xi1=-300.0)
+    dc = critical_delta(params)
+    assert math.isclose(dc, 256.0 / 300.0, rel_tol=1e-15)
+    f1 = params.omega + params.xi1 * dc
+    f2 = params.omega0 + params.kappa * (1.0 + dc)
+    assert math.isclose(f1 * f2, 4.0 * params.lam**2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5e-324])
+def test_critical_delta_where_every_coefficient_but_c_underflows(kappa):
+    # over the power of two, a = kappa xi1 and b = xi1 omega0 + omega kappa are 0 while
+    # c = omega omega0 - 4 lam^2 is not: nu = 25 at every delta, so no root (it read 0)
+    params = ModelParams(omega=1.0, lam=1e-81, kappa=kappa, omega0=1e-160, xi1=1e-170)
+    assert critical_delta(params) is None
 
 
 def test_critical_delta_general_branch():
